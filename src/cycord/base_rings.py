@@ -9,12 +9,14 @@ residues mod alpha^s are all computed exactly with integer arithmetic.
 
 Residue rings O_F/(m) are materialized as lookup tables (`ResidueTable`) so
 that the quotient layers above can run on small-integer indices instead of
-object arithmetic.
+object arithmetic.  `power` and `cofactor_det` are the package's only
+square-and-multiply and cofactor determinant, generic over the ring.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from functools import lru_cache
 
@@ -111,6 +113,42 @@ def ring_by_name(name: str) -> BaseRing:
         raise ValueError(f"unknown base ring {name!r}") from None
 
 
+def power(x, e: int, one, mul=operator.mul):
+    """x**e by square-and-multiply, for any associative `mul` with identity `one`."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e} needs an explicit inverse")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def cofactor_det(rows, zero, add=operator.add, mul=operator.mul, neg=operator.neg):
+    """Determinant of a square matrix over a commutative ring, by cofactor expansion.
+
+    Expands along the first row and skips falsy (zero) pivots; `add`, `mul`
+    and `neg` default to the operators, so ring elements need no arguments.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = zero
+    for c in range(n):
+        pivot = rows[0][c]
+        if not pivot:
+            continue
+        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
+        term = mul(pivot, cofactor_det(minor, zero, add, mul, neg))
+        if c % 2:
+            term = neg(term)
+        acc = add(acc, term)
+    return acc
+
+
 class BaseElement:
     """Immutable element a + b*delta of a base ring."""
 
@@ -153,18 +191,8 @@ class BaseElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the base ring")
-        result = self.ring.one
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            square = square * square
-            e >>= 1
-        return result
+    def __pow__(self, e: int):
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         return (
@@ -483,14 +511,6 @@ class LocalBaseRing(BaseQuotientRing):
         self.alpha = alpha
         self.s = s
 
-    @property
-    def residue_size(self) -> int:
-        return self.size
-
-    @property
-    def is_field(self) -> bool:
-        return self.s == 1
-
     def __repr__(self):
         return f"LocalBaseRing({self.base.kind.value} mod ({self.alpha})^{self.s})"
 
@@ -545,15 +565,6 @@ class ResidueTable:
 
     def decode(self, i: int) -> BaseElement:
         return self.reps[i]
-
-    def pow(self, i: int, e: int) -> int:
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul[result][i]
-            i = self.mul[i][i]
-            e >>= 1
-        return result
 
 
 @lru_cache(maxsize=None)

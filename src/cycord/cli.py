@@ -10,7 +10,6 @@ import random
 import re
 import sys
 
-from .base_rings import BaseElement
 from .coding import (
     FirstCoefficientCode,
     LiftStrategy,
@@ -22,7 +21,7 @@ from .coding import (
     lift_codeword,
     run_lemma_trials,
 )
-from .errors import CycordError, VerificationFailed
+from .errors import CycordError, SelfTestFailed, VerificationFailed
 from .extension import IdealSpec
 from .order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
 from .residue import (
@@ -272,24 +271,49 @@ def _cmd_ideals(args):
 
 
 def _load_code_spec(path: str) -> dict:
+    """Read a code-spec file; malformed content raises CycordError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CycordError(f"code spec {path} is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise CycordError("a code spec must be a JSON object")
+    if not isinstance(spec.get("algebra_spec"), str):
+        raise CycordError("a code spec needs an 'algebra_spec' string")
+    for key in ("ideal", "outer"):
+        if not isinstance(spec.get(key, {}), dict):
+            raise CycordError(f"code spec field {key!r} must be a JSON object")
+    return spec
+
+
+def _spec_int(section: dict, key: str, default=None) -> int:
+    value = section.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CycordError(
+            f"code spec field {key!r} must be an integer, got {value!r}") from None
 
 
 def _spec_parts(spec: dict):
     algebra = _resolve_algebra(spec["algebra_spec"], spec.get("u"))
     ideal_d = spec.get("ideal", {})
-    alpha = algebra.ext.base.parse(ideal_d.get("alpha", "1+i"))
-    s = int(ideal_d.get("s", 1))
-    ideal = IdealSpec(alpha, s)
+    s = _spec_int(ideal_d, "s", 1)
+    try:
+        ideal = IdealSpec(algebra.ext.base.parse(ideal_d.get("alpha", "1+i")), s)
+    except ValueError as exc:
+        raise CycordError(str(exc)) from exc
     power = ideal_d.get("monomial_power")
-    return algebra, ideal, (None if power is None else int(power))
+    if power is not None:
+        power = _spec_int(ideal_d, "monomial_power")
+    return algebra, ideal, power
 
 
 def _outer_code(spec: dict, algebra, ideal, power):
     outer = spec.get("outer", {})
     kind = outer.get("kind", "ParityOverRing")
-    length = int(outer.get("length", 3))
+    length = _spec_int(outer, "length", 3)
     if kind == "ParityOverRing":
         if power is not None:
             ring = residue_ring(algebra.ext, ideal.modulus)
@@ -297,8 +321,8 @@ def _outer_code(spec: dict, algebra, ideal, power):
             ring = quotient_of(algebra, ideal)
         return ParityCode(ring, length)
     if kind == "ReedSolomon":
-        ff = FiniteField(int(outer["p"]), int(outer["m"]))
-        return ReedSolomonCode(ff, length, int(outer["dimension"]))
+        ff = FiniteField(_spec_int(outer, "p"), _spec_int(outer, "m"))
+        return ReedSolomonCode(ff, length, _spec_int(outer, "dimension"))
     if kind == "FirstCoefficientScheme":
         Q = quotient_of(algebra, ideal)
         inner = ParityCode(Q.S, length)
@@ -326,11 +350,14 @@ def _cmd_encode(args):
         payload["components"] = None
         lines.append("Reed-Solomon symbols are abstract field elements; no lift")
         return EXIT_OK, payload, lines
-    strategy = LiftStrategy(spec.get("lift_strategy", "CanonicalZero"))
+    try:
+        strategy = LiftStrategy(spec.get("lift_strategy", "CanonicalZero"))
+    except ValueError as exc:
+        raise CycordError(str(exc)) from exc
     lifted = lift_codeword(
         word, strategy, algebra=algebra,
-        seed=int(spec.get("seed", args.seed)),
-        box_bound=int(spec.get("box_bound", 1)))
+        seed=_spec_int(spec, "seed", args.seed),
+        box_bound=_spec_int(spec, "box_bound", 1))
     payload["lift_strategy"] = strategy.value
     payload["components"] = [
         {"element": str(c), "coordinates": list(c.flat_ints())}
@@ -377,8 +404,8 @@ def _cmd_deltamin(args):
     outer = spec.get("outer", {})
     if outer.get("kind", "ParityOverRing") != "ParityOverRing":
         raise CycordError("determinant searches support parity outer codes")
-    length = int(outer.get("length", 3))
-    box = int(spec.get("box_bound", 1))
+    length = _spec_int(outer, "length", 3)
+    box = _spec_int(spec, "box_bound", 1)
     if power is not None:
         if ideal.s != 1:
             raise CycordError("monomial ideals live over a prime quotient")
@@ -438,7 +465,8 @@ def _suite_embedding_law(rng) -> int:
         for _ in range(200):
             x = _random_order_element(algebra, rng)
             y = _random_order_element(algebra, rng)
-            assert (x * y).matrix() == y.matrix() * x.matrix()
+            if (x * y).matrix() != y.matrix() * x.matrix():
+                raise SelfTestFailed(f"M(x*y) != M(y)*M(x) in {name} for x = {x}, y = {y}")
             checks += 1
     return checks
 
@@ -453,7 +481,8 @@ def _suite_crt_round_trip(rng) -> int:
     for _ in range(500):
         x = Q.random_element(rng)
         parts = crt_decompose(x)
-        assert crt_recombine(parts, Q) == x
+        if crt_recombine(parts, Q) != x:
+            raise SelfTestFailed(f"CRT round trip fails at {x}")
         checks += 1
     return checks
 
@@ -464,7 +493,8 @@ def _suite_section(rng) -> int:
     checks = 0
     for _ in range(100):
         sym = Q.random_element(rng)
-        assert Q.reduce(Q.lift(sym)) == sym
+        if Q.reduce(Q.lift(sym)) != sym:
+            raise SelfTestFailed(f"section fails at {sym}")
         checks += 1
     return checks
 
@@ -485,7 +515,8 @@ def _suite_unipotent_inverse(rng) -> int:
         for c in Q.S.elements(Q.S.size):
             x = Q.one + Q.element([Q.S.zero] * 1 + [c] + [Q.S.zero] * (Q.n - 2))
             inv = invert_unipotent(Q, x)
-            assert x * inv == Q.one and inv * x == Q.one
+            if x * inv != Q.one or inv * x != Q.one:
+                raise SelfTestFailed(f"{inv} is not a two-sided inverse of {x}")
             checks += 1
     return checks
 
@@ -501,7 +532,8 @@ def _suite_det_scaling(rng) -> int:
             x = _random_order_element(algebra, rng)
             a = base.element(rng.randint(-3, 3)) if rational else base.element(
                 rng.randint(-3, 3), rng.randint(-3, 3))
-            assert (x * a).reduced_det() == a ** algebra.n * x.reduced_det()
+            if (x * a).reduced_det() != a ** algebra.n * x.reduced_det():
+                raise SelfTestFailed(f"det(x*a) != a^n det(x) in {name} for x = {x}, a = {a}")
             checks += 1
     return checks
 
@@ -525,7 +557,7 @@ def _cmd_selftest(args):
             checks = suite(rng)
             results[name] = {"checks": checks, "passed": True}
             lines.append(f"{name}: {checks} checks passed")
-        except AssertionError as exc:
+        except (AssertionError, SelfTestFailed) as exc:
             results[name] = {"checks": 0, "passed": False, "error": str(exc)}
             lines.append(f"{name}: FAILED ({exc})")
             code = EXIT_ERROR
@@ -541,9 +573,6 @@ def _add_common(p) -> None:
     p.add_argument("--output", choices=("human", "json"),
                    default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="accepted for reproducibility contracts; "
-                        "all computations are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "structure certificates, and coset codes")
     parser.add_argument("--output", choices=("human", "json"), default="human")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for reproducibility contracts; "
-                             "all computations are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="summarize an algebra spec")
@@ -620,17 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         code, payload, lines = args.func(args)
-    except CycordError as exc:
-        if args.output == "json":
-            print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (CycordError, FileNotFoundError) as exc:
         if args.output == "json":
             print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         else:

@@ -292,7 +292,6 @@ class FirstCoefficientCode:
     def codewords(self, limit: int = CODE_ENUM_LIMIT):
         n = self.quotient.n
         free_size = self.quotient.S.size ** ((n - 1) * self.length)
-        inner_total = 1
         size, _e, _z = _alphabet(self.inner.ring if hasattr(self.inner, "ring")
                                  else self.inner.field)
         inner_total = size ** self.inner.message_length

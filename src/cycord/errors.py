@@ -61,6 +61,10 @@ class VerificationFailed(CycordError):
     """An isomorphism certificate failed an exact check."""
 
 
+class SelfTestFailed(CycordError):
+    """A selftest property suite found an identity that does not hold."""
+
+
 class FormulaMismatch(CycordError):
     """A determinant bound formula was applied to an ideal of the wrong shape."""
 

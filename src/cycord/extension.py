@@ -19,6 +19,7 @@ from .base_rings import (
     BaseRing,
     divides,
     is_prime_element,
+    power,
     ring_by_name,
 )
 from .errors import IncompatibleRings
@@ -265,16 +266,7 @@ class OKElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in O_K")
-        result = self.ext.one
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            square = square * square
-            e >>= 1
-        return result
+        return power(self, e, self.ext.one)
 
     def __eq__(self, other):
         return (

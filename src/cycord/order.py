@@ -21,11 +21,12 @@ exactly by cofactor expansion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from importlib import resources
 
-from .base_rings import BaseElement
+from .base_rings import BaseElement, cofactor_det, power
 from .errors import IncompatibleAlgebras, NotInBaseRing
 from .extension import ExtensionSpec, OKElement, extension_from_dict
 
@@ -175,7 +176,13 @@ class AlgebraSpec:
              for c in range(n)]
             for r in range(n)
         ]
-        poly = _poly_matrix_det(ext, entries)
+        poly = cofactor_det(
+            entries,
+            [ext.zero],
+            add=_poly_add,
+            mul=functools.partial(_poly_mul, ext),
+            neg=lambda p: [-t for t in p],
+        )
         coeffs = []
         for c in poly:
             scalar = c.scalar_part()
@@ -185,7 +192,7 @@ class AlgebraSpec:
         return tuple(coeffs)
 
 
-def _poly_add(ext, p, q):
+def _poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
     out = list(p)
@@ -202,23 +209,6 @@ def _poly_mul(ext, p, q):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
-
-
-def _poly_matrix_det(ext, entries):
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = [ext.zero]
-    for c in range(n):
-        minor = [
-            [entries[r][cc] for cc in range(n) if cc != c]
-            for r in range(1, n)
-        ]
-        term = _poly_mul(ext, entries[0][c], _poly_matrix_det(ext, minor))
-        if c % 2:
-            term = [-t for t in term]
-        total = _poly_add(ext, total, term)
-    return total
 
 
 class OrderMatrix:
@@ -272,7 +262,7 @@ class OrderMatrix:
         )
 
     def det(self) -> OKElement:
-        return _det_recursive(self.ext, [list(r) for r in self.entries])
+        return cofactor_det(self.entries, self.ext.zero)
 
     def numeric(self, embeddings_offset: int = 0) -> list[list[complex]]:
         """Entrywise image under the fixed embedding (index 0 by default)."""
@@ -285,23 +275,6 @@ class OrderMatrix:
         return "[" + "; ".join(
             ", ".join(str(e) for e in row) for row in self.entries
         ) + "]"
-
-
-def _det_recursive(ext, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ext.zero
-    for c in range(n):
-        pivot = rows[0][c]
-        if pivot.is_zero:
-            continue
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = pivot * _det_recursive(ext, minor)
-        if c % 2:
-            term = -term
-        acc = acc + term
-    return acc
 
 
 class OrderElement:
@@ -350,16 +323,7 @@ class OrderElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in the order")
-        result = self.algebra.one
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            square = square * square
-            e >>= 1
-        return result
+        return power(self, e, self.algebra.one)
 
     def __eq__(self, other):
         return (

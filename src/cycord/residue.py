@@ -17,6 +17,10 @@ This layer turns the exact objects of `order` into finite rings:
   by closing F_p-subspaces under one-sided multiplication maps.  It exists as
   an independent check for the structural classification and is deliberately
   naive.
+* `FpView` linearizes a finite ring of prime characteristic over F_p, and
+  serves quotient rings and the matrix rings of `structure` alike.  One
+  mod-p row reduction, `_rref_insert`, backs the subspace closures and the
+  rank, kernel and inverse helpers.
 
 Elements encode to integers (mixed-radix over table indices), so sets of ring
 elements are cheap and deterministic.
@@ -32,8 +36,10 @@ import numpy as np
 from .base_rings import (
     BaseElement,
     ResidueTable,
+    cofactor_det,
     divides,
     invert_mod,
+    power,
     quotient_ring,
 )
 from .errors import (
@@ -268,16 +274,7 @@ class ResidueElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers need an explicit inverse")
-        result = self.ring.one
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            square = square * square
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         return (
@@ -352,6 +349,10 @@ class QuotientRing:
     @property
     def char(self) -> int:
         return self.S.table.char
+
+    @property
+    def table(self) -> ResidueTable:
+        return self.S.table
 
     def __eq__(self, other):
         return (
@@ -437,13 +438,7 @@ class QuotientRing:
             )
         size = self.S.table.size
         for flat in itertools.product(range(size), repeat=self.n * self.S.n):
-            yield GcaElement(
-                self,
-                tuple(
-                    ResidueElement(self.S, flat[i * self.S.n:(i + 1) * self.S.n])
-                    for i in range(self.n)
-                ),
-            )
+            yield self.from_flat_codes(flat)
 
     def decode(self, code: int) -> "GcaElement":
         coords = []
@@ -452,17 +447,22 @@ class QuotientRing:
             coords.append(self.S.decode(r))
         return GcaElement(self, tuple(coords))
 
-    def random_element(self, rng) -> "GcaElement":
-        size = self.S.table.size
+    def flat_codes(self, g: "GcaElement") -> list[int]:
+        """Residue-table codes of all coordinates, z-power major."""
+        return [code for c in g.zcoords for code in c.codes]
+
+    def from_flat_codes(self, codes) -> "GcaElement":
+        m = self.S.n
         return GcaElement(
             self,
-            tuple(
-                ResidueElement(
-                    self.S,
-                    tuple(rng.randrange(size) for _ in range(self.S.n)),
-                )
-                for _ in range(self.n)
-            ),
+            tuple(ResidueElement(self.S, tuple(codes[i * m:(i + 1) * m]))
+                  for i in range(self.n)),
+        )
+
+    def random_element(self, rng) -> "GcaElement":
+        size = self.S.table.size
+        return self.from_flat_codes(
+            [rng.randrange(size) for _ in range(self.n * self.S.n)]
         )
 
 
@@ -510,16 +510,7 @@ class GcaElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers need an explicit inverse")
-        result = self.ring.one
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            square = square * square
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         return (
@@ -572,11 +563,6 @@ def quotient_of(algebra: AlgebraSpec, ideal) -> QuotientRing:
     if ring is None:
         ring = _QUOTIENT_CACHE[key] = QuotientRing(algebra, ideal)
     return ring
-
-
-def reduce_to_quotient(x: OrderElement, ideal) -> GcaElement:
-    """The map pi: Lambda -> Lambda/I Lambda, coordinatewise reduction."""
-    return quotient_of(x.algebra, ideal).reduce(x)
 
 
 # -- CRT over composite moduli ---------------------------------------------------
@@ -679,23 +665,6 @@ class Splitting:
     idempotents: tuple[ResidueElement, ...] = field(repr=False)
 
 
-def _base_matrix_det(base, rows) -> BaseElement:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = base.zero
-    for c in range(n):
-        pivot = rows[0][c]
-        if pivot.is_zero:
-            continue
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = pivot * _base_matrix_det(base, minor)
-        if c % 2:
-            term = -term
-        acc = acc + term
-    return acc
-
-
 def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
     """det(Tr(b_i b_j)): the discriminant of the power basis over O_F."""
     n = ext.n
@@ -711,7 +680,7 @@ def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
             assert scalar is not None, "trace left the base ring"
             row.append(scalar)
         rows.append(row)
-    return _base_matrix_det(ext.base, rows)
+    return cofactor_det(rows, ext.base.zero)
 
 
 _SPLIT_CACHE: dict = {}
@@ -785,7 +754,7 @@ def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> froz
     covers every ring this package materializes.
     """
     view = FpView(Q)
-    maps = view.side_multiplication_maps()
+    maps = side_multiplication_maps(view)
     vecs = [np.array(view.digits(g), dtype=np.int64) for g in generators]
     basis = _closure_subspace(vecs, maps, view.p)
     return frozenset(
@@ -881,8 +850,11 @@ def fp_table_digits(table: ResidueTable):
 
 
 class FpView:
-    """F_p vector coordinates for a quotient ring of prime characteristic.
+    """F_p vector coordinates for a finite ring of prime characteristic.
 
+    Serves quotient rings and matrix rings alike: the ring supplies its
+    residue `table`, its `zero`, the flat table codes of an element
+    (`flat_codes`) and the element with given flat codes (`from_flat_codes`).
     Elements become length-dim digit tuples; ring multiplication becomes the
     cubic structure tensor, so bulk products and additive-map ranks reduce to
     numpy integer arithmetic mod p.
@@ -890,34 +862,26 @@ class FpView:
 
     __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor")
 
-    def __init__(self, ring: QuotientRing):
+    def __init__(self, ring):
         self.ring = ring
-        self.p, self.k, self._digits, self._code_of = fp_table_digits(ring.S.table)
-        self.dim = ring.n * ring.S.n * self.k
+        self.p, self.k, self._digits, self._code_of = fp_table_digits(ring.table)
+        self.dim = len(ring.flat_codes(ring.zero)) * self.k
         self._tensor = None
 
-    def digits(self, g: GcaElement) -> tuple[int, ...]:
+    def digits(self, x) -> tuple[int, ...]:
         out = []
-        for c in g.zcoords:
-            for code in c.codes:
-                out.extend(self._digits[code])
+        for code in self.ring.flat_codes(x):
+            out.extend(self._digits[code])
         return tuple(out)
 
-    def element(self, digs) -> GcaElement:
+    def element(self, digs):
         digs = tuple(int(d) % self.p for d in digs)
-        S = self.ring.S
         k = self.k
-        pos = 0
-        zcoords = []
-        for _ in range(self.ring.n):
-            codes = []
-            for _ in range(S.n):
-                codes.append(self._code_of[digs[pos:pos + k]])
-                pos += k
-            zcoords.append(ResidueElement(S, tuple(codes)))
-        return GcaElement(self.ring, tuple(zcoords))
+        return self.ring.from_flat_codes(
+            [self._code_of[digs[pos:pos + k]] for pos in range(0, self.dim, k)]
+        )
 
-    def basis_elements(self) -> list[GcaElement]:
+    def basis_elements(self) -> list:
         out = []
         for a in range(self.dim):
             digs = [0] * self.dim
@@ -933,7 +897,7 @@ class FpView:
             T = np.zeros((d, d, d), dtype=np.int64)
             for a in range(d):
                 for b in range(d):
-                    T[a, b, :] = self.digits(self.ring.mul(basis[a], basis[b]))
+                    T[a, b, :] = self.digits(basis[a] * basis[b])
             self._tensor = T
         return self._tensor
 
@@ -941,26 +905,6 @@ class FpView:
         """Row-wise products of digit batches (shape (batch, dim)), mod p."""
         T = self.tensor()
         return np.einsum("na,nb,abd->nd", X, Y, T) % self.p
-
-    def side_multiplication_maps(self) -> list[np.ndarray]:
-        """Left- and right-multiplication matrices by a ring generating set."""
-        T = self.tensor()
-        gens = [self.ring.from_residue(self.ring.S.basis(i))
-                for i in range(self.ring.S.n)]
-        if self.ring.n > 1:
-            gens.append(self.ring.z)
-        base = self.ring.algebra.ext.base
-        if base.kind.name != "RATIONAL":
-            delta = base.element(0, 1)
-            gens.append(self.ring.one * delta)
-        maps = []
-        for g in gens:
-            gd = np.array(self.digits(g), dtype=np.int64)
-            # left multiplication by g: y -> digits(g * y)
-            maps.append(np.einsum("a,abd->db", gd, T) % self.p)
-            # right multiplication by g: x -> digits(x * g)
-            maps.append(np.einsum("b,abd->da", gd, T) % self.p)
-        return maps
 
 
 def _rref_insert(basis: list, vec: np.ndarray, p: int) -> bool:
@@ -982,6 +926,42 @@ def _rref_insert(basis: list, vec: np.ndarray, p: int) -> bool:
     basis.append((pivot, v))
     basis.sort(key=lambda item: item[0])
     return True
+
+
+def _row_basis(rows, p: int) -> list:
+    """Reduced row-echelon basis, as (pivot column, row) pairs, of a row span."""
+    basis: list = []
+    for row in rows:
+        _rref_insert(basis, row, p)
+    return basis
+
+
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank of A over F_p."""
+    return len(_row_basis(A, p))
+
+
+def kernel_vector_mod_p(A: np.ndarray, p: int):
+    """A nonzero v with A v = 0 over F_p (first free column set to 1), or None."""
+    basis = _row_basis(A, p)
+    pivots = {pc for pc, _ in basis}
+    free = next((c for c in range(A.shape[1]) if c not in pivots), None)
+    if free is None:
+        return None
+    v = np.zeros(A.shape[1], dtype=np.int64)
+    v[free] = 1
+    for pc, row in basis:
+        v[pc] = (-row[free]) % p
+    return v
+
+
+def inverse_mod_p(A: np.ndarray, p: int) -> np.ndarray:
+    """Inverse over F_p, read off the reduced rows of [A | I]."""
+    n = A.shape[0]
+    basis = _row_basis(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), p)
+    if [pc for pc, _ in basis[:n]] != list(range(n)):
+        raise ValueError("matrix is singular mod p")
+    return np.stack([row[n:] for _, row in basis])
 
 
 def _closure_subspace(start_vecs, maps, p: int) -> list:
@@ -1007,6 +987,26 @@ def _span_digits(basis: list, p: int, dim: int):
         yield (np.array(coeffs, dtype=np.int64) @ rows) % p
 
 
+def side_multiplication_maps(view: FpView) -> list[np.ndarray]:
+    """Left- and right-multiplication matrices by a generating set of a quotient."""
+    Q = view.ring
+    T = view.tensor()
+    gens = [Q.from_residue(Q.S.basis(i)) for i in range(Q.S.n)]
+    if Q.n > 1:
+        gens.append(Q.z)
+    base = Q.algebra.ext.base
+    if base.kind.name != "RATIONAL":
+        gens.append(Q.one * base.element(0, 1))
+    maps = []
+    for g in gens:
+        gd = np.array(view.digits(g), dtype=np.int64)
+        # left multiplication by g: y -> digits(g * y)
+        maps.append(np.einsum("a,abd->db", gd, T) % view.p)
+        # right multiplication by g: x -> digits(x * g)
+        maps.append(np.einsum("b,abd->da", gd, T) % view.p)
+    return maps
+
+
 def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
     """Every two-sided ideal of Q, as element-encoding sets.
 
@@ -1020,7 +1020,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
             f"{Q.cardinality} elements exceed the brute-force limit {IDEAL_BRUTE_LIMIT}"
         )
     view = FpView(Q)
-    maps = view.side_multiplication_maps()
+    maps = side_multiplication_maps(view)
     p = view.p
 
     def signature(basis):
@@ -1038,9 +1038,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
         items = list(seen.values())
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                joined: list = []
-                for _, row in items[i] + items[j]:
-                    _rref_insert(joined, row.copy(), p)
+                joined = _row_basis([row for _, row in items[i] + items[j]], p)
                 sig = signature(joined)
                 if sig not in seen:
                     seen[sig] = joined
@@ -1182,13 +1180,7 @@ class FiniteField:
         return self._val(rem)
 
     def pow(self, x: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return result
+        return power(x, e, 1, self.mul)
 
     def inv(self, x: int) -> int:
         if x == 0:

@@ -20,7 +20,8 @@ case (`enumerate_monomial_ideals`).
 
 `verify_isomorphism` checks certificates against nothing but ring axioms:
 exact spot products, a kernel rank over the prime field, cardinality count,
-and bulk product checks run through numpy on the linearized tensors.  A
+and bulk product checks run through numpy on the structure tensors of both
+sides.  Both sides are linearized over F_p by `residue.FpView`.  A
 certificate is never trusted until it has survived this.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_rings import BaseElement, ResidueTable, divides
+from .base_rings import ResidueTable, divides, power
 from .errors import (
     IncompatibleAlgebras,
     LiftDivergence,
@@ -57,9 +58,11 @@ from .residue import (
     Splitting,
     _prime_factors,
     factor_prime,
-    fp_table_digits,
     ideal_elements,
+    inverse_mod_p,
+    kernel_vector_mod_p,
     quotient_of,
+    rank_mod_p,
     skew_poly_ideal_chain,
 )
 
@@ -140,6 +143,16 @@ class MatRing:
             ),
         )
 
+    def flat_codes(self, m: "MatElement") -> list[int]:
+        """Entry codes in row-major order."""
+        return [code for row in m.entries for code in row]
+
+    def from_flat_codes(self, codes) -> "MatElement":
+        n = self.n
+        return MatElement(
+            self, tuple(tuple(codes[r * n:(r + 1) * n]) for r in range(n))
+        )
+
     def unit(self, i: int, j: int) -> "MatElement":
         """The matrix unit e_ij (single one at row i, column j)."""
         z = self.table.zero
@@ -211,16 +224,7 @@ class MatElement:
         return MatElement(self.ring, tuple(out))
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def scale(self, code: int) -> "MatElement":
         """Entrywise multiplication by a residue-table scalar."""
@@ -256,119 +260,6 @@ class MatElement:
 
     def __repr__(self):
         return f"<{self} in {self.ring.label}>"
-
-
-class MatFpView:
-    """F_p digit coordinates for a matrix ring of prime characteristic."""
-
-    __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor")
-
-    def __init__(self, ring: MatRing):
-        self.ring = ring
-        self.p, self.k, self._digits, self._code_of = fp_table_digits(ring.table)
-        self.dim = ring.n * ring.n * self.k
-        self._tensor = None
-
-    def digits(self, m: MatElement) -> tuple[int, ...]:
-        out = []
-        for row in m.entries:
-            for code in row:
-                out.extend(self._digits[code])
-        return tuple(out)
-
-    def element(self, digs) -> MatElement:
-        digs = tuple(int(d) % self.p for d in digs)
-        n, k = self.ring.n, self.k
-        pos = 0
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(self._code_of[digs[pos:pos + k]])
-                pos += k
-            rows.append(tuple(row))
-        return MatElement(self.ring, tuple(rows))
-
-    def basis_elements(self) -> list[MatElement]:
-        out = []
-        for a in range(self.dim):
-            digs = [0] * self.dim
-            digs[a] = 1
-            out.append(self.element(digs))
-        return out
-
-    def tensor(self) -> np.ndarray:
-        if self._tensor is None:
-            basis = self.basis_elements()
-            d = self.dim
-            T = np.zeros((d, d, d), dtype=np.int64)
-            for a in range(d):
-                for b in range(d):
-                    T[a, b, :] = self.digits(basis[a] * basis[b])
-            self._tensor = T
-        return self._tensor
-
-    def mul_digits(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        T = self.tensor()
-        return np.einsum("na,nb,abd->nd", X, Y, T) % self.p
-
-
-# -- F_p linear algebra helpers -----------------------------------------------------
-
-
-def _row_reduce_mod_p(A: np.ndarray, p: int):
-    """Return (rref matrix, pivot column list) of A over F_p."""
-    R = A.copy() % p
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if R[rr, c] % p:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        R[[r, pivot]] = R[[pivot, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
-        for rr in range(rows):
-            if rr != r and R[rr, c]:
-                R[rr] = (R[rr] - R[rr, c] * R[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    _, pivots = _row_reduce_mod_p(A, p)
-    return len(pivots)
-
-
-def _kernel_vector_mod_p(A: np.ndarray, p: int):
-    """A nonzero kernel vector of A over F_p, or None if A is injective."""
-    R, pivots = _row_reduce_mod_p(A, p)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
-    v = np.zeros(cols, dtype=np.int64)
-    v[c] = 1
-    for r, pc in enumerate(pivots):
-        v[pc] = (-R[r, c]) % p
-    return v
-
-
-def _inverse_mod_p(A: np.ndarray, p: int) -> np.ndarray:
-    n = A.shape[0]
-    aug = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = _row_reduce_mod_p(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return R[:, n:] % p
 
 
 # -- norm equations in component fields ---------------------------------------------
@@ -415,14 +306,7 @@ class ComponentField:
         return self.S.mul(x, y)
 
     def pow(self, x: ResidueElement, e: int) -> ResidueElement:
-        result = self.v
-        base = x
-        while e:
-            if e & 1:
-                result = self.S.mul(result, base)
-            base = self.S.mul(base, base)
-            e >>= 1
-        return result
+        return power(x, e, self.v, self.S.mul)
 
     def inv(self, x: ResidueElement) -> ResidueElement:
         if x.is_zero:
@@ -643,13 +527,13 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
 
     # pull the s = 1 matrix units back through the linear inverse of cert1
     sview = FpView(Q1)
-    tview = MatFpView(cert1.target)
+    tview = FpView(cert1.target)
     p = sview.p
     Phi = np.zeros((tview.dim, sview.dim), dtype=np.int64)
     for a, e in enumerate(sview.basis_elements()):
         Phi[:, a] = tview.digits(cert1.forward(e))
     try:
-        Phi_inv = _inverse_mod_p(Phi, p)
+        Phi_inv = inverse_mod_p(Phi, p)
     except ValueError as exc:  # pragma: no cover - cert1 is checked at build
         raise VerificationFailed("s = 1 certificate is not bijective") from exc
     ebar = {}
@@ -719,7 +603,7 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
 
     # corner extraction: e_1k x e_l1 = r * e_11 with r in O_F/(alpha^s)
     e00 = units[0][0]
-    flat00 = [code for s_ in e00.zcoords for code in s_.codes]
+    flat00 = Qs.flat_codes(e00)
     pos = next(
         (idx for idx, c in enumerate(flat00) if table.inv[c] is not None), None
     )
@@ -728,7 +612,7 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     inv0 = table.inv[flat00[pos]]
 
     def extract(c: GcaElement) -> int:
-        ccode = [code for s_ in c.zcoords for code in s_.codes][pos]
+        ccode = Qs.flat_codes(c)[pos]
         r = table.mul[ccode][inv0]
         if c != e00 * table.decode(r):
             raise VerificationFailed("corner element is not a scalar multiple of e11")
@@ -807,9 +691,6 @@ class MonomialIdeal:
     def symbol_count(self) -> int:
         """Number of monomials in the ideal (its component-field dimension)."""
         return sum(self.n - t for t in self.thresholds)
-
-    def contains_monomial(self, p: int, q: int) -> bool:
-        return any(stairwell_contains(a, (p, q), self.g, self.n) for a in self.generators)
 
     def __str__(self):
         if not self.generators:
@@ -924,7 +805,7 @@ def verify_isomorphism(
             f"{N} elements exceed the exhaustive verification limit {ENUM_LIMIT}"
         )
     sview = FpView(Q)
-    tview = MatFpView(cert.target)
+    tview = FpView(cert.target)
     p = sview.p
     dim = sview.dim
 
@@ -948,9 +829,9 @@ def verify_isomorphism(
             _fail(f"linearization disagrees with the map at x = {x}", (x, x))
         spots += 1
 
-    rank = _rank_mod_p(Phi, p)
+    rank = rank_mod_p(Phi, p)
     if rank < dim:
-        kv = _kernel_vector_mod_p(Phi, p)
+        kv = kernel_vector_mod_p(Phi, p)
         xk = sview.element(kv)
         _fail(f"map has nontrivial kernel containing {xk}", (xk, Q.zero))
 
@@ -981,7 +862,6 @@ def verify_isomorphism(
         elements_enumerated = N
 
     # bulk product checks over the linearized tensors
-    Ts = sview.tensor()
     pairs_exhaustive = mode is VerifyMode.EXHAUSTIVE and N * N <= PAIR_EXHAUSTIVE_LIMIT
     if pairs_exhaustive:
         idx = np.arange(N)
@@ -992,7 +872,7 @@ def verify_isomorphism(
         nprng = np.random.default_rng(seed)
         X = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
         Y = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
-    prod_digits = np.einsum("na,nb,abd->nd", X, Y, Ts) % p
+    prod_digits = sview.mul_digits(X, Y)
     lhs = (prod_digits @ Phi.T) % p
     fX = (X @ Phi.T) % p
     fY = (Y @ Phi.T) % p

@@ -1,11 +1,20 @@
-"""End-to-end tests of the command line interface, run in process."""
+"""End-to-end tests of the command line interface, run in process.
+
+Tests of interpreter flags and of tracebacks start a fresh interpreter.
+"""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import cycord.cli as cli
 from cycord.errors import VerificationFailed
+
+SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(argv, capsys):
@@ -20,6 +29,15 @@ def run(argv, capsys):
 def run_json(argv, capsys):
     code, out, _err = run(argv + ["--output", "json"], capsys)
     return code, (json.loads(out) if out.strip() else None)
+
+
+def run_python(args, timeout=120):
+    """Run a fresh interpreter on the package under test; returns the process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 # -- describe ----------------------------------------------------------------
@@ -284,6 +302,32 @@ def test_deltamin_rejects_non_parity(capsys, tmp_path):
     assert "error" in payload
 
 
+ZCODE = {"algebra_spec": "golden_u_1pi",
+         "ideal": {"alpha": "1+i", "s": 1, "monomial_power": 1},
+         "outer": {"kind": "ParityOverRing", "length": 3}}
+MALFORMED_SPECS = {  # name -> (subcommand, extra arguments, spec file text)
+    "missing_algebra_spec": ("deltamin", [], json.dumps({"ideal": {"alpha": "1+i"}})),
+    "invalid_json": ("deltamin", [], "{bad"),
+    "non_integer_box_bound": ("deltamin", [], json.dumps({**ZCODE, "box_bound": "x"})),
+    "non_prime_alpha": ("deltamin", [], json.dumps(
+        {"algebra_spec": "golden_u_i", "ideal": {"alpha": "2"}})),
+    "unknown_lift_strategy": ("encode", ["--message", '["1,0", "0,1"]'],
+                              json.dumps({**ZCODE, "lift_strategy": "Nope"})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_code_spec_reports_error(tmp_path, name):
+    command, extra, text = MALFORMED_SPECS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    proc = run_python(["-m", "cycord.cli", command, "--code-spec", str(path),
+                       *extra, "--output", "json"])
+    assert proc.returncode == 1
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
+
+
 # -- check-lemma and selftest --------------------------------------------------
 
 
@@ -325,6 +369,23 @@ def test_selftest_reports_failures(capsys, monkeypatch):
     assert payload["suites"][name]["passed"] is False
 
 
+def test_selftest_checks_survive_python_O():
+    # python -O strips assert statements; the suites must still catch a
+    # matrix product taken in the wrong order
+    script = (
+        "import sys\n"
+        "from cycord import cli, order\n"
+        "product = order.OrderMatrix.__mul__\n"
+        "order.OrderMatrix.__mul__ = lambda a, b: product(b, a)\n"
+        "sys.exit(cli.main(['selftest', '--output', 'json']))\n"
+    )
+    proc = run_python(["-O", "-c", script])
+    assert proc.returncode == 1, proc.stderr
+    suites = json.loads(proc.stdout)["suites"]
+    assert suites["embedding_law"]["passed"] is False
+    assert "M(x*y)" in suites["embedding_law"]["error"]
+
+
 # -- output and error conventions ------------------------------------------------
 
 
@@ -352,10 +413,4 @@ def test_usage_error_exits_1(capsys):
     code, _out, _err = run(["no-such-command"], capsys)
     assert code == 1
     code, _out, _err = run(["describe"], capsys)  # missing --algebra
-    assert code == 1
-
-
-def test_threads_validation(capsys):
-    code, _out, _err = run(
-        ["describe", "--algebra", "golden_u_i", "--threads", "0"], capsys)
     assert code == 1

@@ -1,7 +1,9 @@
 """Tests for residue rings, order quotients, CRT, splitting, finite fields."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +23,16 @@ from cycord.residue import (
     crt_recombine,
     factor_prime,
     ideal_elements,
+    inverse_mod_p,
     invert_unipotent,
+    kernel_vector_mod_p,
     quotient_of,
+    rank_mod_p,
     residue_ring,
     skew_poly_ideal_chain,
     trace_form_discriminant,
 )
+from cycord.structure import identify_quotient
 
 coords = st.integers(min_value=-6, max_value=6)
 
@@ -297,18 +303,65 @@ def test_brute_force_ideals_simple_case(q_gold):
 # -- FpView --------------------------------------------------------------------
 
 
-def test_fp_view_round_trip_and_products(q_gold):
-    view = FpView(q_gold)
-    rng = random.Random(3)
-    import numpy as np
+def random_from_codes(ring, rng):
+    count = len(ring.flat_codes(ring.zero))
+    return ring.from_flat_codes([rng.randrange(ring.table.size) for _ in range(count)])
 
+
+@pytest.mark.parametrize("which", ["quotient", "matrix"])
+def test_fp_view_round_trip_and_products(golden, q_gold, which):
+    if which == "quotient":
+        ring = q_gold
+    else:  # M_2(Z[i]/(2)): table digits have k = 2 over F_2
+        ideal = IdealSpec(golden.ext.base.element(1, 1), 2)
+        ring = identify_quotient(golden, ideal).certificate.target
+    view = FpView(ring)
+    assert view.dim == len(ring.flat_codes(ring.zero)) * view.k
+    rng = random.Random(3)
     for _ in range(50):
-        x = q_gold.random_element(rng)
-        y = q_gold.random_element(rng)
+        x = random_from_codes(ring, rng)
+        y = random_from_codes(ring, rng)
         assert view.element(view.digits(x)) == x
         X = np.array([view.digits(x)], dtype=np.int64)
         Y = np.array([view.digits(y)], dtype=np.int64)
         assert tuple(view.mul_digits(X, Y)[0]) == view.digits(x * y)
+
+
+def matrices_mod_p():
+    """Every 2x2 and 3x3 matrix over F_2, then seeded random ones over F_5."""
+    for n in (2, 3):
+        for entries in itertools.product(range(2), repeat=n * n):
+            yield 2, np.array(entries, dtype=np.int64).reshape(n, n)
+    rng = np.random.default_rng(5)
+    for shape in [(2, 2), (3, 3), (4, 4), (3, 4), (4, 3)] * 4:
+        A = rng.integers(0, 5, size=shape, dtype=np.int64)
+        yield 5, A
+        B = A.copy()  # force a dependent last row
+        B[-1] = (2 * B[0] + 3 * B[1]) % 5
+        yield 5, B
+
+
+def test_rank_kernel_inverse_mod_p_against_brute_force():
+    for p, A in matrices_mod_p():
+        rows, cols = A.shape
+        vectors = np.array(list(itertools.product(range(p), repeat=cols)))
+        images = {tuple(v) for v in (vectors @ A.T) % p}
+        rank = rank_mod_p(A, p)
+        assert len(images) == p ** rank
+        kv = kernel_vector_mod_p(A, p)
+        if rank == cols:
+            assert kv is None
+        else:
+            assert kv.any() and not ((A @ kv) % p).any()
+        if rows != cols:
+            continue
+        if rank == rows:
+            inv = inverse_mod_p(A, p)
+            eye = np.eye(rows, dtype=np.int64)
+            assert ((A @ inv) % p == eye).all() and ((inv @ A) % p == eye).all()
+        else:
+            with pytest.raises(ValueError):
+                inverse_mod_p(A, p)
 
 
 # -- abstract finite fields -------------------------------------------------------

@@ -10,6 +10,7 @@ from cycord.errors import (
 )
 from cycord.extension import IdealSpec
 from cycord.residue import (
+    FiniteField,
     brute_force_ideals,
     factor_prime,
     ideal_elements,
@@ -134,6 +135,25 @@ def test_certificate_relations(golden):
     rep = identify_quotient(golden, ideal_of(golden, 1, 1))
     cert = rep.certificate
     Q = rep.quotient
+    # every power routine on the shared square-and-multiply refuses e < 0
+    comp = ComponentField(Q.S, Q.S.one, f=2, step=1)
+    ff = FiniteField(2, 2)
+    negative_powers = [
+        lambda: golden.u ** -1,  # BaseElement
+        lambda: golden.ext.one ** -1,  # OKElement
+        lambda: golden.z ** -1,  # OrderElement
+        lambda: Q.S.one ** -1,  # ResidueElement
+        lambda: Q.z ** -1,  # GcaElement
+        lambda: cert.z_image ** -1,  # MatElement
+        lambda: comp.pow(comp.v, -1),
+        lambda: ff.pow(ff.one.val, -1),
+    ]
+    for attempt in negative_powers:
+        with pytest.raises(ValueError):
+            attempt()
+    # FFElement alone inverts for negative exponents
+    gen = ff.generator()
+    assert gen ** -1 * gen == ff.one
     # image of 1 is the identity matrix
     assert cert.forward(Q.one) == cert.target.one
     # z maps compatibly with z^n = u (here u = i reduces to 1)
