@@ -4,7 +4,10 @@ The pipeline: an outer code constrains tuples of quotient-ring symbols, a
 lift pulls each symbol back to the order, and the resulting matrix tuples
 are scored by the determinant of the summed Gram matrix.  Lower bounds for
 that score come in four closed forms, and exhaustive box searches confirm
-them on small instances.
+them on small instances.  Every study family is searched by one kernel,
+`_search`, which enumerates (x_1, ..., x_{L-1}, sum x_i + w) over box
+tables and prunes with the Minkowski determinant inequality; over budget
+it hands the same tables to one sampler, `_sample`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     BadMessageLength,
     EmptyCode,
     FormulaMismatch,
+    NumericMismatch,
     SearchBudgetExceeded,
     SingularInput,
     TooLargeToEnumerate,
@@ -82,8 +86,18 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     """Monte Carlo sweep of det_inequality_check on random complex matrices.
 
     When n or k is omitted the trials cycle over sizes 2..4 and summand
-    counts 1..3.  k = 1 trials additionally demand equality to 1e-12
-    relative error, since both sides then compute |det X|^2.
+    counts 1..3.  k = 1 trials additionally demand equality up to rounding,
+    since both sides then compute |det X|^2:
+
+        |lhs - rhs| <= 2 n^3 eps cond(X)^2 rhs,
+
+    with eps the machine epsilon and cond the 2-norm condition number.  To
+    first order, forming X X^* and factoring it perturb the Gram matrix by
+    about n^2 eps ||X||^2 in norm, and that moves its determinant by at
+    most n cond(X X^*) = n cond(X)^2 times the relative perturbation; the
+    factor 2 covers the factorisation of X on the right hand side.  A fixed
+    relative tolerance would flag ill-conditioned X whose Gram determinant
+    is as accurate as double precision allows.
     """
     rng = np.random.default_rng(seed)
     sizes = [n] if n is not None else [2, 3, 4]
@@ -107,7 +121,8 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
         min_margin = min(min_margin, rel)
         if kk == 1:
             k1_trials += 1
-            if abs(rep["margin"]) > 1e-12 * max(1.0, rep["rhs"]):
+            tol = 2 * nn ** 3 * np.finfo(float).eps * np.linalg.cond(mats[0]) ** 2
+            if abs(rep["margin"]) > tol * rep["rhs"]:
                 k1_failures += 1
     return {
         "trials": trials,
@@ -524,56 +539,58 @@ class _BoxTable:
 
     Enumerating least significant coordinate first puts the scalar 1
     immediately after 0, so ties in a strict-improvement search resolve
-    to the simplest witness.
+    to the simplest witness.  Row i has digit index (i // d^m) % d at
+    varying coordinate m, where d = len(values).
+
+    The matrix embedding is Z-linear, M(x) = sum_k x_k E_k, so the numeric
+    matrices come from one product with the unit-coordinate matrices E_k;
+    order elements are built only for the rows asked for.
     """
 
     def __init__(self, algebra: AlgebraSpec, bound: int, z_slots=None):
         ext = algebra.ext
         self.algebra = algebra
         self.bound = bound
-        rational = ext.base.kind.name == "RATIONAL"
-        width = 1 if rational else 2
+        width = 1 if ext.base.kind.name == "RATIONAL" else 2
         if z_slots is None:
             z_slots = list(range(algebra.n))
         # positions into the flat_ints layout (z-power, basis, a, b)
-        positions = []
-        for zp in z_slots:
-            for bi in range(ext.n):
-                for w in range(width):
-                    positions.append((zp * ext.n + bi) * 2 + w)
-        digits = box_values(bound)
-        d = len(digits)
-        count = d ** len(positions)
+        self.positions = [(zp * ext.n + bi) * 2 + w
+                          for zp in z_slots for bi in range(ext.n)
+                          for w in range(width)]
+        self.values = np.array(box_values(bound), dtype=np.int64)
+        d, p = len(self.values), len(self.positions)
+        count = d ** p
         if count > AXIS_LIMIT:
             raise TooLargeToEnumerate(
                 f"{count} axis elements exceed the limit {AXIS_LIMIT}")
-        dig = np.array(digits, dtype=np.int64)
-        idx = np.arange(count, dtype=np.int64)
-        full = np.zeros((count, 2 * algebra.n * ext.n), dtype=np.int64)
-        for m, pos in enumerate(positions):
-            full[:, pos] = dig[(idx // d ** m) % d]
-        self.coords = full
-        self.elements = [self._build(row, rational, ext) for row in full]
-        mats = np.array(
-            [el.matrix().numeric() for el in self.elements], dtype=complex)
+        idx = np.arange(count, dtype=np.int64)[:, None]
+        # coordinate values at the varying positions, one row per element
+        self.digits = self.values[(idx // d ** np.arange(p)) % d]
+        n = algebra.n
+        E = np.array([self._element(u).matrix().numeric()
+                      for u in np.eye(p, dtype=np.int64)], dtype=complex)
+        mats = (self.digits @ E.reshape(p, n * n)).reshape(count, n, n)
         self.mats = mats
         self.hmats = np.einsum("rij,rkj->rik", mats, mats.conj())
 
-    def _build(self, flat, rational, ext):
-        zcoords = []
-        pos = 0
-        for _ in range(self.algebra.n):
-            coords = []
-            for _ in range(ext.n):
-                a, b = int(flat[pos]), int(flat[pos + 1])
-                pos += 2
-                coords.append(ext.base.element(a) if rational
-                              else ext.base.element(a, b))
-            zcoords.append(ext.element(coords))
-        return self.algebra.element(zcoords)
+    def _element(self, digits) -> OrderElement:
+        ext, base = self.algebra.ext, self.algebra.ext.base
+        flat = [0] * (2 * self.algebra.n * ext.n)
+        for pos, v in zip(self.positions, digits.tolist()):
+            flat[pos] = v
+        pairs = iter(zip(flat[0::2], flat[1::2]))
+        rational = base.kind.name == "RATIONAL"
+        return self.algebra.element([
+            ext.element([base.element(a) if rational else base.element(a, b)
+                         for a, b in itertools.islice(pairs, ext.n)])
+            for _ in range(self.algebra.n)])
+
+    def element(self, i: int) -> OrderElement:
+        return self._element(self.digits[i])
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.digits)
 
 
 def min_det_sq_in_box(algebra: AlgebraSpec, bound: int = 1):
@@ -582,23 +599,26 @@ def min_det_sq_in_box(algebra: AlgebraSpec, bound: int = 1):
     Returns (value, argmin).  Candidates are ranked numerically and the
     reported value is recomputed exactly on the winner.
     """
-    table = _BoxTable(algebra, bound)
+    return _box_minimum(_BoxTable(algebra, bound))
+
+
+def _box_minimum(table: _BoxTable):
     if len(table) <= 1:
         raise EmptyCode("box contains no nonzero element")
     vals = np.abs(np.linalg.det(table.mats)) ** 2
     vals[0] = np.inf  # zero element
-    order = np.argsort(vals, kind="stable")
-    best_idx = int(order[0])
-    exact = table.elements[best_idx].abs_det_sq()
-    # the numeric winner must agree with its exact score
-    assert abs(vals[best_idx] - exact) <= 1e-6 * max(1.0, exact)
+    best_idx = int(np.argmin(vals))
+    exact = table.element(best_idx).abs_det_sq()
+    if abs(vals[best_idx] - exact) > 1e-6 * max(1.0, exact):
+        raise NumericMismatch(
+            f"numeric minimum {vals[best_idx]} at box row {best_idx} "
+            f"disagrees with its exact |det|^2 {exact}")
     # prefer the earliest element attaining the exact minimum
-    ties = np.nonzero(vals <= exact + 1e-6)[0]
-    for t in ties:
-        if table.elements[int(t)].abs_det_sq() == exact:
+    for t in np.nonzero(vals <= exact + 1e-6)[0]:
+        if table.element(int(t)).abs_det_sq() == exact:
             best_idx = int(t)
             break
-    return float(exact), table.elements[best_idx]
+    return float(exact), table.element(best_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -706,149 +726,117 @@ def _first_min(vals: np.ndarray) -> int:
     return int(np.nonzero(vals <= low + SCORE_TOL)[0][0])
 
 
-def _search_sum_closed(study: SumClosedStudy, budget: int, seed, samples):
-    table = _BoxTable(study.algebra, study.box_bound)
-    n_el = len(table)
-    total = n_el ** (study.length - 1)
-    if n_el <= 1:
-        raise EmptyCode("box contains only the zero element")
+def _tuple_sums(values: np.ndarray, count: int) -> np.ndarray:
+    """values[q_1] + ... + values[q_count] for every index tuple, in
+    itertools.product order (q_1 slowest)."""
+    out = np.zeros(1, dtype=values.dtype)
+    for _ in range(count):
+        out = np.add.outer(out, values).ravel()
+    return out
+
+
+def _codeword(msg: _BoxTable, off: _BoxTable, msg_ids, o: int) -> tuple:
+    msgs = [msg.element(int(i)) for i in msg_ids]
+    last = off.element(o)
+    for m in msgs:
+        last = last + m
+    return tuple(msgs) + (last,)
+
+
+def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
+            budget: int, seed, samples):
+    """Minimum Gram determinant over (x_1, ..., x_{L-1}, sum x_i + w).
+
+    The messages x_i range over `msg` and the offset w over `off`; a
+    sum-closed family is the case where `off` holds only zero.  Rows are
+    (w, x_2, ..., x_{L-1}) with w outermost and the slow messages in
+    itertools.product order, and each row scores its x_1 in ascending
+    order, keeping only those whose sum stays inside the box.
+
+    A row is skipped unscored when the Minkowski bound
+    (sum_i |det X_i|^(2/n))^n rules it out: the slow messages add their
+    roots, and `min_root`, the least root of a nonzero box element, is
+    added when w or the slow sum is nonzero or every slow message is zero,
+    since one of x_1 and the last component is then nonzero.
+    """
+    n_msg, n_off = len(msg), len(off)
+    total = n_msg ** (length - 1) * n_off
     if total > budget:
         if seed is None:
             raise SearchBudgetExceeded(
                 f"{total} codewords exceed the budget {budget}; "
                 "pass a seed for a randomized search")
-        return _sample_sum_closed(study, table, seed, samples)
+        return _sample(length, msg, off, seed, samples)
+    n = msg.algebra.n
+    slow_count = length - 2
+    reach = slow_count * msg.bound
+    d = len(msg.values)
+    digits = msg.digits
+    # fits[s + reach]: digit indices j with values[j] + s inside the box
+    fits = [np.nonzero(np.abs(msg.values + s) <= msg.bound)[0]
+            for s in range(-reach, reach + 1)]
+    fit_counts = np.array([len(f) for f in fits], dtype=np.int64)
+    slow_root = _tuple_sums(np.abs(np.linalg.det(msg.mats)) ** (2.0 / n),
+                            slow_count)
+    row_words = np.ones(len(slow_root), dtype=np.int64)
+    forced = np.zeros(len(slow_root), dtype=bool)
+    for m in range(digits.shape[1]):
+        s = _tuple_sums(digits[:, m], slow_count)
+        row_words *= fit_counts[s + reach]
+        forced |= s != 0
+    forced[0] = True  # every slow message zero: x_1 must be nonzero
+    valid = n_off * int(row_words.sum()) - 1  # less the all-zero codeword
+    shape = (n_msg,) * slow_count
+    zero_mat = np.zeros_like(msg.mats[0])
     best = np.inf
     best_idx = None
-    valid = 0
-    slow_count = study.length - 2
-    bound = study.box_bound
-    for slow in itertools.product(range(n_el), repeat=slow_count):
-        slow_mat = sum((table.mats[q] for q in slow),
-                       np.zeros_like(table.mats[0]))
-        slow_h = sum((table.hmats[q] for q in slow),
-                     np.zeros_like(table.hmats[0]))
-        slow_c = sum((table.coords[q] for q in slow),
-                     np.zeros_like(table.coords[0]))
-        ssum = table.mats + slow_mat
-        gram = table.hmats + slow_h + np.einsum("rij,rkj->rik", ssum, ssum.conj())
-        vals = _det_abs(gram)
-        mask = np.all(np.abs(table.coords + slow_c) <= bound, axis=1)
-        if not any(slow):
-            mask = mask.copy()
-            mask[0] = False  # the all-zero codeword
-        vals = np.where(mask, vals, np.inf)
-        valid += int(mask.sum())
-        local = _first_min(vals)
-        if vals[local] < best - SCORE_TOL:
-            best = float(vals[local])
-            best_idx = (local,) + slow
-    if best_idx is None:
-        raise EmptyCode("no codeword stayed inside the box")
-    msgs = [table.elements[i] for i in best_idx]
-    last = msgs[0]
-    for m in msgs[1:]:
-        last = last + m
-    comps = tuple(msgs) + (last,)
-    return best, comps, total, valid
-
-
-def _sample_sum_closed(study, table, seed, samples):
-    rng = np.random.default_rng(seed)
-    n_el = len(table)
-    idx = rng.integers(0, n_el, size=(samples, study.length - 1))
-    mats = table.mats[idx]            # (samples, L-1, n, n)
-    ssum = mats.sum(axis=1)
-    gram = table.hmats[idx].sum(axis=1) + np.einsum(
-        "rij,rkj->rik", ssum, ssum.conj())
-    vals = _det_abs(gram)
-    coords = table.coords[idx].sum(axis=1)
-    mask = np.all(np.abs(coords) <= study.box_bound, axis=1)
-    mask &= ~(idx == 0).all(axis=1)
-    vals = np.where(mask, vals, np.inf)
-    if not mask.any():
-        raise EmptyCode("no sampled codeword stayed inside the box")
-    local = _first_min(vals)
-    msgs = [table.elements[int(i)] for i in idx[local]]
-    last = msgs[0]
-    for m in msgs[1:]:
-        last = last + m
-    return float(vals[local]), tuple(msgs) + (last,), samples, int(mask.sum())
-
-
-def _search_monomial_offset(study: MonomialOffsetStudy, budget: int, seed, samples):
-    low = list(range(study.power))
-    high = list(range(study.power, study.algebra.n))
-    msg_table = _BoxTable(study.algebra, study.box_bound, z_slots=low)
-    off_table = _BoxTable(study.algebra, study.box_bound, z_slots=high)
-    n_msg, n_off = len(msg_table), len(off_table)
-    total = n_msg ** (study.length - 1) * n_off
-    if total > budget:
-        if seed is None:
-            raise SearchBudgetExceeded(
-                f"{total} codewords exceed the budget {budget}; "
-                "pass a seed for a randomized search")
-        return _sample_monomial_offset(study, msg_table, off_table, seed, samples)
-    best = np.inf
-    best_idx = None
-    valid = 0
-    bound = study.box_bound
-    slow_count = study.length - 2
     for o in range(n_off):
-        for slow in itertools.product(range(n_msg), repeat=slow_count):
-            slow_mat = sum((msg_table.mats[q] for q in slow),
-                           np.zeros_like(msg_table.mats[0]))
-            slow_h = sum((msg_table.hmats[q] for q in slow),
-                         np.zeros_like(msg_table.hmats[0]))
-            slow_c = sum((msg_table.coords[q] for q in slow),
-                         np.zeros_like(msg_table.coords[0]))
-            last = msg_table.mats + slow_mat + off_table.mats[o]
-            gram = msg_table.hmats + slow_h + np.einsum(
+        extra = min_root if o else np.where(forced, min_root, 0.0)
+        floor = (slow_root + extra) ** n * (1 - 1e-12)
+        for r in np.nonzero(floor < best - SCORE_TOL)[0]:
+            if floor[r] >= best - SCORE_TOL:
+                continue
+            slow = tuple(int(q) for q in np.unravel_index(r, shape))
+            s = digits[list(slow)].sum(axis=0)
+            x1 = np.zeros(1, dtype=np.int64)
+            for m in reversed(range(len(s))):
+                x1 = (x1[:, None] + fits[s[m] + reach] * d ** m).ravel()
+            if o == 0 and r == 0:
+                x1 = x1[1:]  # the all-zero codeword
+            if not len(x1):
+                continue
+            slow_mat = sum((msg.mats[q] for q in slow), zero_mat)
+            slow_h = sum((msg.hmats[q] for q in slow), zero_mat)
+            last = msg.mats[x1] + slow_mat + off.mats[o]
+            gram = msg.hmats[x1] + slow_h + np.einsum(
                 "rij,rkj->rik", last, last.conj())
             vals = _det_abs(gram)
-            mask = np.all(np.abs(msg_table.coords + slow_c) <= bound, axis=1)
-            if o == 0 and not any(slow):
-                mask = mask.copy()
-                mask[0] = False
-            vals = np.where(mask, vals, np.inf)
-            valid += int(mask.sum())
             local = _first_min(vals)
             if vals[local] < best - SCORE_TOL:
                 best = float(vals[local])
-                best_idx = ((local,) + slow, o)
+                best_idx = ((x1[local],) + slow, o)
     if best_idx is None:
         raise EmptyCode("no codeword stayed inside the box")
-    msg_ids, o = best_idx
-    msgs = [msg_table.elements[i] for i in msg_ids]
-    last = off_table.elements[o]
-    for m in msgs:
-        last = last + m
-    comps = tuple(msgs) + (last,)
-    return best, comps, total, valid
+    return best, _codeword(msg, off, *best_idx), total, valid
 
 
-def _sample_monomial_offset(study, msg_table, off_table, seed, samples):
+def _sample(length: int, msg: _BoxTable, off: _BoxTable, seed, samples):
     rng = np.random.default_rng(seed)
-    n_msg, n_off = len(msg_table), len(off_table)
-    idx = rng.integers(0, n_msg, size=(samples, study.length - 1))
-    offs = rng.integers(0, n_off, size=samples)
-    mats = msg_table.mats[idx]
-    last = mats.sum(axis=1) + off_table.mats[offs]
-    gram = msg_table.hmats[idx].sum(axis=1) + np.einsum(
+    idx = rng.integers(0, len(msg), size=(samples, length - 1))
+    offs = rng.integers(0, len(off), size=samples)
+    inside = np.all(np.abs(msg.digits[idx].sum(axis=1)) <= msg.bound, axis=1)
+    inside &= ~((idx == 0).all(axis=1) & (offs == 0))
+    keep = np.nonzero(inside)[0]
+    if not len(keep):
+        raise EmptyCode("no sampled codeword stayed inside the box")
+    last = msg.mats[idx[keep]].sum(axis=1) + off.mats[offs[keep]]
+    gram = msg.hmats[idx[keep]].sum(axis=1) + np.einsum(
         "rij,rkj->rik", last, last.conj())
     vals = _det_abs(gram)
-    coords = msg_table.coords[idx].sum(axis=1)
-    mask = np.all(np.abs(coords) <= study.box_bound, axis=1)
-    mask &= ~((idx == 0).all(axis=1) & (offs == 0))
-    vals = np.where(mask, vals, np.inf)
-    if not mask.any():
-        raise EmptyCode("no sampled codeword stayed inside the box")
     local = _first_min(vals)
-    msgs = [msg_table.elements[int(i)] for i in idx[local]]
-    out = off_table.elements[int(offs[local])]
-    for m in msgs:
-        out = out + m
-    return float(vals[local]), tuple(msgs) + (out,), samples, int(mask.sum())
+    pick = keep[local]
+    return (float(vals[local]), _codeword(msg, off, idx[pick], int(offs[pick])),
+            samples, len(keep))
 
 
 def delta_min_search(study, *, budget: int = SEARCH_BUDGET,
@@ -859,17 +847,28 @@ def delta_min_search(study, *, budget: int = SEARCH_BUDGET,
 
     The returned report carries the closed-form bound, the observed
     minimum, and the first codeword attaining it in enumeration order.
+    `evaluated` counts the candidates: the whole enumeration space
+    n_msg^(L-1) * n_off, or the samples drawn.  The notes give how many of
+    them are codewords inside the box.  Only codewords are scored, and a
+    row of the enumeration is skipped when the Minkowski determinant
+    inequality det(sum A_i)^(1/n) >= sum det(A_i)^(1/n), for the PSD
+    summands A_i = X_i X_i^* of the Gram matrix, shows that none of its
+    codewords can beat the best score so far.
     """
-    inner_min, inner_arg = min_det_sq_in_box(study.algebra, study.box_bound)
+    full = _BoxTable(study.algebra, study.box_bound)
+    inner_min, inner_arg = _box_minimum(full)
     report = study.bound_report(inner_min)
     if isinstance(study, SumClosedStudy):
-        best, comps, evaluated, valid = _search_sum_closed(
-            study, budget, seed, samples)
+        msg, off = full, _BoxTable(study.algebra, study.box_bound, z_slots=[])
     elif isinstance(study, MonomialOffsetStudy):
-        best, comps, evaluated, valid = _search_monomial_offset(
-            study, budget, seed, samples)
+        slots = range(study.algebra.n)
+        msg = _BoxTable(study.algebra, study.box_bound, slots[:study.power])
+        off = _BoxTable(study.algebra, study.box_bound, slots[study.power:])
     else:
         raise TypeError(f"unsupported study {type(study).__name__}")
+    best, comps, evaluated, valid = _search(
+        study.length, msg, off, inner_min ** (1.0 / study.algebra.n),
+        budget, seed, samples)
     if best < report.lower_bound - SCORE_TOL:
         raise FormulaMismatch(
             f"search minimum {best} violates the lower bound {report.lower_bound}")

@@ -83,3 +83,7 @@ class EmptyCode(CycordError):
 
 class SingularInput(CycordError):
     """A determinant inequality check received a singular matrix."""
+
+
+class NumericMismatch(CycordError):
+    """A floating-point score disagrees with its exact recomputation."""

@@ -188,7 +188,7 @@ def test_criterion_08_determinant_inequality_lemma():
 
 
 def test_criterion_09_delta_min_parity_golden(golden):
-    with criterion(9, "parity coset code over golden mod (1+i): delta_min = 4", 120.0):
+    with criterion(9, "parity coset code over golden mod (1+i): delta_min = 4", 10.0):
         inner_min, inner_arg = min_det_sq_in_box(golden, 1)
         assert inner_min == 1.0
         assert inner_arg == golden.one
@@ -203,7 +203,7 @@ def test_criterion_09_delta_min_parity_golden(golden):
 
 
 def test_criterion_10_delta_min_z_code(golden_1pi):
-    with criterion(10, "z-monomial coset code over golden u=1+i: delta_min = 2", 120.0):
+    with criterion(10, "z-monomial coset code over golden u=1+i: delta_min = 2", 10.0):
         study = MonomialOffsetStudy(golden_1pi, ideal_of(golden_1pi, 1, 1),
                                     power=1, length=3, box_bound=1)
         report = delta_min_search(study)

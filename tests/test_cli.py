@@ -340,6 +340,15 @@ def test_check_lemma(capsys):
     assert payload["k1_equality_failures"] == 0
 
 
+def test_check_lemma_k1_rounding_within_bound(capsys):
+    # trial 3701 of seed 2 is a 4x4 matrix with cond ~ 160: its Gram
+    # determinant is off by 2.6e-12 relative error, within rounding
+    code, payload = run_json(
+        ["check-lemma", "--trials", "10000", "--seed", "2"], capsys)
+    assert code == 0
+    assert payload["k1_equality_failures"] == 0
+
+
 def test_check_lemma_flag_positions(capsys):
     code1, p1 = run_json(["--seed", "5", "check-lemma", "--trials", "40"], capsys)
     code2, p2 = run_json(["check-lemma", "--trials", "40", "--seed", "5"], capsys)

@@ -1,9 +1,14 @@
 """Tests for the determinant inequality, outer codes, lifts, and searches."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
+import cycord.coding as coding
 from cycord.coding import (
+    SCORE_TOL,
     BoundFormula,
     CosetCodeword,
     FirstCoefficientCode,
@@ -20,17 +25,20 @@ from cycord.coding import (
     min_det_sq_in_box,
     monomial_project,
     run_lemma_trials,
+    _BoxTable,
 )
 from cycord.errors import (
     BadMessageLength,
     EmptyCode,
     FormulaMismatch,
+    NumericMismatch,
     SearchBudgetExceeded,
     SingularInput,
     TooLargeToEnumerate,
     WrongCase,
 )
 from cycord.extension import IdealSpec
+from cycord.order import OrderElement
 from cycord.residue import FiniteField, quotient_of, residue_ring
 
 
@@ -106,6 +114,21 @@ def test_lemma_trials_fixed_size():
     assert rep["k1_trials"] == 60
     assert rep["violations"] == 0
     assert rep["k1_equality_failures"] == 0
+
+
+def test_lemma_trials_flag_perturbed_k1_pairs(monkeypatch):
+    # a 1e-6 relative error is far above the rounding bound of every trial
+    exact = coding.det_inequality_check
+
+    def perturbed(mats):
+        rep = exact(mats)
+        lhs = rep["lhs"] * (1 + 1e-6)
+        return dict(rep, lhs=lhs, margin=lhs - rep["rhs"])
+
+    monkeypatch.setattr(coding, "det_inequality_check", perturbed)
+    rep = run_lemma_trials(300, k=1, seed=2)
+    assert rep["k1_trials"] == 300
+    assert rep["k1_equality_failures"] == 300
 
 
 # -- outer codes -----------------------------------------------------------------
@@ -353,6 +376,33 @@ def test_min_det_sq_in_box(golden):
         min_det_sq_in_box(golden, 0)
 
 
+def test_min_det_sq_in_box_rejects_numeric_disagreement(golden, monkeypatch):
+    monkeypatch.setattr(OrderElement, "abs_det_sq", lambda self: 7)
+    with pytest.raises(NumericMismatch):
+        min_det_sq_in_box(golden, 1)
+
+
+@pytest.mark.parametrize("name, z_slots", [
+    ("golden", None), ("golden_1pi", None), ("gauss", None),
+    ("q7", [0]), ("q15", [0]),
+])
+def test_box_table_linear_embedding(request, name, z_slots):
+    algebra = request.getfixturevalue(name)
+    if z_slots is not None:
+        with pytest.raises(TooLargeToEnumerate):
+            _BoxTable(algebra, 1)
+    table = _BoxTable(algebra, 1, z_slots)
+    ref = np.empty_like(table.mats)
+    for i in range(len(table)):
+        el = table.element(i)
+        assert tuple(np.array(el.flat_ints())[table.positions]) == tuple(table.digits[i])
+        ref[i] = el.matrix().numeric()
+    if z_slots is None:
+        assert np.array_equal(table.mats, ref)
+    else:
+        assert np.allclose(table.mats, ref, rtol=0, atol=1e-12)
+
+
 def test_sum_closed_study_short_code(golden):
     study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=2)
     assert study.outer_distance() == 2
@@ -376,6 +426,21 @@ def test_sum_closed_randomized_fallback(golden):
     report = delta_min_search(study, budget=10, seed=0, samples=2000)
     assert report.evaluated == 2000
     assert report.search_min >= report.lower_bound - 1e-9
+
+
+def test_search_skips_rows_the_minkowski_bound_rules_out(golden, monkeypatch):
+    # every Gram score goes through _det_abs.  The first row finds (1, 0, 1)
+    # with score 4; every later row has a bound of at least (1 + 1)^2 = 4,
+    # so only the first row is scored
+    scored = []
+    det_abs = coding._det_abs
+    monkeypatch.setattr(coding, "_det_abs",
+                        lambda stack: scored.append(len(stack)) or det_abs(stack))
+    study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=3)
+    report = delta_min_search(study)
+    assert report.search_min == pytest.approx(4.0, abs=1e-6)
+    assert report.evaluated == 6561 ** 2
+    assert scored == [6561 - 1]  # x_1 = 0 would be the all-zero codeword
 
 
 def test_monomial_offset_study_short_code(golden_1pi):
@@ -407,6 +472,76 @@ def test_delta_report_to_dict(golden):
     assert d["search_min"] == pytest.approx(4.0)
     assert d["argmin"]["coordinates"][0] == [1, 0, 0, 0, 0, 0, 0, 0]
     assert "inner |det|^2 minimum" in d["notes"]
+
+
+def _unpruned_search(study):
+    """Reference for delta_min_search: every codeword scored, nothing skipped.
+
+    Same enumeration order, tie rule and float operations as the search,
+    but each row scores all of its x_1 and masks the ones outside the box.
+    Returns (minimum, witness components, candidates, codewords).
+    """
+    alg, bound = study.algebra, study.box_bound
+    if isinstance(study, SumClosedStudy):
+        msg, off = _BoxTable(alg, bound), _BoxTable(alg, bound, [])
+    else:
+        msg = _BoxTable(alg, bound, range(study.power))
+        off = _BoxTable(alg, bound, range(study.power, alg.n))
+    assert alg.n == 2
+    zero = np.zeros_like(msg.mats[0])
+    best, best_ids, candidates, codewords = np.inf, None, 0, 0
+    for o in range(len(off)):
+        for slow in itertools.product(range(len(msg)), repeat=study.length - 2):
+            slow_mat = sum((msg.mats[q] for q in slow), zero)
+            slow_h = sum((msg.hmats[q] for q in slow), zero)
+            last = msg.mats + slow_mat + off.mats[o]
+            g = msg.hmats + slow_h + np.einsum("rij,rkj->rik", last, last.conj())
+            vals = np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
+            slow_c = sum((msg.digits[q] for q in slow), np.zeros_like(msg.digits[0]))
+            inside = np.all(np.abs(msg.digits + slow_c) <= bound, axis=1)
+            if o == 0 and not any(slow):
+                inside[0] = False
+            candidates += len(msg)
+            codewords += int(inside.sum())
+            vals[~inside] = np.inf
+            local = int(np.nonzero(vals <= vals.min() + SCORE_TOL)[0][0])
+            if vals[local] < best - SCORE_TOL:
+                best, best_ids = float(vals[local]), ((local,) + slow, o)
+    ids, o = best_ids
+    msgs = [msg.element(i) for i in ids]
+    last = off.element(o)
+    for m in msgs:
+        last = last + m
+    return best, tuple(msgs) + (last,), candidates, codewords
+
+
+@pytest.mark.parametrize("name, study_kind, length", [
+    ("golden", "sum", 2),
+    ("golden_1pi", "monomial", 2),
+    ("golden_1pi", "monomial", 3),
+    ("gauss", "sum", 3),
+    ("gauss", "sum", 4),  # slow rows such as (x, -x) cancel
+    ("gauss_u5", "sum", 3),  # zero divisors: the least nonzero root is 0
+    ("gauss_u5", "sum", 4),
+])
+def test_pruned_search_matches_unpruned(request, monkeypatch, name, study_kind, length):
+    algebra = request.getfixturevalue(name)
+    if study_kind == "sum":
+        ideal = ideal_of(algebra, 1, 1) if name.startswith("golden") else IdealSpec(
+            algebra.ext.base.element(3))
+        study = SumClosedStudy(algebra, ideal, length=length)
+    else:
+        study = MonomialOffsetStudy(algebra, ideal_of(algebra, 1, 1), length=length)
+    # parity codes have distance 2; confirming it over 81^3 gauss messages
+    # takes most of a minute and is not what this test checks
+    monkeypatch.setattr(type(study), "outer_distance", lambda self: 2)
+    report = delta_min_search(study)
+    best, comps, candidates, codewords = _unpruned_search(study)
+    assert report.search_min == best
+    assert report.argmin.components == comps
+    assert report.evaluated == candidates
+    found = re.search(r"(\d+) codewords inside the box", report.notes)
+    assert int(found.group(1)) == codewords
 
 
 def test_coset_codeword_basics(golden, q_gold):
