@@ -57,7 +57,10 @@ def _resolve_algebra(source: str, u: str | None = None) -> AlgebraSpec:
         stem = os.path.basename(source)[:-5]
         if stem in SHIPPED_ALGEBRAS:
             source = stem
-    return load_algebra(source, u)
+    try:
+        return load_algebra(source, u)
+    except ValueError as exc:  # a malformed or zero u
+        raise CycordError(str(exc)) from exc
 
 
 _FACTOR_RE = re.compile(r"\((?P<gen>[^()]+)\)(?:\^(?P<exp>\d+))?$")
@@ -71,19 +74,25 @@ def parse_ideal(base, text: str):
         if not part:
             raise CycordError(f"empty ideal factor in {text!r}")
         m = _FACTOR_RE.fullmatch(part)
-        if m:
-            alpha = base.parse(m.group("gen"))
-            s = int(m.group("exp") or 1)
-        else:
-            alpha = base.parse(part)
-            s = 1
         try:
-            factors.append(IdealSpec(alpha, s))
+            if m:
+                factors.append(IdealSpec(base.parse(m.group("gen")),
+                                         int(m.group("exp") or 1)))
+            else:
+                factors.append(IdealSpec(base.parse(part)))
         except ValueError as exc:
             raise CycordError(str(exc)) from exc
     if len(factors) == 1:
         return factors[0]
     return CompositeIdeal(tuple(factors))
+
+
+def _parse_coords(base, text: str) -> list:
+    """Parse 'a0, a1, ...' into base-ring elements."""
+    try:
+        return [base.parse(c.strip()) for c in text.split(",")]
+    except ValueError as exc:
+        raise CycordError(str(exc)) from exc
 
 
 def parse_element(algebra: AlgebraSpec, text: str):
@@ -94,7 +103,7 @@ def parse_element(algebra: AlgebraSpec, text: str):
             f"expected {algebra.n} z-coefficients separated by ';', got {len(groups)}")
     zcoords = []
     for g in groups:
-        coords = [algebra.ext.base.parse(c.strip()) for c in g.split(",")]
+        coords = _parse_coords(algebra.ext.base, g)
         if len(coords) != algebra.ext.n:
             raise CycordError(
                 f"each z-coefficient needs {algebra.ext.n} basis coordinates")
@@ -150,7 +159,8 @@ def _cmd_reduce(args):
         xbar = Q.reduce(x)
         parts = crt_decompose(xbar)
         back = crt_recombine(parts, Q)
-        assert back == xbar
+        if back != xbar:
+            raise VerificationFailed(f"CRT recombination gives {back}, not {xbar}")
         payload = {
             "algebra": algebra.name,
             "ideal": str(ideal),
@@ -284,6 +294,8 @@ def _load_code_spec(path: str) -> dict:
     for key in ("ideal", "outer"):
         if not isinstance(spec.get(key, {}), dict):
             raise CycordError(f"code spec field {key!r} must be a JSON object")
+    if not isinstance(spec.get("u", ""), str):
+        raise CycordError("code spec field 'u' must be a string")
     return spec
 
 
@@ -334,7 +346,10 @@ def _cmd_encode(args):
     spec = _load_code_spec(args.code_spec)
     algebra, ideal, power = _spec_parts(spec)
     code = _outer_code(spec, algebra, ideal, power)
-    message = json.loads(args.message)
+    try:
+        message = json.loads(args.message)
+    except json.JSONDecodeError as exc:
+        raise CycordError(f"--message is not valid JSON: {exc}") from exc
     if not isinstance(message, list):
         raise CycordError("--message must be a JSON list of symbols")
     symbols = [_decode_symbol(code, algebra, m) for m in message]
@@ -378,24 +393,29 @@ def _decode_symbol(code, algebra, m):
     FirstCoefficientScheme: residue-ring string.
     """
     if isinstance(code, ReedSolomonCode):
-        return code.field.element(int(m))
+        try:
+            return code.field.element(int(m))
+        except (TypeError, ValueError) as exc:
+            raise CycordError(f"bad field symbol {m!r}: {exc}") from exc
+    if not isinstance(m, str):
+        raise CycordError(f"message symbols must be strings, got {m!r}")
     if isinstance(code, ParityCode):
         ring = code.ring
         if isinstance(ring, QuotientRing):
             return ring.reduce(parse_element(algebra, m))
         if isinstance(ring, ResidueRing):
-            coords = [ring.ext.base.parse(c.strip()) for c in m.split(",")]
-            if len(coords) != ring.n:
-                raise CycordError(f"residue symbols need {ring.n} coordinates")
-            return ring.from_ok(ring.ext.element(coords))
+            return _parse_residue(ring, m)
         raise CycordError(f"cannot parse symbols for {type(ring).__name__}")
     if isinstance(code, FirstCoefficientCode):
-        S = code.quotient.S
-        coords = [S.ext.base.parse(c.strip()) for c in m.split(",")]
-        if len(coords) != S.n:
-            raise CycordError(f"residue symbols need {S.n} coordinates")
-        return S.from_ok(S.ext.element(coords))
+        return _parse_residue(code.quotient.S, m)
     raise CycordError(f"cannot parse symbols for {type(code).__name__}")
+
+
+def _parse_residue(S: ResidueRing, text: str):
+    coords = _parse_coords(S.ext.base, text)
+    if len(coords) != S.n:
+        raise CycordError(f"residue symbols need {S.n} coordinates")
+    return S.from_ok(S.ext.element(coords))
 
 
 def _cmd_deltamin(args):
@@ -444,17 +464,7 @@ def _cmd_check_lemma(args):
 # ---------------------------------------------------------------------------
 
 def _random_order_element(algebra: AlgebraSpec, rng: random.Random, bound: int = 3):
-    ext = algebra.ext
-    rational = ext.base.kind.name == "RATIONAL"
-    zcoords = []
-    for _ in range(algebra.n):
-        coords = []
-        for _ in range(ext.n):
-            a = rng.randint(-bound, bound)
-            coords.append(ext.base.element(a) if rational
-                          else ext.base.element(a, rng.randint(-bound, bound)))
-        zcoords.append(ext.element(coords))
-    return algebra.element(zcoords)
+    return algebra.from_draws(lambda: rng.randint(-bound, bound))
 
 
 def _suite_embedding_law(rng) -> int:

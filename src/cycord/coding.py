@@ -139,32 +139,14 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _alphabet(ring):
-    """(size, element iterator factory, zero) for a supported symbol ring."""
+    """(size, element iterator factory) for a supported symbol ring."""
     if isinstance(ring, QuotientRing):
-        return ring.cardinality, (lambda: ring.elements(ring.cardinality)), ring.zero
+        return ring.cardinality, (lambda: ring.elements(ring.cardinality))
     if isinstance(ring, ResidueRing):
-        return ring.size, (lambda: ring.elements(ring.size)), ring.zero
+        return ring.size, (lambda: ring.elements(ring.size))
     if isinstance(ring, FiniteField):
-        return ring.size, ring.elements, ring.zero
+        return ring.size, ring.elements
     raise TypeError(f"unsupported symbol ring {type(ring).__name__}")
-
-
-def _min_parity_weight(symbols, zero, length: int) -> int:
-    """Minimum Hamming weight over nonzero parity codewords, by enumeration."""
-    best = length + 1
-    for msg in itertools.product(symbols, repeat=length - 1):
-        total = msg[0]
-        for s in msg[1:]:
-            total = total + s
-        word = msg + (total,)
-        weight = sum(1 for s in word if not (s == zero))
-        if 0 < weight < best:
-            best = weight
-            if best == 1:
-                break
-    if best > length:
-        raise EmptyCode("parity code has no nonzero codeword")
-    return best
 
 
 class ParityCode:
@@ -193,7 +175,7 @@ class ParityCode:
         return tuple(message) + (total,)
 
     def codewords(self, limit: int = CODE_ENUM_LIMIT):
-        size, elems, _zero = _alphabet(self.ring)
+        size, elems = _alphabet(self.ring)
         total = size ** (self.length - 1)
         if total > limit:
             raise TooLargeToEnumerate(
@@ -202,12 +184,14 @@ class ParityCode:
         for msg in itertools.product(pool, repeat=self.length - 1):
             yield self.encode(msg)
 
-    def hamming_distance(self, limit: int = CODE_ENUM_LIMIT) -> int:
-        size, elems, zero = _alphabet(self.ring)
-        if size ** (self.length - 1) > limit:
-            raise TooLargeToEnumerate(
-                f"{size ** (self.length - 1)} codewords exceed the limit {limit}")
-        return _min_parity_weight(list(elems()), zero, self.length)
+    def hamming_distance(self) -> int:
+        """2, without enumeration.
+
+        A lone nonzero message symbol forces a nonzero parity symbol, so no
+        nonzero codeword has weight 1; and (x, 0, ..., 0, x) is a codeword
+        for every x.
+        """
+        return 2
 
 
 class ReedSolomonCode:
@@ -307,7 +291,7 @@ class FirstCoefficientCode:
     def codewords(self, limit: int = CODE_ENUM_LIMIT):
         n = self.quotient.n
         free_size = self.quotient.S.size ** ((n - 1) * self.length)
-        size, _e, _z = _alphabet(self.inner.ring if hasattr(self.inner, "ring")
+        size, _elems = _alphabet(self.inner.ring if hasattr(self.inner, "ring")
                                  else self.inner.field)
         inner_total = size ** self.inner.message_length
         if inner_total * free_size > limit:
@@ -360,23 +344,6 @@ class CosetCodeword:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-def _seeded_box_element(algebra: AlgebraSpec, rng, bound: int) -> OrderElement:
-    ext = algebra.ext
-    rational = ext.base.kind.name == "RATIONAL"
-    zcoords = []
-    for _ in range(algebra.n):
-        coords = []
-        for _ in range(ext.n):
-            a = int(rng.integers(-bound, bound + 1))
-            if rational:
-                coords.append(ext.base.element(a))
-            else:
-                b = int(rng.integers(-bound, bound + 1))
-                coords.append(ext.base.element(a, b))
-        zcoords.append(ext.element(coords))
-    return algebra.element(zcoords)
-
-
 def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZERO,
                   *, algebra: AlgebraSpec | None = None, seed: int = 0,
                   box_bound: int = 1) -> CosetCodeword:
@@ -390,6 +357,10 @@ def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZE
     if not outer_word:
         raise BadMessageLength("cannot lift an empty codeword")
     rng = np.random.default_rng(seed)
+
+    def draw():
+        return int(rng.integers(-box_bound, box_bound + 1))
+
     comps = []
     for sym in outer_word:
         if isinstance(sym, GcaElement):
@@ -402,8 +373,7 @@ def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZE
             else:
                 lifted = Q.lift(sym)
                 if strategy is LiftStrategy.RANDOMIZED:
-                    lifted = lifted + _seeded_box_element(
-                        Q.algebra, rng, box_bound) * Q.ideal.modulus
+                    lifted = lifted + Q.algebra.from_draws(draw) * Q.ideal.modulus
             if not Q.reduce(lifted) == sym:
                 raise WrongCase("lift failed to be a section")
             comps.append(lifted)
@@ -414,10 +384,9 @@ def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZE
             if strategy is LiftStrategy.RANDOMIZED:
                 # noise with zero constant coefficient, plus a modulus multiple;
                 # z*noise would wrap u*sigma(top) back into the z^0 slot
-                noise = _seeded_box_element(algebra, rng, box_bound)
+                noise = algebra.from_draws(draw)
                 lifted = lifted + noise - algebra.from_ok(noise.zcoords[0])
-                lifted = lifted + _seeded_box_element(
-                    algebra, rng, box_bound) * sym.ring.modulus
+                lifted = lifted + algebra.from_draws(draw) * sym.ring.modulus
             back = sym.ring.from_ok(lifted.zcoords[0])
             if not back == sym:
                 raise WrongCase("lift failed to be a section")
@@ -575,16 +544,10 @@ class _BoxTable:
         self.hmats = np.einsum("rij,rkj->rik", mats, mats.conj())
 
     def _element(self, digits) -> OrderElement:
-        ext, base = self.algebra.ext, self.algebra.ext.base
-        flat = [0] * (2 * self.algebra.n * ext.n)
+        flat = [0] * (2 * self.algebra.n * self.algebra.ext.n)
         for pos, v in zip(self.positions, digits.tolist()):
             flat[pos] = v
-        pairs = iter(zip(flat[0::2], flat[1::2]))
-        rational = base.kind.name == "RATIONAL"
-        return self.algebra.element([
-            ext.element([base.element(a) if rational else base.element(a, b)
-                         for a, b in itertools.islice(pairs, ext.n)])
-            for _ in range(self.algebra.n)])
+        return self.algebra.from_flat_ints(flat)
 
     def element(self, i: int) -> OrderElement:
         return self._element(self.digits[i])
@@ -682,18 +645,10 @@ class MonomialOffsetStudy:
             raise ValueError("need length at least 2")
 
     def outer_distance(self) -> int:
-        S = residue_ring(self.algebra.ext, self.prime.modulus)
-        pool = list(S.elements(S.size))
-        symbols = list(itertools.product(pool, repeat=self.power))
-        if len(symbols) ** (self.length - 1) > CODE_ENUM_LIMIT:
-            raise TooLargeToEnumerate("outer alphabet too large to enumerate")
-
-        class _Tup(tuple):
-            def __add__(self, other):
-                return _Tup(a + b for a, b in zip(self, other))
-
-        zero = _Tup([S.zero] * self.power)
-        return _min_parity_weight([_Tup(s) for s in symbols], zero, self.length)
+        # parity over S^power symbols; a parity code's distance does not
+        # depend on its alphabet
+        return ParityCode(residue_ring(self.algebra.ext, self.prime.modulus),
+                          self.length).hamming_distance()
 
     def bound_report(self, min_det_sq: float) -> DeltaReport:
         return delta_lower_bound(self.algebra, self.prime,

@@ -39,7 +39,134 @@ SHIPPED_ALGEBRAS = (
 )
 
 
-class AlgebraSpec:
+class TwistedRing:
+    """sum_j C z^j with z*c = sigma(c)*z and z^n = ubar, over a ring C.
+
+    The natural order (C = O_K, ubar = u) and its quotients Lambda/I Lambda
+    (C = O_K/mO_K, ubar = u mod m) are this one construction, with n the
+    degree of C over its base ring.  `coeffs` supplies n, zero, one, mul and
+    sigma; subclasses supply the checked constructor `element`.
+    """
+
+    __slots__ = ("coeffs", "ubar")
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.n
+
+    def _scalar(self, c):
+        return self.element([c] + [self.coeffs.zero] * (self.n - 1))
+
+    @property
+    def zero(self):
+        return self._scalar(self.coeffs.zero)
+
+    @property
+    def one(self):
+        return self._scalar(self.coeffs.one)
+
+    @property
+    def z(self):
+        if self.n == 1:
+            return self._scalar(self.ubar)
+        coords = [self.coeffs.zero] * self.n
+        coords[1] = self.coeffs.one
+        return self.element(coords)
+
+    def mul(self, x, y):
+        n = self.n
+        C = self.coeffs
+        out = [C.zero] * n
+        for i in range(n):
+            xi = x.zcoords[i]
+            if xi.is_zero:
+                continue
+            for j in range(n):
+                yj = y.zcoords[j]
+                if yj.is_zero:
+                    continue
+                term = C.mul(xi, C.sigma(yj, i))
+                k = i + j
+                if k >= n:
+                    k -= n
+                    term = C.mul(term, self.ubar)
+                out[k] = out[k] + term
+        return type(x)(self, tuple(out))
+
+
+class TwistedElement:
+    """Element sum c_k z^k of a `TwistedRing`."""
+
+    __slots__ = ("ring", "zcoords")
+
+    def __init__(self, ring: TwistedRing, zcoords):
+        self.ring = ring
+        self.zcoords = tuple(zcoords)
+
+    def _check(self, other):
+        if not isinstance(other, type(self)) or other.ring != self.ring:
+            raise IncompatibleAlgebras("elements come from different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(
+            self.ring, tuple(a + b for a, b in zip(self.zcoords, other.zcoords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(
+            self.ring, tuple(a - b for a, b in zip(self.zcoords, other.zcoords)))
+
+    def __neg__(self):
+        return type(self)(self.ring, tuple(-a for a in self.zcoords))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, BaseElement)):
+            return type(self)(self.ring, tuple(c * other for c in self.zcoords))
+        if isinstance(other, TwistedElement):
+            self._check(other)
+            return self.ring.mul(self, other)
+        return self.ring.mul(self, self.ring._scalar(other))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, BaseElement)):
+            return self.__mul__(other)
+        return self.ring.mul(self.ring._scalar(other), self)
+
+    def __pow__(self, e: int):
+        return power(self, e, self.ring.one)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.ring == other.ring
+            and self.zcoords == other.zcoords
+        )
+
+    def __hash__(self):
+        return hash(self.zcoords)
+
+    def __bool__(self):
+        return any(self.zcoords)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.zcoords)
+
+    def __str__(self):
+        parts = []
+        for k, c in enumerate(self.zcoords):
+            if c.is_zero:
+                continue
+            if k == 0:
+                parts.append(f"{c}")
+            else:
+                zk = "z" if k == 1 else f"z^{k}"
+                parts.append(f"({c})*{zk}")
+        return " + ".join(parts) if parts else "0"
+
+
+class AlgebraSpec(TwistedRing):
     """A cyclic algebra (K/F, sigma, u) restricted to its natural order."""
 
     __slots__ = ("ext", "u", "claims_division", "name", "notes")
@@ -56,15 +183,12 @@ class AlgebraSpec:
             raise IncompatibleAlgebras("u must live in the base ring of the extension")
         if u.is_zero:
             raise ValueError("u must be nonzero")
-        self.ext = ext
+        self.ext = self.coeffs = ext
         self.u = u
+        self.ubar = ext.from_base(u)
         self.claims_division = claims_division
         self.name = name or ext.name
         self.notes = notes
-
-    @property
-    def n(self) -> int:
-        return self.ext.n
 
     def __eq__(self, other):
         return (
@@ -90,48 +214,27 @@ class AlgebraSpec:
                 raise IncompatibleAlgebras("z-coordinates must come from O_K")
         return OrderElement(self, zcoords)
 
-    def from_ok(self, x: OKElement) -> "OrderElement":
-        coords = [x] + [self.ext.zero] * (self.n - 1)
-        return self.element(coords)
+    from_ok = TwistedRing._scalar
 
-    @property
-    def zero(self) -> "OrderElement":
-        return self.from_ok(self.ext.zero)
+    def from_flat_ints(self, flat) -> "OrderElement":
+        """Inverse of `OrderElement.flat_ints`: (z-power, basis, a, b) order."""
+        ext, base = self.ext, self.ext.base
+        pairs = iter(zip(flat[0::2], flat[1::2]))
+        return self.element([
+            ext.element([base.element(a, b)
+                         for a, b in itertools.islice(pairs, ext.n)])
+            for _ in range(self.n)])
 
-    @property
-    def one(self) -> "OrderElement":
-        return self.from_ok(self.ext.one)
+    def from_draws(self, draw) -> "OrderElement":
+        """Element whose integer coordinates are successive `draw()` values.
 
-    @property
-    def z(self) -> "OrderElement":
-        coords = [self.ext.zero] * self.n
-        coords[1 % self.n] = self.ext.one
-        if self.n == 1:
-            coords[0] = self.ext.from_base(self.u)
-        return self.element(coords)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def mul(self, x: "OrderElement", y: "OrderElement") -> "OrderElement":
-        n = self.n
-        ext = self.ext
-        out = [ext.zero] * n
-        u_ok = ext.from_base(self.u)
-        for i in range(n):
-            xi = x.zcoords[i]
-            if xi.is_zero:
-                continue
-            for j in range(n):
-                yj = y.zcoords[j]
-                if yj.is_zero:
-                    continue
-                term = xi * ext.sigma(yj, i)
-                k = i + j
-                if k >= n:
-                    k -= n
-                    term = term * u_ok
-                out[k] = out[k] + term
-        return OrderElement(self, tuple(out))
+        Coordinates are drawn in `flat_ints` order, a before b, with no b
+        draw over Z.
+        """
+        rational = self.ext.base.kind.name == "RATIONAL"
+        return self.from_flat_ints([
+            v for _ in range(self.n * self.ext.n)
+            for v in (draw(), 0 if rational else draw())])
 
     # -- matrix embedding -------------------------------------------------------
 
@@ -139,14 +242,13 @@ class AlgebraSpec:
         """Matrix of right multiplication by x; M(x*y) == M(y)*M(x)."""
         n = self.n
         ext = self.ext
-        u_ok = ext.from_base(self.u)
         rows = []
         for r in range(n):
             row = []
             for c in range(n):
                 entry = ext.sigma(x.zcoords[(r - c) % n], c)
                 if r < c:
-                    entry = entry * u_ok
+                    entry = entry * self.ubar
                 row.append(entry)
             rows.append(tuple(row))
         return OrderMatrix(ext, tuple(rows))
@@ -277,79 +379,19 @@ class OrderMatrix:
         ) + "]"
 
 
-class OrderElement:
+class OrderElement(TwistedElement):
     """Element sum x_k z^k of the natural order."""
 
-    __slots__ = ("algebra", "zcoords")
-
-    def __init__(self, algebra: AlgebraSpec, zcoords):
-        self.algebra = algebra
-        self.zcoords = tuple(zcoords)
-
-    def _check(self, other):
-        if not isinstance(other, OrderElement) or other.algebra != self.algebra:
-            raise IncompatibleAlgebras("elements come from different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return OrderElement(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.zcoords, other.zcoords)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return OrderElement(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.zcoords, other.zcoords)),
-        )
-
-    def __neg__(self):
-        return OrderElement(self.algebra, tuple(-a for a in self.zcoords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, BaseElement)):
-            return OrderElement(self.algebra, tuple(c * other for c in self.zcoords))
-        if isinstance(other, OKElement):
-            return self.algebra.mul(self, self.algebra.from_ok(other))
-        self._check(other)
-        return self.algebra.mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, BaseElement)):
-            return self.__mul__(other)
-        if isinstance(other, OKElement):
-            return self.algebra.mul(self.algebra.from_ok(other), self)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        return power(self, e, self.algebra.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderElement)
-            and self.algebra == other.algebra
-            and self.zcoords == other.zcoords
-        )
-
-    def __hash__(self):
-        return hash(tuple(hash(c) for c in self.zcoords))
-
-    def __bool__(self):
-        return any(self.zcoords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.zcoords)
+    __slots__ = ()
 
     def matrix(self) -> OrderMatrix:
-        return self.algebra.matrix(self)
+        return self.ring.matrix(self)
 
     def reduced_det(self) -> BaseElement:
-        return self.algebra.reduced_det(self)
+        return self.ring.reduced_det(self)
 
     def abs_det_sq(self) -> int:
-        return self.algebra.abs_det_sq(self)
+        return self.ring.abs_det_sq(self)
 
     def flat_ints(self) -> tuple[int, ...]:
         """All integer coordinates, flattened in (z-power, basis, a, b) order."""
@@ -360,20 +402,8 @@ class OrderElement:
                 out.append(c.b)
         return tuple(out)
 
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.zcoords):
-            if c.is_zero:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                parts.append(f"({c})*{zk}")
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self):
-        return f"<{self} in order({self.algebra.name})>"
+        return f"<{self} in order({self.ring.name})>"
 
 
 # -- shipped data -----------------------------------------------------------
@@ -426,24 +456,10 @@ def box_elements(algebra: AlgebraSpec, bound: int) -> list[OrderElement]:
     digit order 0, 1, -1, ...: the zero element comes first and elements with
     later or fewer nonzero digits come earlier.
     """
-    ext = algebra.ext
-    n = algebra.n
-    rational = ext.base.kind.name == "RATIONAL"
-    digits = box_values(bound)
-    slots = n * n * (1 if rational else 2)
+    rational = algebra.ext.base.kind.name == "RATIONAL"
+    slots = algebra.n * algebra.ext.n * (1 if rational else 2)
     out = []
-    for combo in itertools.product(digits, repeat=slots):
-        pos = 0
-        zcoords = []
-        for _ in range(n):
-            coords = []
-            for _ in range(n):
-                if rational:
-                    coords.append(ext.base.element(combo[pos]))
-                    pos += 1
-                else:
-                    coords.append(ext.base.element(combo[pos], combo[pos + 1]))
-                    pos += 2
-            zcoords.append(ext.element(coords))
-        out.append(algebra.element(zcoords))
+    for combo in itertools.product(box_values(bound), repeat=slots):
+        flat = [v for a in combo for v in (a, 0)] if rational else combo
+        out.append(algebra.from_flat_ints(flat))
     return out

@@ -52,7 +52,7 @@ from .errors import (
     WrongCase,
 )
 from .extension import ExtensionSpec, IdealSpec, OKElement
-from .order import AlgebraSpec, OrderElement
+from .order import AlgebraSpec, OrderElement, TwistedElement, TwistedRing
 
 # Largest quotient ring we will stream element-by-element.
 ENUM_LIMIT = 1 << 16
@@ -324,23 +324,19 @@ def residue_ring(ext: ExtensionSpec, modulus: BaseElement) -> ResidueRing:
     return ring
 
 
-class QuotientRing:
+class QuotientRing(TwistedRing):
     """Lambda/I Lambda = sum_j S z^j with z s = sigma(s) z and z^n = ubar."""
 
-    __slots__ = ("algebra", "ideal", "S", "ubar", "_crt")
+    __slots__ = ("algebra", "ideal", "S", "_crt")
 
     def __init__(self, algebra: AlgebraSpec, ideal):
         if not isinstance(ideal, (IdealSpec, CompositeIdeal)):
             raise TypeError("ideal must be an IdealSpec or CompositeIdeal")
         self.algebra = algebra
         self.ideal = ideal
-        self.S = residue_ring(algebra.ext, ideal.modulus)
+        self.S = self.coeffs = residue_ring(algebra.ext, ideal.modulus)
         self.ubar = self.S.from_base(algebra.u)
         self._crt = None
-
-    @property
-    def n(self) -> int:
-        return self.algebra.n
 
     @property
     def cardinality(self) -> int:
@@ -378,56 +374,17 @@ class QuotientRing:
                 raise IncompatibleAlgebras("z-coordinates must come from S")
         return GcaElement(self, zcoords)
 
-    def from_residue(self, s: ResidueElement) -> "GcaElement":
-        return self.element([s] + [self.S.zero] * (self.n - 1))
-
-    @property
-    def zero(self) -> "GcaElement":
-        return self.from_residue(self.S.zero)
-
-    @property
-    def one(self) -> "GcaElement":
-        return self.from_residue(self.S.one)
-
-    @property
-    def z(self) -> "GcaElement":
-        if self.n == 1:
-            return self.from_residue(self.ubar)
-        coords = [self.S.zero] * self.n
-        coords[1] = self.S.one
-        return self.element(coords)
+    from_residue = TwistedRing._scalar
 
     # -- the reduction map and its canonical section ------------------------------
 
     def reduce(self, x: OrderElement) -> "GcaElement":
-        if x.algebra != self.algebra:
+        if x.ring != self.algebra:
             raise IncompatibleAlgebras("element comes from a different algebra")
         return GcaElement(self, tuple(self.S.from_ok(c) for c in x.zcoords))
 
     def lift(self, g: "GcaElement") -> OrderElement:
         return self.algebra.element([c.lift() for c in g.zcoords])
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def mul(self, x: "GcaElement", y: "GcaElement") -> "GcaElement":
-        n = self.n
-        S = self.S
-        out = [S.zero] * n
-        for i in range(n):
-            xi = x.zcoords[i]
-            if xi.is_zero:
-                continue
-            for j in range(n):
-                yj = y.zcoords[j]
-                if yj.is_zero:
-                    continue
-                term = S.mul(xi, S.sigma(yj, i))
-                k = i + j
-                if k >= n:
-                    k -= n
-                    term = S.mul(term, self.ubar)
-                out[k] = out[k] + term
-        return GcaElement(self, tuple(out))
 
     # -- enumeration and encoding -------------------------------------------------
 
@@ -466,68 +423,10 @@ class QuotientRing:
         )
 
 
-class GcaElement:
+class GcaElement(TwistedElement):
     """Element sum s_j z^j of a quotient ring."""
 
-    __slots__ = ("ring", "zcoords")
-
-    def __init__(self, ring: QuotientRing, zcoords):
-        self.ring = ring
-        self.zcoords = tuple(zcoords)
-
-    def _check(self, other):
-        if not isinstance(other, GcaElement) or other.ring != self.ring:
-            raise IncompatibleAlgebras("elements come from different quotients")
-
-    def __add__(self, other):
-        self._check(other)
-        return GcaElement(
-            self.ring, tuple(a + b for a, b in zip(self.zcoords, other.zcoords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return GcaElement(
-            self.ring, tuple(a - b for a, b in zip(self.zcoords, other.zcoords))
-        )
-
-    def __neg__(self):
-        return GcaElement(self.ring, tuple(-a for a in self.zcoords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, BaseElement)):
-            return GcaElement(self.ring, tuple(c * other for c in self.zcoords))
-        if isinstance(other, ResidueElement):
-            return self.ring.mul(self, self.ring.from_residue(other))
-        self._check(other)
-        return self.ring.mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, BaseElement)):
-            return self.__mul__(other)
-        if isinstance(other, ResidueElement):
-            return self.ring.mul(self.ring.from_residue(other), self)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GcaElement)
-            and self.ring == other.ring
-            and self.zcoords == other.zcoords
-        )
-
-    def __hash__(self):
-        return hash(tuple(c.codes for c in self.zcoords))
-
-    def __bool__(self):
-        return any(self.zcoords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.__bool__()
+    __slots__ = ()
 
     def encode(self) -> int:
         total = 0
@@ -537,18 +436,6 @@ class GcaElement:
 
     def lift(self) -> OrderElement:
         return self.ring.lift(self)
-
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.zcoords):
-            if c.is_zero:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                parts.append(f"({c})*{zk}")
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"

@@ -443,6 +443,12 @@ def _mult_matrix(mat: MatRing, S: ResidueRing, s: ResidueElement) -> MatElement:
     )
 
 
+def _require(holds: bool, message: str) -> None:
+    """A certificate invariant, checked under every interpreter flag."""
+    if not holds:
+        raise VerificationFailed(message)
+
+
 def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificate:
     """Certificate Lambda/q Lambda = M_n(F_P) when u is a unit mod q.
 
@@ -468,9 +474,9 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
     rest = S.one - v1
     w = k + rest
     w_inv = comp.inv(k) + rest
-    assert S.mul(w, w_inv) == S.one, "w is not invertible"
+    _require(S.mul(w, w_inv) == S.one, "w is not invertible")
     y = Q.from_residue(w) * Q.z
-    assert y ** n == Q.one, "y = w z does not have y^n = 1"
+    _require(y ** n == Q.one, "y = w z does not have y^n = 1")
 
     mat = MatRing(table, n, label=f"M_{n}(F_{table.size})")
     T = mat.element([[S.sig[c][r] for c in range(n)] for r in range(n)])
@@ -478,11 +484,12 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
     z_image = _mult_matrix(mat, S, w_inv) * T
 
     # crossed-product relations, all exact
-    assert T ** n == mat.one, "sigma matrix does not have order dividing n"
+    _require(T ** n == mat.one, "sigma matrix does not have order dividing n")
     for i in range(n):
         bi = S.basis(i)
-        assert T * _mult_matrix(mat, S, bi) == _mult_matrix(mat, S, bi.sigma()) * T
-    assert z_image ** n == mat.scalar(ucode), "z image does not satisfy z^n = u"
+        _require(T * _mult_matrix(mat, S, bi) == _mult_matrix(mat, S, bi.sigma()) * T,
+                 f"sigma matrix does not twist basis element {i}")
+    _require(z_image ** n == mat.scalar(ucode), "z image does not satisfy z^n = u")
 
     cert = IsoCertificate(
         source=Q,
@@ -491,8 +498,8 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
         z_image=z_image,
         witnesses={"w": Q.from_residue(w), "y": y, "norm_solution": k},
     )
-    assert cert.forward(Q.one) == mat.one
-    assert cert.forward(y) == T
+    _require(cert.forward(Q.one) == mat.one, "1 must map to the identity")
+    _require(cert.forward(y) == T, "y must map to the sigma matrix")
     return cert
 
 
@@ -634,8 +641,9 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
 
     basis_images = tuple(phi(Qs.from_residue(S.basis(i))) for i in range(n))
     z_image = phi(Qs.z)
-    assert basis_images[0] == mat.one, "1 must map to the identity"
-    assert z_image ** n == mat.scalar(table.encode(algebra.u))
+    _require(basis_images[0] == mat.one, "1 must map to the identity")
+    _require(z_image ** n == mat.scalar(table.encode(algebra.u)),
+             "z image does not satisfy z^n = u")
 
     cert = IsoCertificate(
         source=Qs,

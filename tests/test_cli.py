@@ -3,6 +3,7 @@
 Tests of interpreter flags and of tracebacks start a fresh interpreter.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -328,6 +329,63 @@ def test_malformed_code_spec_reports_error(tmp_path, name):
     assert "Traceback" not in proc.stderr
 
 
+MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
+    "element_coordinate": (["reduce", "--algebra", "golden_u_i", "--ideal", "1+i",
+                            "--element", "1,x;3,4"], None),
+    "u_text": (["describe", "--algebra", "golden_u_i", "--u", "1+q"], None),
+    "u_zero": (["describe", "--algebra", "golden_u_i", "--u", "0"], None),
+    "ideal_text": (["structure", "--algebra", "golden_u_i", "--ideal", "1+x"], None),
+    "spec_u_text": (["deltamin"], json.dumps({**ZCODE, "u": "1+q"})),
+    "spec_u_number": (["deltamin"], json.dumps({**ZCODE, "u": 5})),
+    "message_json": (["encode", "--message", "[1,"], json.dumps(ZCODE)),
+    "residue_symbol": (["encode", "--message", '["1,x", "0,1"]'], json.dumps(ZCODE)),
+    "symbol_type": (["encode", "--message", "[1, 2]"], json.dumps(ZCODE)),
+    "field_symbol": (["encode", "--message", "[1, 99]"], json.dumps(
+        {"algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i"},
+         "outer": {"kind": "ReedSolomon", "length": 4, "p": 2, "m": 2,
+                   "dimension": 2}})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_reports_error(tmp_path, name):
+    args, spec_text = MALFORMED_INPUTS[name]
+    if spec_text is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(spec_text)
+        args = args + ["--code-spec", str(path)]
+    proc = run_python(["-m", "cycord.cli", *args, "--output", "json"])
+    assert proc.returncode == 1
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
+
+
+BROKEN_INVARIANTS = {  # name -> (script that breaks one exact check, its message)
+    "certificate": ((
+        "from cycord import load_algebra, IdealSpec, structure\n"
+        "structure.IsoCertificate.forward = lambda self, x: self.target.zero\n"
+        "golden = load_algebra('golden_u_i')\n"
+        "structure.build_matrix_iso_s1(golden, IdealSpec(golden.ext.base.parse('1+i')))\n"
+    ), "VerificationFailed: 1 must map to the identity"),
+    "crt_round_trip": ((
+        "import sys\n"
+        "from cycord import cli\n"
+        "cli.crt_recombine = lambda parts, Q: Q.zero\n"
+        "sys.exit(cli.main(['reduce', '--algebra', 'golden_u_i', '--ideal',\n"
+        "                   '(1+i),(3)', '--element', '3, 0; 0, 1']))\n"
+    ), "error: CRT recombination gives 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_INVARIANTS))
+def test_certificate_checks_survive_python_O(name):
+    # python -O strips assert statements; these checks must raise anyway
+    script, message = BROKEN_INVARIANTS[name]
+    proc = run_python(["-O", "-c", script])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+
+
 # -- check-lemma and selftest --------------------------------------------------
 
 
@@ -396,6 +454,52 @@ def test_selftest_checks_survive_python_O():
 
 
 # -- output and error conventions ------------------------------------------------
+
+
+ZCODE_SPEC = str(Path(__file__).resolve().parents[1] / "perfbench" / "zcode.json")
+PINNED_SPECS = {
+    "randomized_golden": {
+        "algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i", "s": 1},
+        "outer": {"kind": "ParityOverRing", "length": 3},
+        "lift_strategy": "Randomized", "box_bound": 2, "seed": 7},
+    "randomized_gauss_u5": {
+        "algebra_spec": "gauss_over_Q", "u": "5", "ideal": {"alpha": "5", "s": 1},
+        "outer": {"kind": "ParityOverRing", "length": 3},
+        "lift_strategy": "Randomized", "box_bound": 2, "seed": 3},
+}
+PINNED_OUTPUT = {  # name -> (argv, SHA-256 of the `--output json` stdout)
+    "encode_randomized_golden": (
+        ["encode", "--code-spec", "randomized_golden",
+         "--message", '["1, 0; 0, 0", "0, 0; 1, i"]'],
+        "1255dcb3abc1be579329d7c9fd9852516b489a3bff60d74ee0227b1eab0b5e1a"),
+    "encode_randomized_gauss_u5": (
+        ["encode", "--code-spec", "randomized_gauss_u5",
+         "--message", '["1, 2; 3, 0", "0, 4; 1, 1"]'],
+        "510785d75536c87d5e1c39a42f39146ffb99fee559aa03ea569a0cba55170d42"),
+    "reduce_canonical_lift": (
+        ["reduce", "--algebra", "golden_u_i", "--ideal", "(1+i)^2",
+         "--element", "3, 2-i; 1+i, 5"],
+        "54adb049f334c573f265d0c33b8aeec80c04e4ae23987d906bef3ec3fc1be00f"),
+    "deltamin_zcode": (
+        ["deltamin", "--code-spec", ZCODE_SPEC],
+        "3c89c1e4256ecb6e7a49bdc1eb222dd568245c53bbe25f91d911909bd16dc6d6"),
+    "selftest_seed_0": (
+        ["selftest", "--seed", "0"],
+        "75f6e2972338537bf04940e7cfa02d6aa9c6f66c74a4c2a33fe829d62e1be729"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_json_output_is_pinned(capsys, tmp_path, name):
+    # guards the random draw order of lifts and selftests and the exact
+    # products behind every printed element
+    argv, digest = PINNED_OUTPUT[name]
+    specs = {key: write_spec(tmp_path, f"{key}.json", spec)
+             for key, spec in PINNED_SPECS.items()}
+    code, out, _err = run([specs.get(a, a) for a in argv] + ["--output", "json"],
+                          capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_is_deterministic(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycord.errors import IncompatibleAlgebras
-from cycord.order import box_elements, box_values, load_algebra
+from cycord.order import SHIPPED_ALGEBRAS, box_elements, box_values, load_algebra
 
 coords = st.integers(min_value=-4, max_value=4)
 
@@ -18,6 +18,23 @@ def order_elements(algebra):
 
     row = st.tuples(*[pair] * ext.n)
     return st.tuples(*[row] * algebra.n).map(build)
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_flat_ints_round_trip(name, data):
+    algebra = load_algebra(name)
+    rational = algebra.ext.base.kind.name == "RATIONAL"
+    count = algebra.n * algebra.ext.n * (1 if rational else 2)
+    draws = data.draw(st.lists(coords, min_size=count, max_size=count))
+    stream = iter(draws)
+    x = algebra.from_draws(lambda: next(stream))
+    assert next(stream, None) is None  # no b draw over Z
+    # coordinates are drawn in flat_ints order, a before b
+    flat = [v for a in draws for v in (a, 0)] if rational else draws
+    assert x.flat_ints() == tuple(flat)
+    assert algebra.from_flat_ints(x.flat_ints()) == x
 
 
 @given(st.data())
@@ -95,7 +112,7 @@ def test_reduced_det_scaling(golden, data, pair):
 @settings(max_examples=40, deadline=None)
 def test_charpoly_matches_det_and_is_monic(golden, data):
     x = data.draw(order_elements(golden))
-    poly = x.algebra.charpoly(x)
+    poly = x.ring.charpoly(x)
     n = golden.n
     assert len(poly) == n + 1
     assert poly[-1] == golden.ext.base.one
