@@ -20,7 +20,7 @@ import operator
 import re
 from functools import lru_cache
 
-from .errors import DivisionByZero, IncompatibleRings, UnsupportedSize
+from .errors import DivisionByZero, IncompatibleRings, UnsupportedSize, VerificationFailed
 
 # Largest residue ring we are willing to materialize as tables.
 TABLE_LIMIT = 4096
@@ -334,7 +334,8 @@ def euclidean_divmod(x: BaseElement, m: BaseElement) -> tuple[BaseElement, BaseE
             if best is None or key < best[0]:
                 best = (key, q, r)
     _, q, r = best
-    assert r.norm() < m.norm()
+    if not r.norm() < m.norm():
+        raise VerificationFailed(f"{x} mod {m} leaves a remainder {r} of no smaller norm")
     return q, r
 
 
@@ -464,7 +465,9 @@ class BaseQuotientRing:
                     f"residue ring of size {self.size} exceeds the table limit {TABLE_LIMIT}"
                 )
             reps = {self.reduce(pt) for pt in self._transversal()}
-            assert len(reps) == self.size
+            if len(reps) != self.size:
+                raise VerificationFailed(
+                    f"transversal reduces to {len(reps)} residues, not {self.size}")
             self._reps = tuple(sorted(reps, key=lambda e: (e.a, e.b)))
         return self._reps
 
@@ -486,7 +489,8 @@ class BaseQuotientRing:
                 c2 = [c2[0] - q * c1[0], c2[1] - q * c1[1]]
         d0 = abs(c2[0])
         d1 = abs(c1[1])
-        assert d0 * d1 == self.size
+        if d0 * d1 != self.size:
+            raise VerificationFailed(f"Hermite box {d0} x {d1} does not have {self.size} points")
         return [
             self.base.element(a, b) for b in range(d1) for a in range(d0)
         ]

@@ -23,6 +23,7 @@ from .errors import (
     BadMessageLength,
     EmptyCode,
     FormulaMismatch,
+    InvalidCount,
     NumericMismatch,
     SearchBudgetExceeded,
     SingularInput,
@@ -97,8 +98,12 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     most n cond(X X^*) = n cond(X)^2 times the relative perturbation; the
     factor 2 covers the factorisation of X on the right hand side.  A fixed
     relative tolerance would flag ill-conditioned X whose Gram determinant
-    is as accurate as double precision allows.
+    is as accurate as double precision allows.  Raises InvalidCount unless
+    trials, n and k (when given) are at least 1.
     """
+    for name, value in (("trials", trials), ("n", n), ("k", k)):
+        if value is not None and value < 1:
+            raise InvalidCount(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     sizes = [n] if n is not None else [2, 3, 4]
     counts = [k] if k is not None else [1, 2, 3]

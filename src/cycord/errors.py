@@ -58,7 +58,7 @@ class LiftDivergence(CycordError):
 
 
 class VerificationFailed(CycordError):
-    """An isomorphism certificate failed an exact check."""
+    """An isomorphism certificate or an internal exact invariant failed its check."""
 
 
 class SelfTestFailed(CycordError):
@@ -87,3 +87,7 @@ class SingularInput(CycordError):
 
 class NumericMismatch(CycordError):
     """A floating-point score disagrees with its exact recomputation."""
+
+
+class InvalidCount(CycordError):
+    """A trial count or matrix size is below its minimum of 1."""

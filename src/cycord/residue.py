@@ -18,9 +18,11 @@ This layer turns the exact objects of `order` into finite rings:
   an independent check for the structural classification and is deliberately
   naive.
 * `FpView` linearizes a finite ring of prime characteristic over F_p, and
-  serves quotient rings and the matrix rings of `structure` alike.  One
-  mod-p row reduction, `_rref_insert`, backs the subspace closures and the
-  rank, kernel and inverse helpers.
+  serves quotient rings and the matrix rings of `structure` alike.  Its bulk
+  kernels (products of digit batches, the encodings of a subspace) work on
+  integer arrays in bounded row blocks.  One mod-p row reduction,
+  `_rref_insert`, backs the subspace closures and the rank, kernel and
+  inverse helpers.
 
 Elements encode to integers (mixed-radix over table indices), so sets of ring
 elements are cheap and deterministic.
@@ -45,10 +47,12 @@ from .base_rings import (
 from .errors import (
     DivisionByZero,
     IncompatibleAlgebras,
+    NotInBaseRing,
     RamifiedPrime,
     RepeatedPrime,
     TooLargeToEnumerate,
     UnsupportedCase,
+    VerificationFailed,
     WrongCase,
 )
 from .extension import ExtensionSpec, IdealSpec, OKElement
@@ -60,6 +64,11 @@ ENUM_LIMIT = 1 << 16
 IDEAL_BRUTE_LIMIT = 1 << 12
 # Largest commutative residue ring scanned for idempotents.
 IDEMPOTENT_SCAN_LIMIT = 1 << 20
+# int64 entries of the (rows, dim, dim) intermediate of one `FpView.mul_digits`
+# block (1 MB); the block has max(1, FP_BLOCK_ENTRIES // dim**2) rows.
+FP_BLOCK_ENTRIES = 1 << 17
+# Rows per block when enumerating subspace members and checking product pairs.
+ROW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -482,7 +491,8 @@ def _crt_data(ring: QuotientRing):
     total = base.zero
     for e in glue:
         total = total + e
-    assert red(total) == red(base.one)
+    if red(total) != red(base.one):
+        raise VerificationFailed(f"CRT glue elements sum to {total}, not 1 mod {M}")
     ring._crt = (components, tuple(glue))
     return ring._crt
 
@@ -564,7 +574,8 @@ def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
             for k in range(n):
                 tr = tr + ext.sigma(prod, k)
             scalar = tr.scalar_part()
-            assert scalar is not None, "trace left the base ring"
+            if scalar is None:
+                raise NotInBaseRing(f"trace {tr} left the base ring")
             row.append(scalar)
         rows.append(row)
     return cofactor_det(rows, ext.base.zero)
@@ -607,12 +618,13 @@ def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
     chain = [v1]
     for _ in range(g - 1):
         chain.append(chain[-1].sigma())
-    assert chain[-1].sigma() == v1, "sigma does not cycle the idempotents"
-    assert len({c.encode() for c in chain}) == g
+    if chain[-1].sigma() != v1 or len({c.encode() for c in chain}) != g:
+        raise VerificationFailed("sigma does not cycle the idempotents")
     total = S.zero
     for v in chain:
         total = total + v
-    assert total == S.one, "primitive idempotents do not sum to 1"
+    if total != S.one:
+        raise VerificationFailed("primitive idempotents do not sum to 1")
     result = Splitting(g=g, f=ext.n // g, idempotents=tuple(chain))
     _SPLIT_CACHE[key] = result
     return result
@@ -638,15 +650,18 @@ def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> froz
     """Element encodings of the two-sided ideal generated by `generators`.
 
     Runs the F_p-subspace closure when the characteristic is prime, which
-    covers every ring this package materializes.
+    covers every ring this package materializes.  Raises TooLargeToEnumerate
+    when the ideal has more than `limit` elements.
     """
     view = FpView(Q)
     maps = side_multiplication_maps(view)
     vecs = [np.array(view.digits(g), dtype=np.int64) for g in generators]
     basis = _closure_subspace(vecs, maps, view.p)
-    return frozenset(
-        view.element(d).encode() for d in _span_digits(basis, view.p, view.dim)
-    )
+    if view.p ** len(basis) > limit:
+        raise TooLargeToEnumerate(
+            f"ideal has {view.p ** len(basis)} elements (limit {limit})"
+        )
+    return view.span_encodings(basis)
 
 
 def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
@@ -728,7 +743,10 @@ def fp_table_digits(table: ResidueTable):
                 if target not in digit_of:
                     digit_of[target] = dv[:-1] + (m,)
     k = len(basis)
-    assert len(digit_of) == table.size == p ** k
+    if not len(digit_of) == table.size == p ** k:
+        raise VerificationFailed(
+            f"additive group of {table.size} elements is not F_{p}^{k}"
+        )
     digits = [digit_of[i] for i in range(table.size)]
     code_of = {dv: i for i, dv in enumerate(digits)}
     result = (p, k, digits, code_of)
@@ -744,7 +762,9 @@ class FpView:
     (`flat_codes`) and the element with given flat codes (`from_flat_codes`).
     Elements become length-dim digit tuples; ring multiplication becomes the
     cubic structure tensor, so bulk products and additive-map ranks reduce to
-    numpy integer arithmetic mod p.
+    numpy integer arithmetic mod p.  The bulk kernels run over row blocks:
+    `mul_digits` over `block_rows` rows, so that no intermediate exceeds
+    FP_BLOCK_ENTRIES int64 entries, and `span_encodings` over ROW_BLOCK rows.
     """
 
     __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor")
@@ -776,8 +796,13 @@ class FpView:
             out.append(self.element(digs))
         return out
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per `mul_digits` block."""
+        return max(1, FP_BLOCK_ENTRIES // self.dim ** 2)
+
     def tensor(self) -> np.ndarray:
-        """T[a, b, :] = digits(e_a * e_b); products become einsum contractions."""
+        """T[a, b, :] = digits(e_a * e_b), the structure tensor over F_p."""
         if self._tensor is None:
             basis = self.basis_elements()
             d = self.dim
@@ -789,9 +814,44 @@ class FpView:
         return self._tensor
 
     def mul_digits(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise products of digit batches (shape (batch, dim)), mod p."""
-        T = self.tensor()
-        return np.einsum("na,nb,abd->nd", X, Y, T) % self.p
+        """Row-wise products of digit batches (shape (batch, dim)), mod p.
+
+        Contracts each block of X with the flattened tensor, then with the
+        matching block of Y; the int64 sums are exact before the reduction.
+        """
+        d, step = self.dim, self.block_rows
+        T = self.tensor().reshape(d, d * d)
+        out = np.empty((X.shape[0], d), dtype=np.int64)
+        for lo in range(0, X.shape[0], step):
+            XT = (X[lo:lo + step] @ T).reshape(-1, d, d)
+            out[lo:lo + step] = np.einsum("nb,nbd->nd", Y[lo:lo + step], XT) % self.p
+        return out
+
+    def span_encodings(self, basis: list) -> frozenset:
+        """Element encodings of the span of an rref basis (small spaces only).
+
+        Member i of the span has coefficient digits i in base p.  Each k-digit
+        slot maps to its table code through one p^k lookup array, and slot j
+        weighs table.size**j, which is `encode` in `flat_codes` order.  The
+        empty basis spans the zero element, whose table code need not be 0.
+        """
+        p, k, d, r = self.p, self.k, self.dim, len(basis)
+        size, slots = self.ring.table.size, d // k
+        rows = np.array([row for _, row in basis], dtype=np.int64).reshape(r, d)
+        place = p ** np.arange(k, dtype=np.int64)
+        code_at = np.empty(p ** k, dtype=np.int64)
+        code_at[np.array(self._digits, dtype=np.int64) @ place] = np.arange(size)
+        # encodings exceed int64 only for rings of 2**63 elements or more
+        weights = np.array([size ** j for j in range(slots)],
+                           dtype=np.int64 if size ** slots < 1 << 63 else object)
+        powers = p ** np.arange(r, dtype=np.int64)
+        out: set = set()
+        for lo in range(0, p ** r, ROW_BLOCK):
+            idx = np.arange(lo, min(p ** r, lo + ROW_BLOCK), dtype=np.int64)
+            digs = ((idx[:, None] // powers) % p) @ rows % p
+            codes = code_at[digs.reshape(-1, slots, k) @ place]
+            out.update((codes @ weights).tolist())
+        return frozenset(out)
 
 
 def _rref_insert(basis: list, vec: np.ndarray, p: int) -> bool:
@@ -864,16 +924,6 @@ def _closure_subspace(start_vecs, maps, p: int) -> list:
     return basis
 
 
-def _span_digits(basis: list, p: int, dim: int):
-    """All digit vectors in the span of an rref basis (small spaces only)."""
-    if not basis:
-        yield np.zeros(dim, dtype=np.int64)
-        return
-    rows = np.stack([row for _, row in basis])
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        yield (np.array(coeffs, dtype=np.int64) @ rows) % p
-
-
 def side_multiplication_maps(view: FpView) -> list[np.ndarray]:
     """Left- and right-multiplication matrices by a generating set of a quotient."""
     Q = view.ring
@@ -930,12 +980,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
                 if sig not in seen:
                     seen[sig] = joined
                     changed = True
-    out = []
-    for basis in seen.values():
-        elems = frozenset(
-            view.element(d).encode() for d in _span_digits(basis, p, view.dim)
-        )
-        out.append(elems)
+    out = [view.span_encodings(basis) for basis in seen.values()]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 

@@ -49,6 +49,7 @@ from .extension import IdealSpec
 from .order import AlgebraSpec
 from .residue import (
     ENUM_LIMIT,
+    ROW_BLOCK,
     FpView,
     GcaElement,
     QuotientIdeal,
@@ -298,7 +299,7 @@ class ComponentField:
                 x = self.S.mul(self.v, s)
                 seen.setdefault(x.encode(), x)
             out = [seen[k] for k in sorted(seen)]
-            assert len(out) == self.size, "component has unexpected cardinality"
+            _require(len(out) == self.size, "component has unexpected cardinality")
             self._elements = out
         return self._elements
 
@@ -850,22 +851,20 @@ def verify_isomorphism(
     elements_enumerated = 0
     E = None
     if mode is VerifyMode.EXHAUSTIVE:
-        assert N == p ** dim, "prime-characteristic digit count must match"
+        _require(N == p ** dim, "prime-characteristic digit count must match")
         codes = np.arange(N, dtype=np.int64)
         E = np.stack(
             [(codes // p ** a) % p for a in range(dim)], axis=1
         )
         imgs = (E @ Phi.T) % p
-        uniq, inverse = np.unique(imgs, axis=0, return_inverse=True)
-        if uniq.shape[0] != N:
-            order = np.argsort(inverse, kind="stable")
-            dup = next(
-                (order[i], order[i + 1])
-                for i in range(N - 1)
-                if inverse[order[i]] == inverse[order[i + 1]]
-            )
-            x1 = sview.element(E[dup[0]])
-            x2 = sview.element(E[dup[1]])
+        # most significant digit first: keys sort like the image rows
+        keys = imgs @ p ** np.arange(imgs.shape[1] - 1, -1, -1, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
+        if dup.size:
+            i = int(dup[0])
+            x1 = sview.element(E[order[i]])
+            x2 = sview.element(E[order[i + 1]])
             _fail(f"two elements share an image: {x1} and {x2}", (x1, x2))
         elements_enumerated = N
 
@@ -880,17 +879,16 @@ def verify_isomorphism(
         nprng = np.random.default_rng(seed)
         X = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
         Y = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
-    prod_digits = sview.mul_digits(X, Y)
-    lhs = (prod_digits @ Phi.T) % p
-    fX = (X @ Phi.T) % p
-    fY = (Y @ Phi.T) % p
-    rhs = tview.mul_digits(fX, fY)
-    bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-    if bad.size:
-        b = int(bad[0])
-        x = sview.element(X[b])
-        y = sview.element(Y[b])
-        _fail(f"product check fails at x = {x}, y = {y}", (x, y))
+    # in index order, so the first failing block holds the lowest failing pair
+    for lo in range(0, X.shape[0], ROW_BLOCK):
+        Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
+        lhs = (sview.mul_digits(Xb, Yb) @ Phi.T) % p
+        rhs = tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
+        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
+        if bad.size:
+            x = sview.element(Xb[bad[0]])
+            y = sview.element(Yb[bad[0]])
+            _fail(f"product check fails at x = {x}, y = {y}", (x, y))
 
     cert.verified = True
     return VerificationReport(

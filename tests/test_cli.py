@@ -344,6 +344,10 @@ MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
         {"algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i"},
          "outer": {"kind": "ReedSolomon", "length": 4, "p": 2, "m": 2,
                    "dimension": 2}})),
+    "lemma_n_zero": (["check-lemma", "--n", "0"], None),
+    "lemma_k_zero": (["check-lemma", "--k", "0"], None),
+    "lemma_trials_negative": (["check-lemma", "--trials", "-3"], None),
+    "lemma_trials_zero": (["check-lemma", "--trials", "0"], None),
 }
 
 
@@ -374,6 +378,17 @@ BROKEN_INVARIANTS = {  # name -> (script that breaks one exact check, its messag
         "sys.exit(cli.main(['reduce', '--algebra', 'golden_u_i', '--ideal',\n"
         "                   '(1+i),(3)', '--element', '3, 0; 0, 1']))\n"
     ), "error: CRT recombination gives 0"),
+    "fp_table_digits": ((
+        "import sys\n"
+        "from cycord import base_rings, cli\n"
+        "init = base_rings.ResidueTable.__init__\n"
+        "def miscounted(self, ring):\n"
+        "    init(self, ring)\n"
+        "    self.char = 3\n"
+        "base_rings.ResidueTable.__init__ = miscounted\n"
+        "sys.exit(cli.main(['structure', '--algebra', 'golden_u_i', '--ideal',\n"
+        "                   '1+i', '--verify']))\n"
+    ), "error: additive group of 2 elements is not F_3^1"),
 }
 
 
@@ -486,13 +501,26 @@ PINNED_OUTPUT = {  # name -> (argv, SHA-256 of the `--output json` stdout)
     "selftest_seed_0": (
         ["selftest", "--seed", "0"],
         "75f6e2972338537bf04940e7cfa02d6aa9c6f66c74a4c2a33fe829d62e1be729"),
+    "structure_verify_q15": (
+        ["structure", "--algebra", "q15_quartic", "--ideal", "1+i", "--verify"],
+        "446d74ce97de88a084f59091c3bd7a281ff7122cdeefef70147ea7aaa238cabc"),
+    "structure_verify_gauss_5": (
+        ["structure", "--algebra", "gauss_over_Q", "--ideal", "5", "--verify"],
+        "51f56c024c9a178d402415ceacdd798d625af0d47a9cea882feab29a4e0bc34b"),
+    "structure_verify_golden_square": (
+        ["structure", "--algebra", "golden_u_i", "--ideal", "(1+i)^2", "--verify"],
+        "d8ed6078d37861a74cd151bfe36d0e845dedda85b87a49be5d03b0f2bd72943d"),
+    "ideals_gauss_u5": (
+        ["ideals", "--algebra", "gauss_over_Q", "--u", "5", "--ideal", "5"],
+        "285bd19de7d3c4e6abd4637a896aedcd1899af8a518fa27d47bc3447e76c708a"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
 def test_json_output_is_pinned(capsys, tmp_path, name):
-    # guards the random draw order of lifts and selftests and the exact
-    # products behind every printed element
+    # guards the random draw order of lifts and selftests, the exact
+    # products behind every printed element, and the verification counts
+    # and ideal sizes of the F_p kernels
     argv, digest = PINNED_OUTPUT[name]
     specs = {key: write_spec(tmp_path, f"{key}.json", spec)
              for key, spec in PINNED_SPECS.items()}

@@ -29,8 +29,10 @@ from cycord.residue import (
     quotient_of,
     rank_mod_p,
     residue_ring,
+    side_multiplication_maps,
     skew_poly_ideal_chain,
     trace_form_discriminant,
+    _closure_subspace,
 )
 from cycord.structure import identify_quotient
 
@@ -300,6 +302,64 @@ def test_brute_force_ideals_simple_case(q_gold):
     assert sorted(len(s) for s in found) == [1, 16]
 
 
+def test_ideal_elements_honours_limit(q_nilp):
+    assert len(ideal_elements(q_nilp, [q_nilp.z], limit=4)) == 4
+    with pytest.raises(TooLargeToEnumerate):
+        ideal_elements(q_nilp, [q_nilp.z], limit=3)
+    with pytest.raises(TooLargeToEnumerate):
+        ideal_elements(q_nilp, [q_nilp.one], limit=15)
+
+
+def principal_ideal_bases(Q):
+    """Distinct rref bases of the principal two-sided ideals of a small quotient."""
+    view = FpView(Q)
+    maps = side_multiplication_maps(view)
+    bases = {}
+    for g in Q.elements():
+        basis = _closure_subspace([np.array(view.digits(g), dtype=np.int64)], maps, view.p)
+        key = tuple(tuple(int(v) for v in row) for _, row in basis)
+        bases.setdefault(key, (g, basis))
+    return view, list(bases.values())
+
+
+@pytest.mark.parametrize("which", ["q_nilp", "q_gold", "gauss_5"])
+def test_span_encodings_match_object_level(request, gauss, which):
+    if which == "gauss_5":
+        Q = quotient_of(gauss, IdealSpec(gauss.ext.base.element(5)))
+    else:
+        Q = request.getfixturevalue(which)
+    view, ideals = principal_ideal_bases(Q)
+    # every ideal of these rings is principal: 0 < <z> < ring, or 0 < ring
+    assert sorted(len(b) for _, b in ideals) == ([0, 2, 4] if which == "q_nilp" else [0, 4])
+    for g, basis in ideals:
+        rows = [row for _, row in basis]
+        expected = set()
+        for coeffs in itertools.product(range(view.p), repeat=len(rows)):
+            digs = sum((c * row for c, row in zip(coeffs, rows)),
+                       np.zeros(view.dim, dtype=np.int64)) % view.p
+            expected.add(view.element(digs).encode())
+        assert view.span_encodings(basis) == expected
+        assert ideal_elements(Q, [g]) == expected
+    assert Q.zero.encode() in view.span_encodings([])
+
+
+def test_span_encodings_over_several_blocks(golden):
+    # 9**4 = 6561 members: a full block of ROW_BLOCK rows and a partial one;
+    # encodings number the whole ring 0 .. |Q| - 1
+    Q = quotient_of(golden, IdealSpec(golden.ext.base.element(3)))
+    assert ideal_elements(Q, [Q.one]) == frozenset(range(Q.cardinality))
+
+
+def test_span_encodings_beyond_int64(q15):
+    # q15 mod 7 has 49**16 > 2**63 elements: encodings stay exact Python ints
+    Q = quotient_of(q15, IdealSpec(q15.ext.base.element(7)))
+    view = FpView(Q)
+    basis = _closure_subspace([np.array(view.digits(Q.z), dtype=np.int64)], [], view.p)
+    scalar = q15.ext.base.element
+    assert view.span_encodings(basis) == {(Q.z * scalar(c)).encode() for c in range(7)}
+    assert ideal_elements(Q, [Q.zero]) == {Q.zero.encode()}
+
+
 # -- FpView --------------------------------------------------------------------
 
 
@@ -325,6 +385,38 @@ def test_fp_view_round_trip_and_products(golden, q_gold, which):
         X = np.array([view.digits(x)], dtype=np.int64)
         Y = np.array([view.digits(y)], dtype=np.int64)
         assert tuple(view.mul_digits(X, Y)[0]) == view.digits(x * y)
+
+
+@pytest.fixture(scope="module")
+def fp_views(golden, gauss, q7, q_gold):
+    """name -> FpView: dims 4 (p = 2 and p = 5), 8 with k = 2, and 18."""
+    square = IdealSpec(golden.ext.base.element(1, 1), 2)
+    return {
+        "q_gold": FpView(q_gold),
+        "matrix_k2": FpView(identify_quotient(golden, square).certificate.target),
+        "gauss_5": FpView(quotient_of(gauss, IdealSpec(gauss.ext.base.element(5)))),
+        "q7": FpView(quotient_of(q7, IdealSpec(q7.ext.base.element(2)))),
+    }
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
+                         ids=["0", "1", "B-1", "B", "B+1"])
+@pytest.mark.parametrize("which", ["q_gold", "matrix_k2", "gauss_5", "q7"])
+def test_mul_digits_matches_three_operand_contraction(fp_views, which, blocks, extra):
+    view = fp_views[which]
+    rows = blocks * view.block_rows + extra
+    rng = np.random.default_rng(rows)
+    X = rng.integers(0, view.p, size=(rows, view.dim), dtype=np.int64)
+    Y = rng.integers(0, view.p, size=(rows, view.dim), dtype=np.int64)
+    got = view.mul_digits(X, Y)
+    assert got.shape == (rows, view.dim)
+    assert np.array_equal(got, np.einsum("na,nb,abd->nd", X, Y, view.tensor()) % view.p)
+
+
+def test_mul_digits_blocks_stay_within_one_megabyte(fp_views):
+    for view in fp_views.values():
+        assert view.block_rows * view.dim ** 2 * 8 <= 1 << 20
+        assert (view.block_rows + 1) * view.dim ** 2 * 8 > 1 << 20
 
 
 def matrices_mod_p():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cycord import structure
 from cycord.errors import (
     UnsupportedCase,
     VerificationFailed,
@@ -179,6 +180,42 @@ def test_corrupted_certificate_fails_with_counterexample(golden):
         verify_isomorphism(bad)
     assert exc.value.pair is not None
     assert not bad.verified
+
+
+# encodings of the pair the unblocked product check reported for a
+# certificate whose z image is shifted by the identity; the spot checks are
+# skipped so that the bulk product check is the one that fails
+SHIFTED_Z_PAIRS = {
+    (1, VerifyMode.SAMPLED): (8, 12),
+    (2, VerifyMode.EXHAUSTIVE): (207, 247),  # all pairs; index 4104, second block
+    (2, VerifyMode.SAMPLED): (169, 72),
+}
+
+
+@pytest.mark.parametrize("s, mode", sorted(SHIFTED_Z_PAIRS, key=str))
+def test_product_check_reports_lowest_failing_pair(golden, monkeypatch, s, mode):
+    monkeypatch.setattr(structure, "SPOT_CHECKS", 0)
+    good = identify_quotient(golden, ideal_of(golden, 1, 1, s=s)).certificate
+    bad = IsoCertificate(source=good.source, target=good.target,
+                         basis_images=good.basis_images,
+                         z_image=good.z_image + good.target.one)
+    with pytest.raises(VerificationFailed, match="product check fails") as exc:
+        verify_isomorphism(bad, mode, seed=0)
+    assert tuple(x.encode() for x in exc.value.pair) == SHIFTED_Z_PAIRS[(s, mode)]
+
+
+def test_image_check_reports_first_shared_image(golden, monkeypatch):
+    # with the rank check forced to pass, a zero z image reaches the
+    # exhaustive image check; it reports the first two elements with the
+    # smallest shared image, which for a linear map is always 0
+    monkeypatch.setattr(structure, "SPOT_CHECKS", 0)
+    monkeypatch.setattr(structure, "rank_mod_p", lambda A, p: A.shape[1])
+    good = identify_quotient(golden, ideal_of(golden, 1, 1, s=2)).certificate
+    bad = IsoCertificate(source=good.source, target=good.target,
+                         basis_images=good.basis_images, z_image=good.target.zero)
+    with pytest.raises(VerificationFailed, match="share an image") as exc:
+        verify_isomorphism(bad, VerifyMode.EXHAUSTIVE)
+    assert tuple(x.encode() for x in exc.value.pair) == (255, 207)
 
 
 def test_unsupported_nilpotent_power(golden_1pi):
