@@ -2,10 +2,12 @@
 
 Elements are stored as integer pairs (a, b) meaning a + b*delta, where delta
 is 0 for Z, the imaginary unit i for the Gaussian integers, and the primitive
-cube root of unity w = (-1 + sqrt(-3))/2 for the Eisenstein integers.  All
-three rings are principal and carry a multiplicative Euclidean function
-(the squared complex modulus), so gcds, modular inverses, and canonical
-residues mod alpha^s are all computed exactly with integer arithmetic.
+cube root of unity w = (-1 + sqrt(-3))/2 for the Eisenstein integers.  One
+product rule serves all three: delta^2 = t0 + t1*delta, with (t0, t1) in
+`BaseRing.delta_square`.  All three rings are principal and carry a
+multiplicative Euclidean function (the squared complex modulus), so gcds,
+modular inverses, and canonical residues mod alpha^s are all computed
+exactly with integer arithmetic.
 
 Residue rings O_F/(m) are materialized as lookup tables (`ResidueTable`) so
 that the quotient layers above can run on small-integer indices instead of
@@ -38,6 +40,13 @@ _DELTA_COMPLEX = {
     RingKind.EISENSTEIN: -0.5 + 0.8660254037844386j,
 }
 
+# delta^2 = t0 + t1*delta: the one product rule of all three rings
+_DELTA_SQUARE = {
+    RingKind.RATIONAL: (0, 0),
+    RingKind.GAUSSIAN: (-1, 0),
+    RingKind.EISENSTEIN: (-1, -1),  # w^2 = -1 - w
+}
+
 _DELTA_NAME = {
     RingKind.RATIONAL: "",
     RingKind.GAUSSIAN: "i",
@@ -48,10 +57,11 @@ _DELTA_NAME = {
 class BaseRing:
     """One of the rings Z, Z[i], Z[w]; a stateless element factory."""
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "delta_square")
 
     def __init__(self, kind: RingKind):
         self.kind = kind
+        self.delta_square = _DELTA_SQUARE[kind]
 
     def __eq__(self, other):
         return isinstance(other, BaseRing) and self.kind is other.kind
@@ -181,13 +191,9 @@ class BaseElement:
             return NotImplemented  # let richer elements handle alpha * x
         self._check(other)
         a, b, c, d = self.a, self.b, other.a, other.b
-        kind = self.ring.kind
-        if kind is RingKind.RATIONAL:
-            return BaseElement(self.ring, a * c, 0)
-        if kind is RingKind.GAUSSIAN:
-            return BaseElement(self.ring, a * c - b * d, a * d + b * c)
-        # w^2 = -1 - w
-        return BaseElement(self.ring, a * c - b * d, a * d + b * c - b * d)
+        t0, t1 = self.ring.delta_square
+        bd = b * d
+        return BaseElement(self.ring, a * c + t0 * bd, a * d + b * c + t1 * bd)
 
     __rmul__ = __mul__
 

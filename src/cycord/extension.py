@@ -8,6 +8,13 @@ listed along the sigma-orbit so that emb_j = emb_0 . sigma^j.
 
 Everything algebraic here is exact integer arithmetic; the embeddings are the
 only floating-point surface and feed the numeric determinant layer.
+
+The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`) run on plain ints: each
+spec keeps the nonzero entries of its multiplication table and sigma matrix
+as integer terms, and a base-ring product is the one rule
+delta^2 = t0 + t1*delta of `BaseRing.delta_square`.  `BaseElement`s are built
+only for the output coordinates, so the object classes stay the exact API
+while the inner loops create and type-check no objects.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ class ExtensionSpec:
     __slots__ = (
         "base", "n", "basis_names", "mult_table", "sigma_matrix",
         "embeddings", "min_poly", "name", "notes",
+        "_mul_terms", "_sigma_terms", "_hash",
     )
 
     def __init__(
@@ -58,9 +66,21 @@ class ExtensionSpec:
         self.min_poly = tuple(min_poly) if min_poly else None
         self.name = name
         self.notes = notes
+        tables = (self.mult_table, self.sigma_matrix, *self.mult_table)
+        if any(len(t) != n or any(len(v) != n for v in t) for t in tables):
+            raise ValueError(f"structure tables must be {n} x {n} (x {n})")
+        # _mul_terms[i][j]: the (r, a, b) with b_i*b_j = sum (a + b*delta) b_r;
+        # _sigma_terms[r]: the (j, a, b) with sigma(x)_r = sum (a + b*delta) x_j
+        self._mul_terms = tuple(
+            tuple(tuple((r, c.a, c.b) for r, c in enumerate(cell) if c) for cell in row)
+            for row in self.mult_table)
+        self._sigma_terms = tuple(
+            tuple((j, c.a, c.b) for j, c in enumerate(row) if c)
+            for row in self.sigma_matrix)
+        self._hash = hash((base, n, self.mult_table, self.sigma_matrix))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ExtensionSpec)
             and self.base == other.base
             and self.mult_table == other.mult_table
@@ -68,7 +88,7 @@ class ExtensionSpec:
         )
 
     def __hash__(self):
-        return hash((self.base, self.name, self.n))
+        return self._hash
 
     def __repr__(self):
         return f"ExtensionSpec({self.name or 'anonymous'}, degree {self.n})"
@@ -114,44 +134,63 @@ class ExtensionSpec:
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, x: "OKElement", y: "OKElement") -> "OKElement":
+        """x*y through the int kernel of `dot`."""
+        return self.dot(((x, y),))
+
+    def dot(self, pairs) -> "OKElement":
+        """Sum of x*y over the (x, y) pairs, accumulated in plain ints.
+
+        With x_i = a + b*delta, y_j = c + d*delta and a table term
+        (r, ta, tb), coordinate r gains (x_i*y_j)*(ta + tb*delta), each product
+        taken by delta^2 = t0 + t1*delta.  One `BaseElement` is built per
+        output coordinate, none per term.
+        """
         n = self.n
-        zero = self.base.zero
-        out = [zero] * n
-        table = self.mult_table
-        for i in range(n):
-            xi = x.coords[i]
-            if xi.is_zero:
-                continue
-            for j in range(n):
-                yj = y.coords[j]
-                if yj.is_zero:
+        t0, t1 = self.base.delta_square
+        acc_a = [0] * n
+        acc_b = [0] * n
+        for x, y in pairs:
+            ys = [(j, c.a, c.b) for j, c in enumerate(y.coords) if c.a or c.b]
+            for row, xc in zip(self._mul_terms, x.coords):
+                a, b = xc.a, xc.b
+                if not (a or b):
                     continue
-                scale = xi * yj
-                cell = table[i][j]
-                for r in range(n):
-                    if not cell[r].is_zero:
-                        out[r] = out[r] + scale * cell[r]
-        return OKElement(self, tuple(out))
+                for j, c, d in ys:
+                    bd = b * d
+                    sa = a * c + t0 * bd
+                    sb = a * d + b * c + t1 * bd
+                    for r, ta, tb in row[j]:
+                        sbtb = sb * tb
+                        acc_a[r] += sa * ta + t0 * sbtb
+                        acc_b[r] += sa * tb + sb * ta + t1 * sbtb
+        return self._from_ints(zip(acc_a, acc_b))
+
+    def _from_ints(self, pairs) -> "OKElement":
+        base = self.base
+        return OKElement(self, tuple(BaseElement(base, a, b) for a, b in pairs))
 
     def sigma(self, x: "OKElement", power: int = 1) -> "OKElement":
         power %= self.n
-        coords = x.coords
+        if not power:
+            return OKElement(self, x.coords)
+        v = [(c.a, c.b) for c in x.coords]
         for _ in range(power):
-            coords = self._sigma_once(coords)
-        return OKElement(self, coords)
+            v = self._sigma_once(v)
+        return self._from_ints(v)
 
-    def _sigma_once(self, coords):
-        n = self.n
-        S = self.sigma_matrix
-        zero = self.base.zero
+    def _sigma_once(self, v):
+        """sigma on a list of (a, b) int pairs, through the sigma-matrix terms."""
+        t0, t1 = self.base.delta_square
         out = []
-        for r in range(n):
-            acc = zero
-            for j in range(n):
-                if not S[r][j].is_zero and not coords[j].is_zero:
-                    acc = acc + S[r][j] * coords[j]
-            out.append(acc)
-        return tuple(out)
+        for row in self._sigma_terms:
+            ra = rb = 0
+            for j, sa, sb in row:
+                a, b = v[j]
+                bd = sb * b
+                ra += sa * a + t0 * bd
+                rb += sa * b + sb * a + t1 * bd
+            out.append((ra, rb))
+        return out
 
     def embed(self, x: "OKElement", which: int = 0) -> complex:
         row = self.embeddings[which]
@@ -196,7 +235,7 @@ class ExtensionSpec:
             if all(self.sigma(b[i], d) == b[i] for i in range(n)):
                 raise ValueError(f"sigma has order {d} < n")
         for i in range(n):
-            if self.sigma(b[i], n) != b[i]:
+            if self.sigma(self.sigma(b[i], n - 1)) != b[i]:  # sigma(b, n) is b
                 raise ValueError("sigma^n is not the identity")
         # numeric embeddings: multiplicative, and listed along the sigma orbit
         if len(self.embeddings) != n:

@@ -191,7 +191,7 @@ class AlgebraSpec(TwistedRing):
         self.notes = notes
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AlgebraSpec)
             and self.ext == other.ext
             and self.u == other.u
@@ -335,17 +335,10 @@ class OrderMatrix:
     def __mul__(self, other):
         if not isinstance(other, OrderMatrix) or other.ext != self.ext:
             raise IncompatibleAlgebras("matrix operands do not match")
-        n = len(self.entries)
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.ext.zero
-                for k in range(n):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return OrderMatrix(self.ext, tuple(rows))
+        cols = tuple(zip(*other.entries))
+        return OrderMatrix(self.ext, tuple(
+            tuple(self.ext.dot(zip(row, col)) for col in cols)
+            for row in self.entries))
 
     def __add__(self, other):
         if not isinstance(other, OrderMatrix) or other.ext != self.ext:

@@ -1,6 +1,10 @@
+import functools
+import types
+
 import pytest
 
-from cycord.order import load_algebra
+from cycord.base_rings import cofactor_det
+from cycord.order import SHIPPED_ALGEBRAS, load_algebra
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +35,68 @@ def gauss():
 @pytest.fixture(scope="session")
 def gauss_u5():
     return load_algebra("gauss_over_Q", u="5")
+
+
+@pytest.fixture(scope="session")
+def shipped():
+    """Every shipped algebra by name, loaded once."""
+    return {name: load_algebra(name) for name in SHIPPED_ALGEBRAS}
+
+
+# -- the BaseElement object loop: reference for the int O_K kernels -----------
+# Elements are coordinate tuples of BaseElements; every product goes through
+# BaseElement objects, as O_K arithmetic did before the int kernels.
+
+
+def _ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _ref_mul(ext, x, y):
+    out = [ext.base.zero] * ext.n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for r, t in enumerate(ext.mult_table[i][j]):
+                out[r] = out[r] + xi * yj * t
+    return tuple(out)
+
+
+def _ref_sigma(ext, x, power=1):
+    for _ in range(power):
+        x = tuple(sum((s * c for s, c in zip(row, x)), ext.base.zero)
+                  for row in ext.sigma_matrix)
+    return x
+
+
+def _ref_matmul(ext, A, B):
+    """Product of two matrices of coordinate tuples."""
+    n = len(A)
+    zero = (ext.base.zero,) * ext.n
+    return tuple(
+        tuple(functools.reduce(_ref_add, (_ref_mul(ext, A[r][k], B[k][c])
+                                          for k in range(n)), zero)
+              for c in range(n))
+        for r in range(n))
+
+
+def _ref_reduced_det(algebra, x):
+    """det M(x) by cofactor expansion over coordinate tuples; coordinates of O_K."""
+    ext, n = algebra.ext, algebra.n
+    ubar = algebra.ubar.coords
+    M = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            entry = _ref_sigma(ext, x.zcoords[(r - c) % n].coords, c)
+            row.append(_ref_mul(ext, entry, ubar) if r < c else entry)
+        M.append(row)
+    return cofactor_det(M, (ext.base.zero,) * ext.n, add=_ref_add,
+                        mul=functools.partial(_ref_mul, ext),
+                        neg=lambda x: tuple(-a for a in x))
+
+
+@pytest.fixture(scope="session")
+def objloop():
+    """O_K arithmetic by BaseElement object loops, on coordinate tuples."""
+    return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
+                                 matmul=_ref_matmul, reduced_det=_ref_reduced_det)

@@ -60,6 +60,14 @@ def test_gaussian_ring_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
+@pytest.mark.parametrize("ring", RINGS)
+@given(data=st.data())
+def test_product_matches_complex_embedding(ring, data):
+    # pins delta^2 = t0 + t1*delta for each ring
+    x, y = data.draw(elements(ring)), data.draw(elements(ring))
+    assert abs((x * y).complex() - x.complex() * y.complex()) <= 1e-9
+
+
 @given(elements(EISENSTEIN), elements(EISENSTEIN))
 def test_eisenstein_norm_multiplicative(x, y):
     assert (x * y).norm() == x.norm() * y.norm()

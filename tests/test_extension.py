@@ -5,10 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycord.base_rings import GAUSSIAN
+from cycord.base_rings import GAUSSIAN, RATIONAL
 from cycord.errors import IncompatibleRings
-from cycord.extension import IdealSpec, extension_from_dict
-from cycord.order import SHIPPED_ALGEBRAS, load_algebra
+from cycord.extension import ExtensionSpec, IdealSpec, extension_from_dict
+from cycord.order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
 
 EMBED_TOL = 1e-9
 
@@ -16,7 +16,8 @@ coords = st.integers(min_value=-9, max_value=9)
 
 
 def ok_elements(ext):
-    pair = st.tuples(coords, coords)
+    b = st.just(0) if ext.base == RATIONAL else coords
+    pair = st.tuples(coords, b)
     return st.tuples(*[pair] * ext.n).map(lambda rows: ext.from_ints(*rows))
 
 
@@ -162,3 +163,113 @@ def test_extension_from_dict_rejects_broken_table():
     data["mult_table"][1][1] = ["1", "0"]  # theta^2 = 1 breaks min_poly
     with pytest.raises(ValueError):
         extension_from_dict(data)
+
+
+@pytest.mark.parametrize("corrupt", [
+    ("mult_table", (1, 1), ["1", "2"]),  # theta^2 = 1 + 2 theta
+    ("sigma_matrix", (0, 1), "2"),  # sigma(theta) = 2 - theta
+])
+def test_validate_rejects_corrupted_cell(corrupt):
+    # one changed cell must reach the kernels: they read the spec's own tables
+    table, (i, j), value = corrupt
+    data = _golden_dict()
+    data[table][i][j] = value
+    with pytest.raises(ValueError, match="sigma is not multiplicative"):
+        extension_from_dict(data)
+
+
+def test_validate_rejects_sigma_whose_nth_power_is_not_identity():
+    # Z^5 with b0 = 1, b_i = e_i (i >= 1) and e0 = 1 - e1 - ... - e4; sigma
+    # permutes the idempotents as (e0 e1)(e2 e3 e4), of order 6: no power
+    # below 5 is the identity, and neither is sigma^5
+    n = 5
+
+    def cell(i, j):
+        r = max(i, j) if i == j or 0 in (i, j) else None
+        return [RATIONAL.element(int(k == r)) for k in range(n)]
+
+    columns = [[1, 0, 0, 0, 0], [1, -1, -1, -1, -1], [0, 0, 0, 1, 0],
+               [0, 0, 0, 0, 1], [0, 0, 1, 0, 0]]
+    sigma = [[RATIONAL.element(columns[j][r]) for j in range(n)] for r in range(n)]
+    # embedding j is the e0 projection after sigma^j
+    embeddings = [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0]] * 2 + [[1, 0, 0, 0, 0]]
+    ext = ExtensionSpec(RATIONAL, n, [[cell(i, j) for j in range(n)] for i in range(n)],
+                        sigma, embeddings)
+    with pytest.raises(ValueError, match=r"sigma\^n is not the identity"):
+        ext.validate()
+
+
+def test_spec_rejects_misshapen_tables(golden):
+    ext = golden.ext
+    with pytest.raises(ValueError, match="2 x 2"):
+        ExtensionSpec(ext.base, 2, ext.mult_table, ext.sigma_matrix[:1], ext.embeddings)
+    short = [[cell[:1] for cell in row] for row in ext.mult_table]
+    with pytest.raises(ValueError, match="2 x 2"):
+        ExtensionSpec(ext.base, 2, short, ext.sigma_matrix, ext.embeddings)
+
+
+def test_spec_hash_agrees_with_eq():
+    # the name is not part of equality, so it must not be part of the hash
+    data = _golden_dict()
+    a = extension_from_dict(data)
+    b = extension_from_dict(dict(data, name="renamed"))
+    assert a == b and a.name != b.name
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    u = GAUSSIAN.element(0, 1)
+    assert len({AlgebraSpec(a, u), AlgebraSpec(b, u)}) == 1
+    assert len({a, load_algebra("q7_cubic").ext}) == 2
+
+
+# delta, delta^2 and -delta^2 in spec syntax, and delta as a complex number
+_DELTAS = {"gaussian": ("i", "-1", "1", 1j),
+           "eisenstein": ("w", "-1-w", "1+w", complex(-0.5, 0.75 ** 0.5))}
+
+
+def _golden_on_delta_theta(base_ring):
+    """The golden field over Z[i] or Z[w] on the basis (1, delta*theta).
+
+    (delta theta)^2 = delta^2 + delta (delta theta) and sigma(delta theta) =
+    delta - delta theta, so the table and sigma entries leave Z, which no
+    shipped spec does.
+    """
+    d, dsq, neg_dsq, dc = _DELTAS[base_ring]
+    phi = (1 + 5 ** 0.5) / 2
+    data = _golden_dict()
+    data.update(
+        name=f"golden_{d}_theta", base_ring=base_ring, basis=["1", f"{d}*theta"],
+        min_poly=[neg_dsq, f"-{d}", "1"],
+        mult_table=[[["1", "0"], ["0", "1"]], [["0", "1"], [dsq, d]]],
+        sigma_matrix=[["1", d], ["0", "-1"]],
+        embeddings=[[[1.0, 0.0], [(dc * v).real, (dc * v).imag]] for v in (phi, 1 - phi)])
+    return extension_from_dict(data)
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS + ("gaussian", "eisenstein"))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernels_match_object_loop(shipped, objloop, name, data):
+    ext = shipped[name].ext if name in shipped else _golden_on_delta_theta(name)
+    x, y, w = (data.draw(ok_elements(ext)) for _ in range(3))
+    assert (x * y).coords == objloop.mul(ext, x.coords, y.coords)
+    assert ext.dot([(x, y), (w, x)]).coords == objloop.add(
+        objloop.mul(ext, x.coords, y.coords), objloop.mul(ext, w.coords, x.coords))
+    assert ext.dot([]) == ext.zero
+    for power in range(-1, ext.n + 1):
+        assert x.sigma(power).coords == objloop.sigma(ext, x.coords, power % ext.n)
+
+
+def test_product_across_extensions_raises(golden, q7):
+    x = golden.ext.basis_element(1)
+    y = q7.ext.basis_element(1)
+    with pytest.raises(IncompatibleRings):
+        x * y
+    with pytest.raises(IncompatibleRings):
+        y * x
+
+
+def test_equal_but_distinct_specs_multiply(golden):
+    ext = load_algebra("golden_u_i").ext
+    assert ext is not golden.ext and ext == golden.ext
+    theta, other = ext.basis_element(1), golden.ext.basis_element(1)
+    assert theta * other == other * theta == theta + ext.one

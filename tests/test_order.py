@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycord.errors import IncompatibleAlgebras
-from cycord.order import SHIPPED_ALGEBRAS, box_elements, box_values, load_algebra
+from cycord.order import (
+    SHIPPED_ALGEBRAS,
+    OrderMatrix,
+    box_elements,
+    box_values,
+    load_algebra,
+)
 
 coords = st.integers(min_value=-4, max_value=4)
 
@@ -195,3 +201,42 @@ def test_mixed_scalar_products(golden):
     alpha = ext.base.element(0, 1)
     assert x * alpha == alpha * x  # base ring scalars are central
     assert (x * alpha).zcoords[0] == x.zcoords[0] * ext.from_base(alpha)
+
+
+def drawn_elements(algebra):
+    """Order elements over any base ring, through `from_draws`."""
+    rational = algebra.ext.base.kind.name == "RATIONAL"
+    count = algebra.n * algebra.ext.n * (1 if rational else 2)
+    return st.lists(coords, min_size=count, max_size=count).map(
+        lambda draws: algebra.from_draws(iter(draws).__next__))
+
+
+def _coords(matrix):
+    return tuple(tuple(e.coords for e in row) for row in matrix.entries)
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_matrix_product_and_det_match_object_loop(shipped, objloop, name, data):
+    algebra = shipped[name]
+    ext = algebra.ext
+    x = data.draw(drawn_elements(algebra))
+    y = data.draw(drawn_elements(algebra))
+    A, B = x.matrix(), y.matrix()
+    assert _coords(A * B) == objloop.matmul(ext, _coords(A), _coords(B))
+    det = objloop.reduced_det(algebra, x)
+    assert all(c.is_zero for c in det[1:])
+    assert x.reduced_det() == det[0]
+
+
+def test_matrix_product_across_specs(golden, q7):
+    M = golden.z.matrix()
+    same = load_algebra("golden_u_i").z.matrix()
+    assert same.ext is not M.ext
+    assert same * M == M * M == OrderMatrix(M.ext, [[M.ext.from_base(golden.u),
+                                                      M.ext.zero],
+                                                     [M.ext.zero,
+                                                      M.ext.from_base(golden.u)]])
+    with pytest.raises(IncompatibleAlgebras):
+        M * q7.z.matrix()
