@@ -134,7 +134,12 @@ class ExtensionSpec:
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, x: "OKElement", y: "OKElement") -> "OKElement":
-        """x*y through the int kernel of `dot`."""
+        """x*y by the int kernel in `dot`.
+
+        Only the n output coordinates become `BaseElement`s: building and
+        type-checking one object per term, not the integer products, was
+        the cost of O_K arithmetic.
+        """
         return self.dot(((x, y),))
 
     def dot(self, pairs) -> "OKElement":
@@ -143,7 +148,8 @@ class ExtensionSpec:
         With x_i = a + b*delta, y_j = c + d*delta and a table term
         (r, ta, tb), coordinate r gains (x_i*y_j)*(ta + tb*delta), each product
         taken by delta^2 = t0 + t1*delta.  One `BaseElement` is built per
-        output coordinate, none per term.
+        output coordinate, none per term, so a matrix entry sum_k A_rk*B_kc
+        costs one call and n objects.
         """
         n = self.n
         t0, t1 = self.base.delta_square
@@ -235,7 +241,7 @@ class ExtensionSpec:
             if all(self.sigma(b[i], d) == b[i] for i in range(n)):
                 raise ValueError(f"sigma has order {d} < n")
         for i in range(n):
-            if self.sigma(self.sigma(b[i], n - 1)) != b[i]:  # sigma(b, n) is b
+            if self.sigma(self.sigma(b[i], n - 1)) != b[i]:  # sigma(b, n) reduces to power 0
                 raise ValueError("sigma^n is not the identity")
         # numeric embeddings: multiplicative, and listed along the sigma orbit
         if len(self.embeddings) != n:

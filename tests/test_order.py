@@ -234,9 +234,7 @@ def test_matrix_product_across_specs(golden, q7):
     M = golden.z.matrix()
     same = load_algebra("golden_u_i").z.matrix()
     assert same.ext is not M.ext
-    assert same * M == M * M == OrderMatrix(M.ext, [[M.ext.from_base(golden.u),
-                                                      M.ext.zero],
-                                                     [M.ext.zero,
-                                                      M.ext.from_base(golden.u)]])
+    u, zero = M.ext.from_base(golden.u), M.ext.zero
+    assert same * M == M * M == OrderMatrix(M.ext, [[u, zero], [zero, u]])
     with pytest.raises(IncompatibleAlgebras):
         M * q7.z.matrix()
