@@ -11,8 +11,10 @@ exactly with integer arithmetic.
 
 Residue rings O_F/(m) are materialized as lookup tables (`ResidueTable`) so
 that the quotient layers above can run on small-integer indices instead of
-object arithmetic.  `power` and `cofactor_det` are the package's only
-square-and-multiply and cofactor determinant, generic over the ring.
+object arithmetic.  This bottom module also holds the package's only copies
+of four generic mechanisms: `RingElement`, the base of every element class;
+`power`, the square-and-multiply; `cofactor_det`, the cofactor determinant;
+and `radix_encode`/`radix_decode`, the integer codec of residue coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ import operator
 import re
 from functools import lru_cache
 
-from .errors import DivisionByZero, IncompatibleRings, UnsupportedSize, VerificationFailed
+from .errors import (
+    DivisionByZero,
+    IncompatibleAlgebras,
+    IncompatibleRings,
+    UnsupportedSize,
+    VerificationFailed,
+)
 
 # Largest residue ring we are willing to materialize as tables.
 TABLE_LIMIT = 4096
@@ -159,27 +167,88 @@ def cofactor_det(rows, zero, add=operator.add, mul=operator.mul, neg=operator.ne
     return acc
 
 
-class BaseElement:
+def radix_encode(digits, base: int) -> int:
+    """The integer with base-`base` digits `digits`, least significant first."""
+    total = 0
+    for d in reversed(digits):
+        total = total * base + d
+    return total
+
+
+def radix_decode(code: int, base: int, count: int) -> list[int]:
+    """The `count` base-`base` digits of `code`, least significant first."""
+    digits = []
+    for _ in range(count):
+        code, d = divmod(code, base)
+        digits.append(d)
+    return digits
+
+
+class RingElement:
+    """The arithmetic that every element class shares.
+
+    An element keeps its parent in `ring`.  A subclass supplies its
+    constructor, `key` (what identifies it within its ring), `__add__`,
+    `__neg__` and `__mul__`; subtraction, int and base-ring scalars on the
+    left, powers, equality, hashing and the zero test follow from those.
+    An operand of another ring raises the class's `error`.  `__bool__`
+    reads a key of coordinates that are falsy exactly when zero.
+    """
+
+    __slots__ = ("ring",)
+    error = IncompatibleAlgebras
+
+    def _check(self, other) -> None:
+        if not isinstance(other, type(self)) or other.ring != self.ring:
+            raise self.error(f"cannot combine {self!r} with {other!r}")
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, BaseElement)):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, e: int):
+        return power(self, e, self.ring.one)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.ring == other.ring
+            and self.key == other.key
+        )
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __bool__(self):
+        return any(self.key)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+
+class BaseElement(RingElement):
     """Immutable element a + b*delta of a base ring."""
 
-    __slots__ = ("ring", "a", "b")
+    __slots__ = ("a", "b")
+    error = IncompatibleRings
 
     def __init__(self, ring: BaseRing, a: int, b: int):
         self.ring = ring
         self.a = a
         self.b = b
 
-    def _check(self, other: "BaseElement") -> None:
-        if not isinstance(other, BaseElement) or other.ring != self.ring:
-            raise IncompatibleRings(f"cannot combine {self!r} with {other!r}")
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.a, self.b)
 
     def __add__(self, other):
         self._check(other)
         return BaseElement(self.ring, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        self._check(other)
-        return BaseElement(self.ring, self.a - other.a, self.b - other.b)
 
     def __neg__(self):
         return BaseElement(self.ring, -self.a, -self.b)
@@ -194,29 +263,6 @@ class BaseElement:
         t0, t1 = self.ring.delta_square
         bd = b * d
         return BaseElement(self.ring, a * c + t0 * bd, a * d + b * c + t1 * bd)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BaseElement)
-            and self.ring == other.ring
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.ring.kind, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def conjugate(self) -> "BaseElement":
         kind = self.ring.kind
@@ -570,6 +616,11 @@ class ResidueTable:
         self.char = k
 
     def encode(self, x: BaseElement) -> int:
+        """Index of x mod m; a canonical residue is looked up, not divided."""
+        if x.ring == self.ring.base:
+            i = self.index.get((x.a, x.b))
+            if i is not None:
+                return i
         r = self.ring.reduce(x)
         return self.index[(r.a, r.b)]
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from .base_rings import (
     BaseElement,
     BaseRing,
+    RingElement,
     divides,
     is_prime_element,
-    power,
     ring_by_name,
 )
 from .errors import IncompatibleRings
@@ -271,70 +271,46 @@ class ExtensionSpec:
                 raise ValueError("basis generator does not satisfy the minimal polynomial")
 
 
-class OKElement:
+class OKElement(RingElement):
     """Element of O_K as a coordinate vector over the base ring."""
 
-    __slots__ = ("ext", "coords")
+    __slots__ = ("coords",)
+    error = IncompatibleRings
 
     def __init__(self, ext: ExtensionSpec, coords):
-        self.ext = ext
+        self.ring = ext
         self.coords = tuple(coords)
 
-    def _check(self, other):
-        if not isinstance(other, OKElement) or other.ext != self.ext:
-            raise IncompatibleRings("elements come from different extensions")
+    @property
+    def ext(self) -> ExtensionSpec:
+        return self.ring
+
+    @property
+    def key(self) -> tuple:
+        return self.coords
 
     def __add__(self, other):
         self._check(other)
-        return OKElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return OKElement(self.ext, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return OKElement(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return OKElement(self.ext, tuple(-a for a in self.coords))
+        return OKElement(self.ring, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, BaseElement):
-            return OKElement(self.ext, tuple(other * c for c in self.coords))
+            return OKElement(self.ring, tuple(other * c for c in self.coords))
         if isinstance(other, int):
-            return OKElement(self.ext, tuple(c * other for c in self.coords))
+            return OKElement(self.ring, tuple(c * other for c in self.coords))
         if not isinstance(other, OKElement):
             return NotImplemented  # let order elements handle k * x
         self._check(other)
-        return self.ext.mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (BaseElement, int)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ext.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OKElement)
-            and self.ext == other.ext
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash(tuple((c.a, c.b) for c in self.coords))
-
-    def __bool__(self):
-        return any(self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
+        return self.ring.mul(self, other)
 
     def sigma(self, power: int = 1) -> "OKElement":
-        return self.ext.sigma(self, power)
+        return self.ring.sigma(self, power)
 
     def embed(self, which: int = 0) -> complex:
-        return self.ext.embed(self, which)
+        return self.ring.embed(self, which)
 
     def scalar_part(self) -> BaseElement | None:
         """The O_F value when the element is a base-ring multiple of 1."""
@@ -344,7 +320,7 @@ class OKElement:
 
     def __str__(self):
         parts = []
-        for name, c in zip(self.ext.basis_names, self.coords):
+        for name, c in zip(self.ring.basis_names, self.coords):
             if c.is_zero:
                 continue
             text = str(c)
@@ -356,7 +332,7 @@ class OKElement:
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"<{self} in O_K({self.ext.name or 'anon'})>"
+        return f"<{self} in O_K({self.ring.name or 'anon'})>"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import itertools
 import json
 from importlib import resources
 
-from .base_rings import BaseElement, cofactor_det, power
+from .base_rings import BaseElement, RingElement, cofactor_det
 from .errors import IncompatibleAlgebras, NotInBaseRing
 from .extension import ExtensionSpec, OKElement, extension_from_dict
 
@@ -94,28 +94,23 @@ class TwistedRing:
         return type(x)(self, tuple(out))
 
 
-class TwistedElement:
+class TwistedElement(RingElement):
     """Element sum c_k z^k of a `TwistedRing`."""
 
-    __slots__ = ("ring", "zcoords")
+    __slots__ = ("zcoords",)
 
     def __init__(self, ring: TwistedRing, zcoords):
         self.ring = ring
         self.zcoords = tuple(zcoords)
 
-    def _check(self, other):
-        if not isinstance(other, type(self)) or other.ring != self.ring:
-            raise IncompatibleAlgebras("elements come from different rings")
+    @property
+    def key(self) -> tuple:
+        return self.zcoords
 
     def __add__(self, other):
         self._check(other)
         return type(self)(
             self.ring, tuple(a + b for a, b in zip(self.zcoords, other.zcoords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return type(self)(
-            self.ring, tuple(a - b for a, b in zip(self.zcoords, other.zcoords)))
 
     def __neg__(self):
         return type(self)(self.ring, tuple(-a for a in self.zcoords))
@@ -132,26 +127,6 @@ class TwistedElement:
         if isinstance(other, (int, BaseElement)):
             return self.__mul__(other)
         return self.ring.mul(self.ring._scalar(other), self)
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.ring == other.ring
-            and self.zcoords == other.zcoords
-        )
-
-    def __hash__(self):
-        return hash(self.zcoords)
-
-    def __bool__(self):
-        return any(self.zcoords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.zcoords)
 
     def __str__(self):
         parts = []
@@ -210,7 +185,7 @@ class AlgebraSpec(TwistedRing):
         if len(zcoords) != self.n:
             raise ValueError(f"expected {self.n} z-coordinates")
         for c in zcoords:
-            if not isinstance(c, OKElement) or c.ext != self.ext:
+            if not isinstance(c, OKElement) or c.ring != self.ext:
                 raise IncompatibleAlgebras("z-coordinates must come from O_K")
         return OrderElement(self, zcoords)
 

@@ -38,11 +38,14 @@ import numpy as np
 from .base_rings import (
     BaseElement,
     ResidueTable,
+    RingElement,
     cofactor_det,
     divides,
     invert_mod,
     power,
     quotient_ring,
+    radix_decode,
+    radix_encode,
 )
 from .errors import (
     DivisionByZero,
@@ -151,7 +154,7 @@ class ResidueRing:
         return ResidueElement(self, codes)
 
     def from_ok(self, x: OKElement) -> "ResidueElement":
-        if x.ext != self.ext:
+        if x.ring != self.ext:
             raise IncompatibleAlgebras("element comes from a different extension")
         return ResidueElement(self, tuple(self.table.encode(c) for c in x.coords))
 
@@ -166,9 +169,7 @@ class ResidueRing:
 
     @property
     def one(self) -> "ResidueElement":
-        codes = [self.table.zero] * self.n
-        codes[0] = self.table.one
-        return ResidueElement(self, tuple(codes))
+        return self.basis(0)
 
     def basis(self, i: int) -> "ResidueElement":
         codes = [self.table.zero] * self.n
@@ -228,39 +229,27 @@ class ResidueRing:
             yield ResidueElement(self, codes)
 
     def decode(self, code: int) -> "ResidueElement":
-        codes = []
-        for _ in range(self.n):
-            code, r = divmod(code, self.table.size)
-            codes.append(r)
-        return ResidueElement(self, tuple(codes))
+        return ResidueElement(self, tuple(radix_decode(code, self.table.size, self.n)))
 
 
-class ResidueElement:
+class ResidueElement(RingElement):
     """Element of O_K/mO_K: a tuple of residue-table indices."""
 
-    __slots__ = ("ring", "codes")
+    __slots__ = ("codes",)
 
     def __init__(self, ring: ResidueRing, codes):
         self.ring = ring
         self.codes = codes
 
-    def _check(self, other):
-        if not isinstance(other, ResidueElement) or other.ring != self.ring:
-            raise IncompatibleAlgebras("residue elements from different rings")
+    @property
+    def key(self) -> tuple[int, ...]:
+        return self.codes
 
     def __add__(self, other):
         self._check(other)
         add = self.ring.table.add
         return ResidueElement(
             self.ring, tuple(add[a][b] for a, b in zip(self.codes, other.codes))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        t = self.ring.table
-        return ResidueElement(
-            self.ring,
-            tuple(t.add[a][t.neg[b]] for a, b in zip(self.codes, other.codes)),
         )
 
     def __neg__(self):
@@ -277,30 +266,9 @@ class ResidueElement:
         self._check(other)
         return self.ring.mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, BaseElement)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueElement)
-            and self.ring == other.ring
-            and self.codes == other.codes
-        )
-
-    def __hash__(self):
-        return hash(self.codes)
-
     def __bool__(self):
-        return any(c != self.ring.table.zero for c in self.codes)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.__bool__()
+        zero = self.ring.table.zero
+        return any(c != zero for c in self.codes)
 
     def sigma(self, power: int = 1) -> "ResidueElement":
         return self.ring.sigma(self, power)
@@ -310,10 +278,7 @@ class ResidueElement:
         return self.ring.ext.element([dec(c) for c in self.codes])
 
     def encode(self) -> int:
-        total = 0
-        for c in reversed(self.codes):
-            total = total * self.ring.table.size + c
-        return total
+        return radix_encode(self.codes, self.ring.table.size)
 
     def __str__(self):
         return str(self.lift())
@@ -407,11 +372,7 @@ class QuotientRing(TwistedRing):
             yield self.from_flat_codes(flat)
 
     def decode(self, code: int) -> "GcaElement":
-        coords = []
-        for _ in range(self.n):
-            code, r = divmod(code, self.S.size)
-            coords.append(self.S.decode(r))
-        return GcaElement(self, tuple(coords))
+        return self.from_flat_codes(radix_decode(code, self.table.size, self.n * self.S.n))
 
     def flat_codes(self, g: "GcaElement") -> list[int]:
         """Residue-table codes of all coordinates, z-power major."""
@@ -438,10 +399,7 @@ class GcaElement(TwistedElement):
     __slots__ = ()
 
     def encode(self) -> int:
-        total = 0
-        for c in reversed(self.zcoords):
-            total = total * self.ring.S.size + c.encode()
-        return total
+        return radix_encode(self.ring.flat_codes(self), self.ring.table.size)
 
     def lift(self) -> OrderElement:
         return self.ring.lift(self)
@@ -1060,21 +1018,6 @@ class FiniteField:
     def __repr__(self):
         return f"FiniteField(F_{self.size})"
 
-    # -- encoding ---------------------------------------------------------------
-
-    def _coeffs(self, val: int):
-        out = []
-        for _ in range(self.m):
-            val, r = divmod(val, self.p)
-            out.append(r)
-        return out
-
-    def _val(self, coeffs) -> int:
-        total = 0
-        for c in reversed(coeffs):
-            total = total * self.p + c % self.p
-        return total
-
     def element(self, val: int) -> "FFElement":
         if not 0 <= val < self.size:
             raise ValueError(f"value {val} outside field of size {self.size}")
@@ -1094,14 +1037,14 @@ class FiniteField:
     # -- arithmetic -------------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        a, b = self._coeffs(x), self._coeffs(y)
-        return self._val([(u + v) % self.p for u, v in zip(a, b)])
+        a, b = radix_decode(x, self.p, self.m), radix_decode(y, self.p, self.m)
+        return radix_encode([(u + v) % self.p for u, v in zip(a, b)], self.p)
 
     def neg(self, x: int) -> int:
-        return self._val([-c % self.p for c in self._coeffs(x)])
+        return radix_encode([-c % self.p for c in radix_decode(x, self.p, self.m)], self.p)
 
     def mul(self, x: int, y: int) -> int:
-        a, b = self._coeffs(x), self._coeffs(y)
+        a, b = radix_decode(x, self.p, self.m), radix_decode(y, self.p, self.m)
         prod = [0] * (2 * self.m - 1)
         for i, u in enumerate(a):
             if u:
@@ -1109,7 +1052,7 @@ class FiniteField:
                     prod[i + j] = (prod[i + j] + u * v) % self.p
         _, rem = _poly_divmod_p(prod + [0], list(self.modulus), self.p)
         rem += [0] * (self.m - len(rem))
-        return self._val(rem)
+        return radix_encode(rem, self.p)
 
     def pow(self, x: int, e: int) -> int:
         return power(x, e, 1, self.mul)
@@ -1125,15 +1068,23 @@ class FiniteField:
     def generator(self) -> "FFElement":
         """Smallest element (by encoding) generating the multiplicative group."""
         if self._gen is None:
-            order = self.size - 1
-            primes = _prime_factors(order)
-            for v in range(2, self.size):
-                if all(self.pow(v, order // q) != 1 for q in primes):
-                    self._gen = FFElement(self, v)
-                    break
-            else:  # pragma: no cover
-                self._gen = FFElement(self, 1)
+            self._gen = FFElement(self, smallest_generator(
+                range(1, self.size), self.size - 1, self.pow, 1))
         return self._gen
+
+
+def smallest_generator(nonzero, order: int, pow, one):
+    """First x of `nonzero` of multiplicative order `order`.
+
+    x generates the cyclic group of that order when x^(order/q) != one for
+    every prime q dividing it; with order 1 the first element qualifies.
+    Shared by `FiniteField` and `structure.ComponentField`.
+    """
+    primes = _prime_factors(order)
+    for x in nonzero:
+        if all(pow(x, order // q) != one for q in primes):
+            return x
+    raise WrongCase(f"no element of multiplicative order {order}")
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -1150,68 +1101,49 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-class FFElement:
+class FFElement(RingElement):
     """Element of an abstract finite field, encoded as a base-p integer."""
 
-    __slots__ = ("field", "val")
+    __slots__ = ("val",)
 
     def __init__(self, field: FiniteField, val: int):
-        self.field = field
+        self.ring = field
         self.val = val
 
-    def _check(self, other):
-        if not isinstance(other, FFElement) or other.field != self.field:
-            raise IncompatibleAlgebras("elements from different fields")
+    @property
+    def field(self) -> FiniteField:
+        return self.ring
+
+    @property
+    def key(self) -> tuple[int]:
+        return (self.val,)
 
     def __add__(self, other):
         self._check(other)
-        return FFElement(self.field, self.field.add(self.val, other.val))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FFElement(self.field, self.field.add(self.val, self.field.neg(other.val)))
+        return FFElement(self.ring, self.ring.add(self.val, other.val))
 
     def __neg__(self):
-        return FFElement(self.field, self.field.neg(self.val))
+        return FFElement(self.ring, self.ring.neg(self.val))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = FFElement(self.field, other % self.field.p)
+            other = FFElement(self.ring, other % self.ring.p)
         self._check(other)
-        return FFElement(self.field, self.field.mul(self.val, other.val))
-
-    __rmul__ = __mul__
+        return FFElement(self.ring, self.ring.mul(self.val, other.val))
 
     def __pow__(self, e: int):
         if e < 0:
-            return FFElement(self.field, self.field.pow(self.field.inv(self.val), -e))
-        return FFElement(self.field, self.field.pow(self.val, e))
+            return FFElement(self.ring, self.ring.pow(self.ring.inv(self.val), -e))
+        return FFElement(self.ring, self.ring.pow(self.val, e))
 
     def inverse(self) -> "FFElement":
-        return FFElement(self.field, self.field.inv(self.val))
+        return FFElement(self.ring, self.ring.inv(self.val))
 
     def frobenius(self, k: int = 1) -> "FFElement":
-        return FFElement(self.field, self.field.frobenius(self.val, k))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFElement)
-            and self.field == other.field
-            and self.val == other.val
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.val == 0
+        return FFElement(self.ring, self.ring.frobenius(self.val, k))
 
     def __str__(self):
-        coeffs = self.field._coeffs(self.val)
+        coeffs = radix_decode(self.val, self.ring.p, self.ring.m)
         parts = []
         for i, c in enumerate(coeffs):
             if c == 0:
@@ -1224,4 +1156,4 @@ class FFElement:
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"<{self} in F_{self.field.size}>"
+        return f"<{self} in F_{self.ring.size}>"

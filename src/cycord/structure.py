@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_rings import ResidueTable, divides, power
+from .base_rings import BaseElement, ResidueTable, RingElement, divides, power, radix_encode
 from .errors import (
     IncompatibleAlgebras,
     LiftDivergence,
@@ -57,7 +57,6 @@ from .residue import (
     ResidueElement,
     ResidueRing,
     Splitting,
-    _prime_factors,
     factor_prime,
     ideal_elements,
     inverse_mod_p,
@@ -65,6 +64,7 @@ from .residue import (
     quotient_of,
     rank_mod_p,
     skew_poly_ideal_chain,
+    smallest_generator,
 )
 
 # Pair-product checks switch from all pairs to sampling above this count.
@@ -127,8 +127,7 @@ class MatRing:
 
     @property
     def zero(self) -> "MatElement":
-        z = self.table.zero
-        return MatElement(self, tuple((z,) * self.n for _ in range(self.n)))
+        return self.scalar(self.table.zero)
 
     @property
     def one(self) -> "MatElement":
@@ -167,18 +166,18 @@ class MatRing:
         )
 
 
-class MatElement:
+class MatElement(RingElement):
     """Matrix over a residue table; entries are table codes."""
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("entries",)
 
     def __init__(self, ring: MatRing, entries):
         self.ring = ring
         self.entries = entries
 
-    def _check(self, other):
-        if not isinstance(other, MatElement) or other.ring != self.ring:
-            raise IncompatibleAlgebras("matrices over different rings")
+    @property
+    def key(self) -> tuple:
+        return self.entries
 
     def __add__(self, other):
         self._check(other)
@@ -191,17 +190,6 @@ class MatElement:
             ),
         )
 
-    def __sub__(self, other):
-        self._check(other)
-        add, neg = self.ring.table.add, self.ring.table.neg
-        return MatElement(
-            self.ring,
-            tuple(
-                tuple(add[a][neg[b]] for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def __neg__(self):
         neg = self.ring.table.neg
         return MatElement(
@@ -209,6 +197,10 @@ class MatElement:
         )
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            other = self.ring.table.ring.base.element(other)
+        if isinstance(other, BaseElement):
+            return self.scale(self.ring.table.encode(other))
         self._check(other)
         n = self.ring.n
         add, mul = self.ring.table.add, self.ring.table.mul
@@ -224,8 +216,9 @@ class MatElement:
             out.append(tuple(row))
         return MatElement(self.ring, tuple(out))
 
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
+    def __bool__(self):
+        zero = self.ring.table.zero
+        return any(c != zero for row in self.entries for c in row)
 
     def scale(self, code: int) -> "MatElement":
         """Entrywise multiplication by a residue-table scalar."""
@@ -235,22 +228,8 @@ class MatElement:
             tuple(tuple(mul[code][a] for a in row) for row in self.entries),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatElement)
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def encode(self) -> int:
-        total = 0
-        for row in reversed(self.entries):
-            for c in reversed(row):
-                total = total * self.ring.table.size + c
-        return total
+        return radix_encode(self.ring.flat_codes(self), self.ring.table.size)
 
     def __str__(self):
         dec = self.ring.table.decode
@@ -326,18 +305,9 @@ class ComponentField:
     def generator(self) -> ResidueElement:
         """Smallest multiplicative generator of the component, by encoding."""
         if self._gen is None:
-            order = self.size - 1
-            primes = _prime_factors(order) if order > 1 else []
-            for x in self.elements():
-                if x.is_zero:
-                    continue
-                if order == 1 or all(
-                    self.pow(x, order // q) != self.v for q in primes
-                ):
-                    self._gen = x
-                    break
-            else:  # pragma: no cover
-                raise WrongCase("component has no multiplicative generator")
+            self._gen = smallest_generator(
+                (x for x in self.elements() if not x.is_zero),
+                self.size - 1, self.pow, self.v)
         return self._gen
 
     def dlog(self, x: ResidueElement):

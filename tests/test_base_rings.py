@@ -6,6 +6,7 @@ from cycord.base_rings import (
     EISENSTEIN,
     GAUSSIAN,
     RATIONAL,
+    BaseQuotientRing,
     euclidean_divmod,
     exact_div,
     divides,
@@ -14,10 +15,12 @@ from cycord.base_rings import (
     is_prime_element,
     parse_element,
     quotient_ring,
+    radix_decode,
+    radix_encode,
     ring_by_name,
     xgcd,
 )
-from cycord.errors import DivisionByZero
+from cycord.errors import DivisionByZero, IncompatibleRings
 
 RINGS = [RATIONAL, GAUSSIAN, EISENSTEIN]
 
@@ -177,3 +180,35 @@ def test_residue_table_matches_reduce():
     # zero and one are the canonical representatives, not the raw inputs
     assert t.decode(t.zero) == q.reduce(GAUSSIAN.zero)
     assert t.decode(t.one) == q.reduce(GAUSSIAN.one)
+
+
+# the residue tables of golden_u_i mod (1+i), (1+i)^2 and of q7_cubic mod 2
+CERTIFIED_TABLES = [(GAUSSIAN, "1+i"), (GAUSSIAN, "2i"), (EISENSTEIN, "2")]
+
+
+@pytest.mark.parametrize("ring,modulus", CERTIFIED_TABLES)
+def test_residue_table_encodes_canonical_residues_by_lookup(monkeypatch, ring, modulus):
+    m = ring.parse(modulus)
+    t = quotient_ring(ring, m).table()
+    shifted = [t.encode(rep + m * ring.element(2, -1)) for rep in t.reps]
+    assert shifted == list(range(t.size))
+    # a canonical residue needs no division at all
+    monkeypatch.setattr(BaseQuotientRing, "reduce", None)
+    assert [t.encode(rep) for rep in t.reps] == list(range(t.size))
+
+
+@pytest.mark.parametrize("ring,modulus", CERTIFIED_TABLES)
+def test_residue_table_encode_rejects_foreign_ring(ring, modulus):
+    t = quotient_ring(ring, ring.parse(modulus)).table()
+    foreign = EISENSTEIN if ring is GAUSSIAN else GAUSSIAN
+    for rep in t.reps:  # same (a, b) as a table key, but another ring
+        with pytest.raises(IncompatibleRings):
+            t.encode(foreign.element(rep.a, rep.b))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=8),
+       st.integers(min_value=7, max_value=9))
+def test_radix_round_trip(digits, base):
+    code = radix_encode(digits, base)
+    assert radix_decode(code, base, len(digits)) == digits
+    assert code == sum(d * base ** i for i, d in enumerate(digits))

@@ -1,9 +1,16 @@
 """Tests for natural orders, the matrix embedding, and reduced determinants."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycord.errors import IncompatibleAlgebras
+import cycord
+from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, quotient_ring
+from cycord.errors import IncompatibleAlgebras, IncompatibleRings
+from cycord.extension import IdealSpec
 from cycord.order import (
     SHIPPED_ALGEBRAS,
     OrderMatrix,
@@ -238,3 +245,75 @@ def test_matrix_product_across_specs(golden, q7):
     assert same * M == M * M == OrderMatrix(M.ext, [[u, zero], [zero, u]])
     with pytest.raises(IncompatibleAlgebras):
         M * q7.z.matrix()
+
+
+# -- the shared RingElement base ---------------------------------------------------
+
+
+def law_cases(golden, q7):
+    """Name -> (x, y, an element of another ring, the error it raises)."""
+    from cycord.residue import FiniteField, quotient_of
+    from cycord.structure import MatRing
+
+    ext, i = golden.ext, GAUSSIAN.element(0, 1)
+    Q = quotient_of(golden, IdealSpec(GAUSSIAN.element(1, 1), 2))
+    Q3 = quotient_of(golden, IdealSpec(GAUSSIAN.element(3)))
+    mat = MatRing(quotient_ring(GAUSSIAN, GAUSSIAN.element(3)).table(), 2)
+    ff = FiniteField(3, 2)
+    x_ord = golden.z + golden.one * i
+    return {
+        "Base": (GAUSSIAN.element(2, -1), GAUSSIAN.element(1, 3),
+                 EISENSTEIN.element(1, 1), IncompatibleRings),
+        "OK": (ext.from_ints((1, 2), (0, -1)), ext.from_ints(3, (1, 1)),
+               q7.ext.basis_element(1), IncompatibleRings),
+        "Order": (x_ord, golden.z * golden.z + golden.one * 2, q7.z, IncompatibleAlgebras),
+        "Residue": (Q.S.from_ok(ext.from_ints((1, 1), 1)), Q.S.basis(1) + Q.S.one,
+                    Q3.S.basis(1), IncompatibleAlgebras),
+        "Gca": (Q.reduce(x_ord), Q.z + Q.one, Q3.z, IncompatibleAlgebras),
+        "Mat": (mat.element([[1, 2], [3, 4]]), mat.unit(0, 1) + mat.one,
+                MatRing(mat.table, 3).one, IncompatibleAlgebras),
+        "FF": (ff.element(5), ff.element(7), FiniteField(5, 1).one, IncompatibleAlgebras),
+    }
+
+
+@pytest.mark.parametrize("name", ["Base", "OK", "Order", "Residue", "Gca", "Mat", "FF"])
+def test_ring_element_laws(golden, q7, name):
+    x, y, foreign, error = law_cases(golden, q7)[name]
+    assert isinstance(x, RingElement) and type(x).error is error
+    assert x - y == x + (-y)
+    assert x ** 3 == x * x * x
+    assert x ** 0 == x.ring.one
+    assert 2 * x == x * 2 == x + x
+    again = (x + y) - y
+    assert again is not x and again == x and hash(again) == hash(x)
+    assert (x - x).is_zero and not (x - x) and x and not x.is_zero
+    for op in (x.__add__, x.__sub__, x.__mul__):
+        with pytest.raises(error):
+            op(foreign)
+
+
+# overrides of the shared methods where the semantics differ
+ALLOWED_OVERRIDES = {
+    ("FFElement", "__pow__"),  # negative exponents invert
+    ("TwistedElement", "__rmul__"),  # coefficient-ring scalars on the left
+    ("ResidueElement", "__bool__"),  # the table's zero code need not be 0
+    ("MatElement", "__bool__"),
+}
+SHARED = {"_check", "__eq__", "__hash__", "__sub__", "__rmul__", "__pow__",
+          "__bool__", "is_zero"}
+
+
+def test_element_classes_share_ring_element():
+    classes = {
+        cls for info in pkgutil.iter_modules(cycord.__path__)
+        for _, cls in inspect.getmembers(
+            importlib.import_module(f"cycord.{info.name}"), inspect.isclass)
+        if cls.__name__.endswith("Element") and cls.__module__.startswith("cycord.")
+    }
+    assert {cls.__name__ for cls in classes} == {
+        "RingElement", "BaseElement", "OKElement", "TwistedElement", "OrderElement",
+        "GcaElement", "ResidueElement", "MatElement", "FFElement"}
+    for cls in classes - {RingElement}:
+        assert issubclass(cls, RingElement), cls
+        own = {(cls.__name__, name) for name in SHARED & set(vars(cls))}
+        assert own <= ALLOWED_OVERRIDES, own

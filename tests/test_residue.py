@@ -491,6 +491,15 @@ def test_finite_field_generator_order():
     assert acc == ff.one
 
 
+def test_trivial_field_generator_is_one():
+    # the unit group of F_2 has order 1: the search takes its first element
+    ff = FiniteField(2, 1)
+    assert ff.generator() == ff.one
+    # in F_43, 2 has order 14: it passes the q = 2 test and fails only q = 3
+    assert [FiniteField(p, m).generator().val
+            for p, m in [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1), (43, 1)]] == [2, 2, 4, 2, 3, 3]
+
+
 def test_finite_field_modulus_is_reproducible():
     assert FiniteField(2, 3).modulus == FiniteField(2, 3).modulus
     with pytest.raises(ValueError):

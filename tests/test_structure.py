@@ -21,6 +21,7 @@ from cycord.residue import (
 from cycord.structure import (
     ComponentField,
     IsoCertificate,
+    MatRing,
     QuotientCase,
     VerifyMode,
     enumerate_monomial_ideals,
@@ -323,6 +324,20 @@ def test_norm_equation_rejects_zero(gauss):
         solve_norm_equation(comp, S.zero)
 
 
+@pytest.mark.parametrize("name,alpha,codes", [
+    ("golden_u_i", "1+i", (0, 0)),
+    ("q7_cubic", "2", (1, 0, 0)),
+])
+def test_certificate_component_generator_pinned(shipped, name, alpha, codes):
+    # the first component field of build_matrix_iso_s1; table code 0 is not zero
+    ext = shipped[name].ext
+    S = residue_ring(ext, ext.base.parse(alpha))
+    split = factor_prime(ext, ext.base.parse(alpha))
+    comp = ComponentField(S, split.idempotents[0], split.f, split.g)
+    assert comp.generator().codes == codes
+    assert comp.pow(comp.generator(), comp.size - 1) == comp.v
+
+
 def test_component_field_generator(gauss):
     S = residue_ring(gauss.ext, gauss.ext.base.element(3))
     comp = ComponentField(S, S.one, f=2, step=1)
@@ -335,3 +350,14 @@ def test_component_field_generator(gauss):
     assert len(seen) == comp.size - 1
     assert comp.dlog(gen) == 1
     assert comp.dlog(comp.v) == 0
+
+
+def test_matrix_ring_zero_test(golden):
+    # the table's zero code is not 0, so entries must be compared with it
+    table = residue_ring(golden.ext, golden.ext.base.parse("1+i")).table
+    assert table.zero != 0
+    mat = MatRing(table, 2)
+    assert not mat.zero and mat.zero.is_zero
+    assert mat.one and not mat.one.is_zero
+    assert (mat.one - mat.one).is_zero
+    assert mat.unit(1, 0) and not mat.unit(1, 0).is_zero
