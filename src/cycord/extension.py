@@ -297,9 +297,7 @@ class OKElement(RingElement):
         return OKElement(self.ring, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, BaseElement):
-            return OKElement(self.ring, tuple(other * c for c in self.coords))
-        if isinstance(other, int):
+        if isinstance(other, (int, BaseElement)):
             return OKElement(self.ring, tuple(c * other for c in self.coords))
         if not isinstance(other, OKElement):
             return NotImplemented  # let order elements handle k * x

@@ -159,9 +159,7 @@ class ResidueRing:
         return ResidueElement(self, tuple(self.table.encode(c) for c in x.coords))
 
     def from_base(self, c: BaseElement) -> "ResidueElement":
-        codes = [self.table.zero] * self.n
-        codes[0] = self.table.encode(c)
-        return ResidueElement(self, tuple(codes))
+        return self.one * c
 
     @property
     def zero(self) -> "ResidueElement":
