@@ -192,14 +192,17 @@ class RingElement:
     `__neg__` and `__mul__`; subtraction, int and base-ring scalars on the
     left, powers, equality, hashing and the zero test follow from those.
     An operand of another ring raises the class's `error`.  `__bool__`
-    reads a key of coordinates that are falsy exactly when zero.
+    reads a key of coordinates that are falsy exactly when zero.  These
+    methods run in the innermost loops, so rings are compared by identity
+    first, and `key` and `is_zero` are properties over C callables.
     """
 
     __slots__ = ("ring",)
     error = IncompatibleAlgebras
 
     def _check(self, other) -> None:
-        if not isinstance(other, type(self)) or other.ring != self.ring:
+        if not isinstance(other, type(self)) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise self.error(f"cannot combine {self!r} with {other!r}")
 
     def __sub__(self, other):
@@ -216,7 +219,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, type(self))
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.key == other.key
         )
 
@@ -226,9 +229,7 @@ class RingElement:
     def __bool__(self):
         return any(self.key)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
+    is_zero = property(operator.not_)
 
 
 class BaseElement(RingElement):
@@ -242,9 +243,7 @@ class BaseElement(RingElement):
         self.a = a
         self.b = b
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
+    key = property(operator.attrgetter("a", "b"))
 
     def __add__(self, other):
         self._check(other)
@@ -630,7 +629,7 @@ class ResidueTable:
 
 @lru_cache(maxsize=None)
 def _cached_quotient(kind: RingKind, a: int, b: int) -> BaseQuotientRing:
-    ring = BaseRing(kind)
+    ring = ring_by_name(kind.value)  # the shared instance, so ring checks hit identity
     return BaseQuotientRing(ring, ring.element(a, b))
 
 

@@ -20,6 +20,7 @@ while the inner loops create and type-check no objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .base_rings import (
     BaseElement,
@@ -285,9 +286,7 @@ class OKElement(RingElement):
     def ext(self) -> ExtensionSpec:
         return self.ring
 
-    @property
-    def key(self) -> tuple:
-        return self.coords
+    key = property(attrgetter("coords"))
 
     def __add__(self, other):
         self._check(other)

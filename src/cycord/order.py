@@ -25,6 +25,7 @@ import functools
 import itertools
 import json
 from importlib import resources
+from operator import attrgetter
 
 from .base_rings import BaseElement, RingElement, cofactor_det
 from .errors import IncompatibleAlgebras, NotInBaseRing
@@ -103,9 +104,7 @@ class TwistedElement(RingElement):
         self.ring = ring
         self.zcoords = tuple(zcoords)
 
-    @property
-    def key(self) -> tuple:
-        return self.zcoords
+    key = property(attrgetter("zcoords"))
 
     def __add__(self, other):
         self._check(other)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -239,9 +240,7 @@ class ResidueElement(RingElement):
         self.ring = ring
         self.codes = codes
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.codes
+    key = property(attrgetter("codes"))
 
     def __add__(self, other):
         self._check(other)

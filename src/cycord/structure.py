@@ -32,6 +32,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -175,9 +176,7 @@ class MatElement(RingElement):
         self.ring = ring
         self.entries = entries
 
-    @property
-    def key(self) -> tuple:
-        return self.entries
+    key = property(attrgetter("entries"))
 
     def __add__(self, other):
         self._check(other)
