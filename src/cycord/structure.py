@@ -128,7 +128,8 @@ class MatRing:
 
     @property
     def zero(self) -> "MatElement":
-        return self.scalar(self.table.zero)
+        z = self.table.zero
+        return MatElement(self, tuple((z,) * self.n for _ in range(self.n)))
 
     @property
     def one(self) -> "MatElement":
