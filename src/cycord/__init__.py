@@ -7,7 +7,6 @@ from .base_rings import (
     BaseElement,
     BaseQuotientRing,
     BaseRing,
-    LocalBaseRing,
     RingKind,
     euclidean_divmod,
     is_prime_element,

@@ -552,24 +552,6 @@ class BaseQuotientRing:
         return self._table
 
 
-class LocalBaseRing(BaseQuotientRing):
-    """O_F/(alpha^s) for a prime alpha: the local base of a quotient algebra."""
-
-    __slots__ = ("alpha", "s")
-
-    def __init__(self, base: BaseRing, alpha: BaseElement, s: int = 1):
-        if s < 1:
-            raise ValueError("exponent s must be at least 1")
-        if not is_prime_element(alpha):
-            raise ValueError(f"{alpha} is not prime in {base.kind.value}")
-        super().__init__(base, alpha**s)
-        self.alpha = alpha
-        self.s = s
-
-    def __repr__(self):
-        return f"LocalBaseRing({self.base.kind.value} mod ({self.alpha})^{self.s})"
-
-
 class ResidueTable:
     """Index-encoded arithmetic for a small residue ring.
 

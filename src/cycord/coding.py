@@ -267,20 +267,18 @@ class FirstCoefficientCode:
 
     kind = "FirstCoefficientScheme"
 
-    def __init__(self, quotient: QuotientRing, inner, symbol_map=None):
+    def __init__(self, quotient: QuotientRing, inner):
         self.quotient = quotient
         self.inner = inner
-        self.symbol_map = symbol_map or (lambda s: s)
         self.length = inner.length
 
     @property
     def design_distance(self) -> int:
         return self.inner.hamming_distance()
 
-    def _place(self, sym, free_row):
-        s = self.symbol_map(sym)
+    def _place(self, s, free_row):
         if not isinstance(s, ResidueElement) or s.ring is not self.quotient.S:
-            raise WrongCase("inner symbols must map into the quotient's residue ring")
+            raise WrongCase("inner symbols must lie in the quotient's residue ring")
         return self.quotient.element([s] + list(free_row))
 
     def encode(self, message, free=None):

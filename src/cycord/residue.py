@@ -30,6 +30,7 @@ elements are cheap and deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -284,15 +285,9 @@ class ResidueElement(RingElement):
         return f"<{self} mod {self.ring.modulus}>"
 
 
-_RESIDUE_CACHE: dict = {}
-
-
+@functools.cache
 def residue_ring(ext: ExtensionSpec, modulus: BaseElement) -> ResidueRing:
-    key = (ext, modulus.a, modulus.b)
-    ring = _RESIDUE_CACHE.get(key)
-    if ring is None:
-        ring = _RESIDUE_CACHE[key] = ResidueRing(ext, modulus)
-    return ring
+    return ResidueRing(ext, modulus)
 
 
 class QuotientRing(TwistedRing):
@@ -405,15 +400,9 @@ class GcaElement(TwistedElement):
         return f"<{self} in {self.ring!r}>"
 
 
-_QUOTIENT_CACHE: dict = {}
-
-
+@functools.cache
 def quotient_of(algebra: AlgebraSpec, ideal) -> QuotientRing:
-    key = (algebra, str(ideal))
-    ring = _QUOTIENT_CACHE.get(key)
-    if ring is None:
-        ring = _QUOTIENT_CACHE[key] = QuotientRing(algebra, ideal)
-    return ring
+    return QuotientRing(algebra, ideal)
 
 
 # -- CRT over composite moduli ---------------------------------------------------
@@ -424,12 +413,9 @@ def _crt_data(ring: QuotientRing):
     if ring._crt is not None:
         return ring._crt
     ideal = ring.ideal
-    if isinstance(ideal, IdealSpec):
-        factors = (ideal,)
-    else:
-        factors = ideal.factors
+    factors = (ideal,) if isinstance(ideal, IdealSpec) else ideal.factors
     base = ring.algebra.ext.base
-    M = ring.ideal.modulus if isinstance(ideal, CompositeIdeal) else ideal.modulus
+    M = ideal.modulus
     components = tuple(quotient_of(ring.algebra, f) for f in factors)
     glue = []
     for f in factors:
@@ -488,21 +474,10 @@ def crt_recombine(parts, target: QuotientRing) -> GcaElement:
     for part, comp in zip(parts, components):
         if part.ring != comp:
             raise IncompatibleAlgebras("component belongs to the wrong factor")
-    base = target.algebra.ext.base
-    n, m = target.n, target.S.n
-    acc_coords = [
-        [base.zero for _ in range(m)] for _ in range(n)
-    ]
+    acc = target.algebra.zero
     for part, e in zip(parts, glue):
-        lifted = part.lift()
-        for zi, ok in enumerate(lifted.zcoords):
-            for bj, c in enumerate(ok.coords):
-                acc_coords[zi][bj] = acc_coords[zi][bj] + c * e
-    ext = target.algebra.ext
-    element = target.algebra.element(
-        [ext.element(row) for row in acc_coords]
-    )
-    return target.reduce(element)
+        acc = acc + part.lift() * e
+    return target.reduce(acc)
 
 
 # -- prime splitting --------------------------------------------------------------
@@ -536,9 +511,7 @@ def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
     return cofactor_det(rows, ext.base.zero)
 
 
-_SPLIT_CACHE: dict = {}
-
-
+@functools.cache
 def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
     """Splitting data of the prime (alpha) in O_K.
 
@@ -547,10 +520,6 @@ def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
     sigma cycles v_1 -> v_2 -> ... -> v_g -> v_1.  Raises RamifiedPrime when
     alpha divides the trace-form discriminant.
     """
-    key = (ext, alpha.a, alpha.b)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is not None:
-        return cached
     if divides(alpha, trace_form_discriminant(ext)):
         raise RamifiedPrime(f"({alpha}) ramifies in this extension")
     S = residue_ring(ext, alpha)
@@ -580,9 +549,7 @@ def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
         total = total + v
     if total != S.one:
         raise VerificationFailed("primitive idempotents do not sum to 1")
-    result = Splitting(g=g, f=ext.n // g, idempotents=tuple(chain))
-    _SPLIT_CACHE[key] = result
-    return result
+    return Splitting(g=g, f=ext.n // g, idempotents=tuple(chain))
 
 
 # -- ideal bookkeeping -------------------------------------------------------------
@@ -662,9 +629,7 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
 # -- F_p linearization -------------------------------------------------------------
 
 
-_TABLE_DIGITS_CACHE: dict = {}
-
-
+@functools.cache
 def fp_table_digits(table: ResidueTable):
     """F_p coordinates for the additive group of a residue table.
 
@@ -672,10 +637,6 @@ def fp_table_digits(table: ResidueTable):
     tuple of table index i and code_of inverts it.  Requires the ring
     characteristic to be prime (then the additive group is an F_p space).
     """
-    key = id(table)
-    cached = _TABLE_DIGITS_CACHE.get(key)
-    if cached is not None:
-        return cached
     p = table.char
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise UnsupportedCase(
@@ -704,9 +665,7 @@ def fp_table_digits(table: ResidueTable):
         )
     digits = [digit_of[i] for i in range(table.size)]
     code_of = {dv: i for i, dv in enumerate(digits)}
-    result = (p, k, digits, code_of)
-    _TABLE_DIGITS_CACHE[key] = result
-    return result
+    return p, k, digits, code_of
 
 
 class FpView:
@@ -742,6 +701,11 @@ class FpView:
         return self.ring.from_flat_codes(
             [self._code_of[digs[pos:pos + k]] for pos in range(0, self.dim, k)]
         )
+
+    def all_digits(self) -> np.ndarray:
+        """Every digit vector, row i holding the base-p digits of i, lowest first."""
+        idx = np.arange(self.p ** self.dim, dtype=np.int64)
+        return idx[:, None] // self.p ** np.arange(self.dim, dtype=np.int64) % self.p
 
     def basis_elements(self) -> list:
         out = []
@@ -919,8 +883,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
         return tuple(sorted(tuple(int(x) for x in row) for _, row in basis))
 
     seen = {}
-    for g in Q.elements(limit=IDEAL_BRUTE_LIMIT):
-        vec = np.array(view.digits(g), dtype=np.int64)
+    for vec in view.all_digits():
         basis = _closure_subspace([vec], maps, p)
         seen.setdefault(signature(basis), basis)
     # join closure

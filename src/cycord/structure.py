@@ -121,80 +121,57 @@ class MatRing:
         return f"MatRing({self.label})"
 
     def element(self, entries) -> "MatElement":
-        rows = tuple(tuple(int(c) for c in row) for row in entries)
+        rows = [tuple(int(c) for c in row) for row in entries]
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"expected a {self.n} x {self.n} matrix")
-        return MatElement(self, rows)
+        return MatElement(self, sum(rows, ()))
 
     @property
     def zero(self) -> "MatElement":
-        z = self.table.zero
-        return MatElement(self, tuple((z,) * self.n for _ in range(self.n)))
+        return MatElement(self, (self.table.zero,) * self.n ** 2)
 
     @property
     def one(self) -> "MatElement":
         return self.scalar(self.table.one)
 
     def scalar(self, code: int) -> "MatElement":
-        z = self.table.zero
-        return MatElement(
-            self,
-            tuple(
-                tuple(code if r == c else z for c in range(self.n))
-                for r in range(self.n)
-            ),
-        )
-
-    def flat_codes(self, m: "MatElement") -> list[int]:
-        """Entry codes in row-major order."""
-        return [code for row in m.entries for code in row]
-
-    def from_flat_codes(self, codes) -> "MatElement":
-        n = self.n
-        return MatElement(
-            self, tuple(tuple(codes[r * n:(r + 1) * n]) for r in range(n))
-        )
+        n, z = self.n, self.table.zero
+        return MatElement(self, tuple(z if k % (n + 1) else code for k in range(n * n)))
 
     def unit(self, i: int, j: int) -> "MatElement":
         """The matrix unit e_ij (single one at row i, column j)."""
-        z = self.table.zero
-        return MatElement(
-            self,
-            tuple(
-                tuple(self.table.one if (r, c) == (i, j) else z
-                      for c in range(self.n))
-                for r in range(self.n)
-            ),
-        )
+        n, z = self.n, self.table.zero
+        return MatElement(self, tuple(self.table.one if k == i * n + j else z
+                                      for k in range(n * n)))
+
+    def flat_codes(self, m: "MatElement") -> tuple[int, ...]:
+        return m.codes
+
+    def from_flat_codes(self, codes) -> "MatElement":
+        return MatElement(self, tuple(codes))
 
 
 class MatElement(RingElement):
-    """Matrix over a residue table; entries are table codes."""
+    """Matrix over a residue table: the table codes of its entries, row-major."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("codes",)
 
-    def __init__(self, ring: MatRing, entries):
+    def __init__(self, ring: MatRing, codes):
         self.ring = ring
-        self.entries = entries
+        self.codes = codes
 
-    key = property(attrgetter("entries"))
+    key = property(attrgetter("codes"))
 
     def __add__(self, other):
         self._check(other)
         add = self.ring.table.add
         return MatElement(
-            self.ring,
-            tuple(
-                tuple(add[a][b] for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
+            self.ring, tuple(add[a][b] for a, b in zip(self.codes, other.codes))
         )
 
     def __neg__(self):
         neg = self.ring.table.neg
-        return MatElement(
-            self.ring, tuple(tuple(neg[a] for a in row) for row in self.entries)
-        )
+        return MatElement(self.ring, tuple(neg[a] for a in self.codes))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -204,37 +181,33 @@ class MatElement(RingElement):
         self._check(other)
         n = self.ring.n
         add, mul = self.ring.table.add, self.ring.table.mul
-        a, b = self.entries, other.entries
+        a, b = self.codes, other.codes
         out = []
-        for r in range(n):
-            row = []
+        for r in range(0, n * n, n):
             for c in range(n):
                 acc = self.ring.table.zero
                 for k in range(n):
-                    acc = add[acc][mul[a[r][k]][b[k][c]]]
-                row.append(acc)
-            out.append(tuple(row))
+                    acc = add[acc][mul[a[r + k]][b[k * n + c]]]
+                out.append(acc)
         return MatElement(self.ring, tuple(out))
 
     def __bool__(self):
         zero = self.ring.table.zero
-        return any(c != zero for row in self.entries for c in row)
+        return any(c != zero for c in self.codes)
 
     def scale(self, code: int) -> "MatElement":
         """Entrywise multiplication by a residue-table scalar."""
-        mul = self.ring.table.mul
-        return MatElement(
-            self.ring,
-            tuple(tuple(mul[code][a] for a in row) for row in self.entries),
-        )
+        mul = self.ring.table.mul[code]
+        return MatElement(self.ring, tuple(mul[a] for a in self.codes))
 
     def encode(self) -> int:
-        return radix_encode(self.ring.flat_codes(self), self.ring.table.size)
+        return radix_encode(self.codes, self.ring.table.size)
 
     def __str__(self):
-        dec = self.ring.table.decode
+        dec, n = self.ring.table.decode, self.ring.n
         rows = ", ".join(
-            "[" + ", ".join(str(dec(c)) for c in row) + "]" for row in self.entries
+            "[" + ", ".join(str(dec(c)) for c in self.codes[r:r + n]) + "]"
+            for r in range(0, n * n, n)
         )
         return f"[{rows}]"
 
@@ -408,10 +381,7 @@ class IsoCertificate:
 
 def _mult_matrix(mat: MatRing, S: ResidueRing, s: ResidueElement) -> MatElement:
     """Matrix of multiplication by s on S, columns = coordinates of s * b_c."""
-    cols = [S.mul(s, S.basis(c)).codes for c in range(S.n)]
-    return mat.element(
-        [[cols[c][r] for c in range(S.n)] for r in range(S.n)]
-    )
+    return mat.element(zip(*(S.mul(s, S.basis(c)).codes for c in range(S.n))))
 
 
 def _require(holds: bool, message: str) -> None:
@@ -450,7 +420,7 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
     _require(y ** n == Q.one, "y = w z does not have y^n = 1")
 
     mat = MatRing(table, n, label=f"M_{n}(F_{table.size})")
-    T = mat.element([[S.sig[c][r] for c in range(n)] for r in range(n)])
+    T = mat.element(zip(*S.sig))
     basis_images = tuple(_mult_matrix(mat, S, S.basis(i)) for i in range(n))
     z_image = _mult_matrix(mat, S, w_inv) * T
 
@@ -603,12 +573,8 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     )
 
     def phi(x: GcaElement) -> MatElement:
-        return mat.element(
-            [
-                [extract(units[0][r] * x * units[c][0]) for c in range(n)]
-                for r in range(n)
-            ]
-        )
+        return MatElement(mat, tuple(extract(units[0][r] * x * units[c][0])
+                                     for r in range(n) for c in range(n)))
 
     basis_images = tuple(phi(Qs.from_residue(S.basis(i))) for i in range(n))
     z_image = phi(Qs.z)
@@ -822,10 +788,7 @@ def verify_isomorphism(
     E = None
     if mode is VerifyMode.EXHAUSTIVE:
         _require(N == p ** dim, "prime-characteristic digit count must match")
-        codes = np.arange(N, dtype=np.int64)
-        E = np.stack(
-            [(codes // p ** a) % p for a in range(dim)], axis=1
-        )
+        E = sview.all_digits()
         imgs = (E @ Phi.T) % p
         # most significant digit first: keys sort like the image rows
         keys = imgs @ p ** np.arange(imgs.shape[1] - 1, -1, -1, dtype=np.int64)

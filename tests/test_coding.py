@@ -272,11 +272,12 @@ def test_first_coefficient_free_rows(q_nilp):
         code.encode([S.zero, S.zero], free=[[S.one]])
 
 
-def test_first_coefficient_rejects_bad_symbols(q_nilp):
-    inner = ParityCode(q_nilp.S, 3)
-    code = FirstCoefficientCode(q_nilp, inner, symbol_map=lambda s: "junk")
+def test_first_coefficient_rejects_bad_symbols(q_nilp, golden_1pi):
+    # an inner code over O_K/3O_K yields symbols outside q_nilp's residue ring
+    other = residue_ring(golden_1pi.ext, golden_1pi.ext.base.element(3))
+    code = FirstCoefficientCode(q_nilp, ParityCode(other, 3))
     with pytest.raises(WrongCase):
-        code.encode([q_nilp.S.one, q_nilp.S.one])
+        code.encode([other.one, other.one])
 
 
 # -- lifting ---------------------------------------------------------------------

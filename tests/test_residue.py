@@ -1,5 +1,6 @@
 """Tests for residue rings, order quotients, CRT, splitting, finite fields."""
 
+import gc
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycord.base_rings import RATIONAL, BaseQuotientRing
 from cycord.errors import (
     DivisionByZero,
     RamifiedPrime,
@@ -22,6 +24,7 @@ from cycord.residue import (
     crt_decompose,
     crt_recombine,
     factor_prime,
+    fp_table_digits,
     ideal_elements,
     inverse_mod_p,
     invert_unipotent,
@@ -508,3 +511,14 @@ def test_finite_field_modulus_is_reproducible():
         FiniteField(2, 2, modulus=(1, 1))  # not degree m monic
     with pytest.raises(ZeroDivisionError):
         FiniteField(2, 1).inv(0)
+
+
+def test_fp_table_digits_survives_freed_tables():
+    # a cache keyed by id(table) hands a freed table's digits to a new table
+    # that reuses its address; the digits must follow the table itself
+    for modulus in (2, 3) * 10:
+        table = BaseQuotientRing(RATIONAL, RATIONAL.element(modulus)).table()
+        p, k, digits, _ = fp_table_digits(table)
+        assert (p, k, len(digits)) == (modulus, 1, modulus)
+        del table, digits
+        gc.collect()

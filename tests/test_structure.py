@@ -1,8 +1,11 @@
 """Tests for quotient classification, certificates, and ideal lattices."""
 
+import itertools
+
 import pytest
 
 from cycord import structure
+from cycord.base_rings import GAUSSIAN, quotient_ring
 from cycord.errors import (
     UnsupportedCase,
     VerificationFailed,
@@ -361,3 +364,27 @@ def test_matrix_ring_zero_test(golden):
     assert mat.one and not mat.one.is_zero
     assert (mat.one - mat.one).is_zero
     assert mat.unit(1, 0) and not mat.unit(1, 0).is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_ring_constructors_match_nested_entries(n):
+    # Z[i]/(3): zero and one have codes 4 and 7, so no code is its own index
+    table = quotient_ring(GAUSSIAN, GAUSSIAN.element(3)).table()
+    mat, z, c = MatRing(table, n), table.zero, 2
+
+    def nested(at):
+        return mat.element([[at(r, col) for col in range(n)] for r in range(n)])
+
+    assert mat.zero == nested(lambda r, col: z)
+    assert mat.one == nested(lambda r, col: table.one if r == col else z)
+    assert mat.scalar(c) == nested(lambda r, col: c if r == col else z)
+    for i, j in itertools.product(range(n), repeat=2):
+        unit = nested(lambda r, col: table.one if (r, col) == (i, j) else z)
+        assert mat.unit(i, j) == unit
+        assert mat.flat_codes(unit) == unit.codes
+        assert mat.from_flat_codes(list(unit.codes)) == unit
+    assert str(mat.one) == "[" + ", ".join(
+        "[" + ", ".join("1" if r == col else "0" for col in range(n)) + "]"
+        for r in range(n)) + "]"
+    with pytest.raises(ValueError):
+        mat.element([[z] * n] * (n + 1))
