@@ -705,7 +705,9 @@ class FpView:
     def all_digits(self) -> np.ndarray:
         """Every digit vector, row i holding the base-p digits of i, lowest first."""
         idx = np.arange(self.p ** self.dim, dtype=np.int64)
-        return idx[:, None] // self.p ** np.arange(self.dim, dtype=np.int64) % self.p
+        rows = idx[:, None] // self.p ** np.arange(self.dim, dtype=np.int64)
+        rows %= self.p  # in place: a second p**dim x dim temporary would raise peak RSS
+        return rows
 
     def basis_elements(self) -> list:
         out = []
