@@ -513,6 +513,12 @@ PINNED_OUTPUT = {  # name -> (argv, SHA-256 of the `--output json` stdout)
     "ideals_gauss_u5": (
         ["ideals", "--algebra", "gauss_over_Q", "--u", "5", "--ideal", "5"],
         "285bd19de7d3c4e6abd4637a896aedcd1899af8a518fa27d47bc3447e76c708a"),
+    "check_lemma_seed_0": (
+        ["check-lemma", "--trials", "10000", "--seed", "0"],
+        "6f8cbbed7ef660bec0e7a714e616468559eb037c2081f97e243f7d50d5aff5a8"),
+    "check_lemma_n3_k2_seed_7": (
+        ["check-lemma", "--trials", "500", "--n", "3", "--k", "2", "--seed", "7"],
+        "c71b02d976639a4fc4b307cad25e6f19299ab38a8afa3463e467d2c2b573a126"),
 }
 
 
