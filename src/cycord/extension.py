@@ -101,7 +101,8 @@ class ExtensionSpec:
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
         for c in coords:
-            if not isinstance(c, BaseElement) or c.ring != self.base:
+            if not isinstance(c, BaseElement) or (
+                    c.ring is not self.base and c.ring != self.base):
                 raise IncompatibleRings("coordinates must come from the base ring")
         return OKElement(self, coords)
 
