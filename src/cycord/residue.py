@@ -69,11 +69,13 @@ ENUM_LIMIT = 1 << 16
 IDEAL_BRUTE_LIMIT = 1 << 12
 # Largest commutative residue ring scanned for idempotents.
 IDEMPOTENT_SCAN_LIMIT = 1 << 20
-# int64 entries of the (rows, dim, dim) intermediate of one `FpView.mul_digits`
+# float64 entries of the (rows, dim, dim) intermediate of one `FpView.mul_digits`
 # block (1 MB); the block has max(1, FP_BLOCK_ENTRIES // dim**2) rows.
 FP_BLOCK_ENTRIES = 1 << 17
 # Rows per block when enumerating subspace members and checking product pairs.
 ROW_BLOCK = 1 << 12
+# Integers up to 2**53 are exact float64 values, so are their sums below it.
+FLOAT_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -676,18 +678,20 @@ class FpView:
     (`flat_codes`) and the element with given flat codes (`from_flat_codes`).
     Elements become length-dim digit tuples; ring multiplication becomes the
     cubic structure tensor, so bulk products and additive-map ranks reduce to
-    numpy integer arithmetic mod p.  The bulk kernels run over row blocks:
+    numpy arithmetic mod p.  The bulk kernels run over row blocks:
     `mul_digits` over `block_rows` rows, so that no intermediate exceeds
-    FP_BLOCK_ENTRIES int64 entries, and `span_encodings` over ROW_BLOCK rows.
+    FP_BLOCK_ENTRIES float64 entries, and `span_encodings` over ROW_BLOCK rows.
     """
 
-    __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor")
+    __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor",
+                 "_float_tensor")
 
     def __init__(self, ring):
         self.ring = ring
         self.p, self.k, self._digits, self._code_of = fp_table_digits(ring.table)
         self.dim = len(ring.flat_codes(ring.zero)) * self.k
         self._tensor = None
+        self._float_tensor = None
 
     def digits(self, x) -> tuple[int, ...]:
         out = []
@@ -737,15 +741,28 @@ class FpView:
     def mul_digits(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise products of digit batches (shape (batch, dim)), mod p.
 
-        Contracts each block of X with the flattened tensor, then with the
-        matching block of Y; the int64 sums are exact before the reduction.
+        Contracts each block of X with the flattened tensor, then each row
+        with the matching row of Y, as float64 BLAS products.  With
+        digits in [0, p) every partial sum is an integer of at most
+        dim**2 * (p - 1)**3, below FLOAT_EXACT for every view (checked once,
+        when the float tensor is built), so the result is the exact integer
+        contraction.  Blocks are converted one at a time: a float copy of
+        the whole batch would raise peak memory.
         """
-        d, step = self.dim, self.block_rows
-        T = self.tensor().reshape(d, d * d)
+        d, step, p = self.dim, self.block_rows, self.p
+        T = self._float_tensor
+        if T is None:
+            if d * d * (p - 1) ** 3 >= FLOAT_EXACT:
+                raise UnsupportedCase(
+                    f"digit products of dimension {d} over F_{p} exceed the "
+                    "exact float64 range"
+                )
+            T = self._float_tensor = self.tensor().reshape(d, d * d).astype(np.float64)
         out = np.empty((X.shape[0], d), dtype=np.int64)
         for lo in range(0, X.shape[0], step):
-            XT = (X[lo:lo + step] @ T).reshape(-1, d, d)
-            out[lo:lo + step] = np.einsum("nb,nbd->nd", Y[lo:lo + step], XT) % self.p
+            XT = (X[lo:lo + step].astype(np.float64) @ T).reshape(-1, d, d)
+            out[lo:lo + step] = (Y[lo:lo + step, None, :].astype(np.float64) @ XT)[:, 0]
+        out %= p  # on int64: a float64 remainder costs several times more
         return out
 
     def span_encodings(self, basis: list) -> frozenset:

@@ -14,6 +14,7 @@ from cycord.errors import (
     RamifiedPrime,
     RepeatedPrime,
     TooLargeToEnumerate,
+    UnsupportedCase,
 )
 from cycord.extension import IdealSpec
 from cycord.residue import (
@@ -392,19 +393,22 @@ def test_fp_view_round_trip_and_products(golden, q_gold, which):
 
 @pytest.fixture(scope="module")
 def fp_views(golden, gauss, q7, q_gold):
-    """name -> FpView: dims 4 (p = 2 and p = 5), 8 with k = 2, and 18."""
+    """name -> FpView: dims 4 (p = 2 and p = 5, quotient and matrix ring),
+    8 with k = 2, and 18."""
     square = IdealSpec(golden.ext.base.element(1, 1), 2)
+    five = IdealSpec(gauss.ext.base.element(5))
     return {
         "q_gold": FpView(q_gold),
         "matrix_k2": FpView(identify_quotient(golden, square).certificate.target),
-        "gauss_5": FpView(quotient_of(gauss, IdealSpec(gauss.ext.base.element(5)))),
+        "gauss_5": FpView(quotient_of(gauss, five)),
+        "matrix_5": FpView(identify_quotient(gauss, five).certificate.target),
         "q7": FpView(quotient_of(q7, IdealSpec(q7.ext.base.element(2)))),
     }
 
 
 @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
                          ids=["0", "1", "B-1", "B", "B+1"])
-@pytest.mark.parametrize("which", ["q_gold", "matrix_k2", "gauss_5", "q7"])
+@pytest.mark.parametrize("which", ["q_gold", "matrix_k2", "gauss_5", "matrix_5", "q7"])
 def test_mul_digits_matches_three_operand_contraction(fp_views, which, blocks, extra):
     view = fp_views[which]
     rows = blocks * view.block_rows + extra
@@ -414,6 +418,43 @@ def test_mul_digits_matches_three_operand_contraction(fp_views, which, blocks, e
     got = view.mul_digits(X, Y)
     assert got.shape == (rows, view.dim)
     assert np.array_equal(got, np.einsum("na,nb,abd->nd", X, Y, view.tensor()) % view.p)
+
+
+def int64_mul_digits(view, X, Y):
+    """The two-stage contraction in exact int64, one row block at a time."""
+    d, step = view.dim, view.block_rows
+    T = view.tensor().reshape(d, d * d)
+    out = np.empty((X.shape[0], d), dtype=np.int64)
+    for lo in range(0, X.shape[0], step):
+        XT = (X[lo:lo + step] @ T).reshape(-1, d, d)
+        out[lo:lo + step] = np.einsum("nb,nbd->nd", Y[lo:lo + step], XT) % view.p
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("which", ["q_gold", "matrix_k2", "gauss_5", "matrix_5", "q7"])
+def test_float_mul_digits_matches_int64_contraction(fp_views, which, seed):
+    # p = 2 and p = 5, quotient and matrix rings; the batch spans a partial
+    # block, and the extreme digits 0 and p - 1 give the largest sums
+    view = fp_views[which]
+    rng = np.random.default_rng(seed)
+    rows = 2 * view.block_rows + 1 + seed
+    X = rng.integers(0, view.p, size=(rows, view.dim), dtype=np.int64)
+    Y = rng.integers(0, view.p, size=(rows, view.dim), dtype=np.int64)
+    X[0], Y[0] = view.p - 1, view.p - 1
+    got = view.mul_digits(X, Y)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, int64_mul_digits(view, X, Y))
+
+
+def test_mul_digits_refuses_sums_beyond_exact_float64(q_gold):
+    view = FpView(q_gold)  # a fresh view: the check runs once, on first use
+    X = np.zeros((1, view.dim), dtype=np.int64)
+    # dim**2 * (p - 1)**3 = 16 * 2**51 = 2**55 > 2**53
+    view.p = (1 << 17) + 1
+    with pytest.raises(UnsupportedCase):
+        view.mul_digits(X, X)
+    assert np.array_equal(FpView(q_gold).mul_digits(X, X), X)
 
 
 def test_mul_digits_blocks_stay_within_one_megabyte(fp_views):
