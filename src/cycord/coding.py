@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,37 @@ SCORE_TOL = 1e-9
 # determinant-sum inequality
 # ---------------------------------------------------------------------------
 
+def _lemma_dets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summand and Gram determinants of stacked trials.
+
+    X holds trials of k complex n x n summands, shape (trials, k, n, n).
+    Returns det X_i, shape (trials, k), and det(sum_i X_i X_i^*), shape
+    (trials,).  numpy runs each LAPACK factorisation and BLAS product one
+    matrix at a time, so a trial's values do not depend on the stack it
+    sits in, and the Gram sum keeps the summation order of one trial.
+    """
+    gram = X @ X.conj().swapaxes(-1, -2)
+    return np.linalg.det(X), np.linalg.det(sum(gram[:, i] for i in range(X.shape[1])))
+
+
+def _lemma_report(dets, gram_det) -> dict:
+    """The det_inequality_check report from Python complex determinants."""
+    for d in dets:
+        if abs(d) <= SINGULAR_TOL:
+            raise SingularInput(f"matrix determinant {abs(d):.3e} is numerically zero")
+    lhs = abs(gram_det)
+    rhs = sum(abs(d) for d in dets) ** 2
+    holds = lhs >= rhs - SCORE_TOL * max(1.0, rhs)
+    return {"lhs": lhs, "rhs": rhs, "holds": holds, "margin": lhs - rhs}
+
+
 def det_inequality_check(mats) -> dict:
     """Check det(sum X_i X_i^*) >= (sum |det X_i|)^2 for square matrices.
 
     Returns {"lhs", "rhs", "holds", "margin"}.  Matrices with |det| below
     1e-12 are rejected with SingularInput so that the right hand side is
-    built from genuinely invertible summands.
+    built from genuinely invertible summands.  The inequality needs n >= 2:
+    at n = 1 it reads |x_1|^2 + |x_2|^2 >= (|x_1| + |x_2|)^2, which is false.
     """
     arrs = [np.asarray(m, dtype=complex) for m in mats]
     if not arrs:
@@ -70,16 +96,58 @@ def det_inequality_check(mats) -> dict:
     for a in arrs:
         if a.ndim != 2 or a.shape != (n, n):
             raise ValueError(f"expected square {n}x{n} matrices, got {a.shape}")
-    dets = [np.linalg.det(a) for a in arrs]
-    for d in dets:
-        if abs(d) <= SINGULAR_TOL:
-            raise SingularInput(f"matrix determinant {abs(d):.3e} is numerically zero")
-    gram = sum(a @ a.conj().T for a in arrs)
-    lhs = abs(np.linalg.det(gram))
-    rhs = sum(abs(d) for d in dets) ** 2
-    holds = bool(lhs >= rhs - SCORE_TOL * max(1.0, rhs))
-    return {"lhs": float(lhs), "rhs": float(rhs), "holds": holds,
-            "margin": float(lhs - rhs)}
+    dets, gram_dets = _lemma_dets(np.stack(arrs)[None])
+    return _lemma_report(dets[0].tolist(), gram_dets[0].item())
+
+
+# trials drawn and checked together by run_lemma_trials
+LEMMA_BLOCK = 1024
+
+
+def _lemma_trial(rng, n: int, k: int) -> tuple:
+    """One trial drawn matrix by matrix, redrawing singular summands.
+
+    Returns (summand dets, Gram det, cond X_1 or None) as Python numbers.
+    """
+    mats = []
+    while len(mats) < k:
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if abs(np.linalg.det(a)) > SINGULAR_TOL:
+            mats.append(a)
+    X = np.stack(mats)[None]
+    dets, gram_dets = _lemma_dets(X)
+    cond = np.linalg.cond(X[0, 0]).item() if k == 1 else None
+    return dets[0].tolist(), gram_dets[0].item(), cond
+
+
+def _lemma_block(rng, shapes: list) -> list | None:
+    """Trials of the given (n, k) shapes from one draw of normals.
+
+    A trial takes 2 k n^2 consecutive normals, the real then the imaginary
+    part of each summand, as `_lemma_trial` draws them; each (n, k) group is
+    then checked on stacked arrays.  Returns `_lemma_trial`'s triples in
+    trial order, or None if a summand is singular: that one would have been
+    redrawn, which shifts every later draw.
+    """
+    lengths = np.array([2 * k * n * n for n, k in shapes])
+    starts = np.cumsum(lengths) - lengths
+    flat = rng.normal(size=int(lengths.sum()))
+    groups: dict = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    out: list = [None] * len(shapes)
+    for (n, k), idx in groups.items():
+        draws = flat[starts[idx][:, None] + np.arange(2 * k * n * n)]
+        draws = draws.reshape(-1, k, 2, n, n)
+        X = draws[:, :, 0] + 1j * draws[:, :, 1]
+        dets, gram_dets = _lemma_dets(X)
+        # np.hypot, not np.abs: it rounds as the scalar abs of _lemma_trial
+        if (np.hypot(dets.real, dets.imag) <= SINGULAR_TOL).any():
+            return None
+        conds = np.linalg.cond(X[:, 0]).tolist() if k == 1 else [None] * len(idx)
+        for i, trial in zip(idx, zip(dets.tolist(), gram_dets.tolist(), conds)):
+            out[i] = trial
+    return out
 
 
 def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
@@ -87,10 +155,11 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     """Monte Carlo sweep of det_inequality_check on random complex matrices.
 
     When n or k is omitted the trials cycle over sizes 2..4 and summand
-    counts 1..3.  k = 1 trials additionally demand equality up to rounding,
-    since both sides then compute |det X|^2:
+    counts 1..3.  The inequality needs n >= 2 (see det_inequality_check).
+    k = 1 trials additionally demand equality up to rounding, since both
+    sides then compute |det X|^2:
 
-        |lhs - rhs| <= 2 n^3 eps cond(X)^2 rhs,
+        |lhs - rhs| <= (2 n^3 cond(X)^2 + 12 + 2 |ln rhs|) eps rhs,
 
     with eps the machine epsilon and cond the 2-norm condition number.  To
     first order, forming X X^* and factoring it perturb the Gram matrix by
@@ -98,8 +167,25 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     most n cond(X X^*) = n cond(X)^2 times the relative perturbation; the
     factor 2 covers the factorisation of X on the right hand side.  A fixed
     relative tolerance would flag ill-conditioned X whose Gram determinant
-    is as accurate as double precision allows.  Raises InvalidCount unless
-    trials, n and k (when given) are at least 1.
+    is as accurate as double precision allows.
+
+    The remaining terms do not grow with n.  numpy returns a determinant
+    as sign * exp(sum log |u_ii|) over the pivots u_ii of the LU factors,
+    so each side ends in a rounded log, exp, complex product and hypot
+    (the sign's quotient by |u_ii| cancels against exp(log |u_ii|) to first
+    order); the Gram diagonal costs two roundings and the square of the
+    right hand side one more.  At eps per rounding the right hand side
+    collects 9 eps and the left 3 eps, and the relative error eps of the
+    logarithm is an absolute error of eps |ln rhs| in the exponent of each
+    side.  At n = 1, where the first term is 2 eps, these terms keep
+    |x conj(x)| = |x|^2 from being flagged.
+
+    Trials run in blocks of LEMMA_BLOCK that draw their normals in one call
+    (consecutive draws continue one stream) and are checked per (n, k) on
+    stacked arrays; a block with a singular draw reruns trial by trial, so
+    the redraws happen in order.  The scalar epilogue stays in Python
+    floats: array abs and array squares round differently.  Raises
+    InvalidCount unless trials, n and k (when given) are at least 1.
     """
     for name, value in (("trials", trials), ("n", n), ("k", k)):
         if value is not None and value < 1:
@@ -107,28 +193,31 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     rng = np.random.default_rng(seed)
     sizes = [n] if n is not None else [2, 3, 4]
     counts = [k] if k is not None else [1, 2, 3]
+    eps = float(np.finfo(float).eps)
     violations = 0
     k1_trials = 0
     k1_failures = 0
     min_margin = float("inf")
-    for t in range(trials):
-        nn = sizes[t % len(sizes)]
-        kk = counts[(t // len(sizes)) % len(counts)]
-        mats = []
-        while len(mats) < kk:
-            a = rng.normal(size=(nn, nn)) + 1j * rng.normal(size=(nn, nn))
-            if abs(np.linalg.det(a)) > SINGULAR_TOL:
-                mats.append(a)
-        rep = det_inequality_check(mats)
-        if not rep["holds"]:
-            violations += 1
-        rel = rep["margin"] / max(1.0, rep["rhs"])
-        min_margin = min(min_margin, rel)
-        if kk == 1:
-            k1_trials += 1
-            tol = 2 * nn ** 3 * np.finfo(float).eps * np.linalg.cond(mats[0]) ** 2
-            if abs(rep["margin"]) > tol * rep["rhs"]:
-                k1_failures += 1
+    for lo in range(0, trials, LEMMA_BLOCK):
+        shapes = [(sizes[t % len(sizes)], counts[(t // len(sizes)) % len(counts)])
+                  for t in range(lo, min(trials, lo + LEMMA_BLOCK))]
+        state = rng.bit_generator.state
+        results = _lemma_block(rng, shapes)
+        if results is None:
+            rng.bit_generator.state = state
+            results = [_lemma_trial(rng, nn, kk) for nn, kk in shapes]
+        for (nn, kk), (dets, gram_det, cond) in zip(shapes, results):
+            rep = _lemma_report(dets, gram_det)
+            if not rep["holds"]:
+                violations += 1
+            rhs = rep["rhs"]
+            rel = rep["margin"] / max(1.0, rhs)
+            min_margin = min(min_margin, rel)
+            if kk == 1:
+                k1_trials += 1
+                tol = 2 * nn ** 3 * eps * cond ** 2 + (12 + 2 * abs(math.log(rhs))) * eps
+                if abs(rep["margin"]) > tol * rhs:
+                    k1_failures += 1
     return {
         "trials": trials,
         "violations": violations,

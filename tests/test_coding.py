@@ -1,6 +1,7 @@
 """Tests for the determinant inequality, outer codes, lifts, and searches."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -117,18 +118,97 @@ def test_lemma_trials_fixed_size():
 
 
 def test_lemma_trials_flag_perturbed_k1_pairs(monkeypatch):
-    # a 1e-6 relative error is far above the rounding bound of every trial
-    exact = coding.det_inequality_check
+    # a 1e-6 relative error is far above the rounding bound of every trial;
+    # it enters at the stacked determinant stage, which both the batched and
+    # the trial-by-trial path go through
+    exact = coding._lemma_dets
 
-    def perturbed(mats):
-        rep = exact(mats)
-        lhs = rep["lhs"] * (1 + 1e-6)
-        return dict(rep, lhs=lhs, margin=lhs - rep["rhs"])
+    def perturbed(X):
+        dets, gram_dets = exact(X)
+        return dets, gram_dets * (1 + 1e-6)
 
-    monkeypatch.setattr(coding, "det_inequality_check", perturbed)
+    monkeypatch.setattr(coding, "_lemma_dets", perturbed)
     rep = run_lemma_trials(300, k=1, seed=2)
     assert rep["k1_trials"] == 300
     assert rep["k1_equality_failures"] == 300
+
+
+def test_lemma_trials_no_false_k1_failures_at_n1():
+    # det(x conj(x)) = |x|^2 exactly; rounding in numpy's log/exp
+    # determinant once flagged 4 of these 500 trials
+    rep = run_lemma_trials(500, n=1, k=1, seed=0)
+    assert rep["k1_trials"] == 500
+    assert rep["k1_equality_failures"] == 0
+    assert run_lemma_trials(5000, n=1, k=1, seed=11)["k1_equality_failures"] == 0
+
+
+def lemma_trials_one_by_one(trials, n=None, k=None, seed=0):
+    """The per-trial loop: each matrix drawn, checked and scored on its own."""
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    sizes = [n] if n is not None else [2, 3, 4]
+    counts = [k] if k is not None else [1, 2, 3]
+    violations = k1_trials = k1_failures = 0
+    min_margin = float("inf")
+    for t in range(trials):
+        nn = sizes[t % len(sizes)]
+        kk = counts[(t // len(sizes)) % len(counts)]
+        mats = []
+        while len(mats) < kk:
+            a = rng.normal(size=(nn, nn)) + 1j * rng.normal(size=(nn, nn))
+            if abs(np.linalg.det(a)) > coding.SINGULAR_TOL:
+                mats.append(a)
+        dets = [np.linalg.det(a) for a in mats]
+        lhs = abs(np.linalg.det(sum(a @ a.conj().T for a in mats)))
+        rhs = sum(abs(d) for d in dets) ** 2
+        if not lhs >= rhs - SCORE_TOL * max(1.0, rhs):
+            violations += 1
+        margin = float(lhs - rhs)
+        min_margin = min(min_margin, margin / max(1.0, float(rhs)))
+        if kk == 1:
+            k1_trials += 1
+            tol = (2 * nn ** 3 * eps * np.linalg.cond(mats[0]) ** 2
+                   + (12 + 2 * abs(math.log(rhs))) * eps)
+            if abs(margin) > tol * rhs:
+                k1_failures += 1
+    return {"trials": trials, "violations": violations, "k1_trials": k1_trials,
+            "k1_equality_failures": k1_failures, "min_relative_margin": min_margin,
+            "seed": seed}
+
+
+@pytest.mark.parametrize("trials, n, k, seed", [
+    (1, None, None, 0),
+    (100, None, None, 1),
+    (coding.LEMMA_BLOCK + 5, None, None, 2),
+    (2 * coding.LEMMA_BLOCK + 13, None, None, 3),
+    (203, 3, None, 4),
+    (157, None, 2, 5),
+    (311, 2, 1, 6),
+    (250, 4, 3, 7),
+    (97, 1, 1, 8),
+])
+def test_batched_lemma_trials_match_the_per_trial_loop(monkeypatch, trials, n, k, seed):
+    calls = []
+    one_trial = coding._lemma_trial
+    monkeypatch.setattr(coding, "_lemma_trial", lambda *a: calls.append(a) or one_trial(*a))
+    got = run_lemma_trials(trials, n=n, k=k, seed=seed)
+    assert not calls  # no singular draw: every block ran batched
+    assert repr(got) == repr(lemma_trials_one_by_one(trials, n=n, k=k, seed=seed))
+
+
+@pytest.mark.parametrize("trials, n, k, seed", [
+    (coding.LEMMA_BLOCK + 7, None, None, 0), (130, 2, 2, 1)])
+def test_lemma_trials_redraw_singular_summands_in_order(monkeypatch, trials, n, k, seed):
+    # |det| <= 0.2 is common for these draws, so the first block holds a
+    # rejected summand and reruns trial by trial; a short last block may run
+    # batched from where the reruns left the generator
+    monkeypatch.setattr(coding, "SINGULAR_TOL", 0.2)
+    calls = []
+    one_trial = coding._lemma_trial
+    monkeypatch.setattr(coding, "_lemma_trial", lambda *a: calls.append(a) or one_trial(*a))
+    got = run_lemma_trials(trials, n=n, k=k, seed=seed)
+    assert len(calls) >= min(trials, coding.LEMMA_BLOCK)
+    assert repr(got) == repr(lemma_trials_one_by_one(trials, n=n, k=k, seed=seed))
 
 
 # -- outer codes -----------------------------------------------------------------
