@@ -169,16 +169,16 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     relative tolerance would flag ill-conditioned X whose Gram determinant
     is as accurate as double precision allows.
 
-    The remaining terms do not grow with n.  numpy returns a determinant
-    as sign * exp(sum log |u_ii|) over the pivots u_ii of the LU factors,
-    so each side ends in a rounded log, exp, complex product and hypot
-    (the sign's quotient by |u_ii| cancels against exp(log |u_ii|) to first
-    order); the Gram diagonal costs two roundings and the square of the
-    right hand side one more.  At eps per rounding the right hand side
-    collects 9 eps and the left 3 eps, and the relative error eps of the
-    logarithm is an absolute error of eps |ln rhs| in the exponent of each
-    side.  At n = 1, where the first term is 2 eps, these terms keep
-    |x conj(x)| = |x|^2 from being flagged.
+    The other terms do not grow with n.  numpy returns a determinant as
+    sign * exp(sum log |u_ii|) over the LU pivots u_ii, with sign the
+    product of the u_ii / |u_ii|, so the rounding of |u_ii| cancels between
+    the two factors to first order.  Counting eps per rounding, |det X|
+    takes 4 eps (the quotient, exp, the complex product and the final
+    hypot) and the square doubles that and adds 1, 9 eps on the right; on
+    the left the Gram determinant is a positive real, and its two-rounding
+    diagonal and exp give 3 eps.  A log with relative error eps shifts each
+    side's exponent by eps |ln rhs|.  At n = 1, where the first term is only
+    2 eps, these terms keep |x conj(x)| = |x|^2 from being flagged.
 
     Trials run in blocks of LEMMA_BLOCK that draw their normals in one call
     (consecutive draws continue one stream) and are checked per (n, k) on
