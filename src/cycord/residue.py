@@ -74,7 +74,7 @@ IDEMPOTENT_SCAN_LIMIT = 1 << 20
 FP_BLOCK_ENTRIES = 1 << 17
 # Rows per block when enumerating subspace members and checking product pairs.
 ROW_BLOCK = 1 << 12
-# Integers up to 2**53 are exact float64 values, so are their sums below it.
+# float64 holds every integer below 2**53 exactly, so integer sums below it are exact.
 FLOAT_EXACT = 1 << 53
 
 

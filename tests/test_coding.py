@@ -176,38 +176,42 @@ def lemma_trials_one_by_one(trials, n=None, k=None, seed=0):
             "seed": seed}
 
 
+@pytest.fixture
+def rerun_trials(monkeypatch):
+    """The trials that run_lemma_trials reruns one by one, as they happen."""
+    calls = []
+    one_trial = coding._lemma_trial
+    monkeypatch.setattr(coding, "_lemma_trial", lambda *a: calls.append(a) or one_trial(*a))
+    return calls
+
+
 @pytest.mark.parametrize("trials, n, k, seed", [
     (1, None, None, 0),
     (100, None, None, 1),
     (coding.LEMMA_BLOCK + 5, None, None, 2),
-    (2 * coding.LEMMA_BLOCK + 13, None, None, 3),
+    (2 * coding.LEMMA_BLOCK + 14, None, None, 3),
     (203, 3, None, 4),
     (157, None, 2, 5),
     (311, 2, 1, 6),
     (250, 4, 3, 7),
     (97, 1, 1, 8),
 ])
-def test_batched_lemma_trials_match_the_per_trial_loop(monkeypatch, trials, n, k, seed):
-    calls = []
-    one_trial = coding._lemma_trial
-    monkeypatch.setattr(coding, "_lemma_trial", lambda *a: calls.append(a) or one_trial(*a))
+def test_batched_lemma_trials_match_the_per_trial_loop(rerun_trials, trials, n, k, seed):
     got = run_lemma_trials(trials, n=n, k=k, seed=seed)
-    assert not calls  # no singular draw: every block ran batched
+    assert not rerun_trials  # no singular draw: every block ran batched
     assert repr(got) == repr(lemma_trials_one_by_one(trials, n=n, k=k, seed=seed))
 
 
 @pytest.mark.parametrize("trials, n, k, seed", [
     (coding.LEMMA_BLOCK + 7, None, None, 0), (130, 2, 2, 1)])
-def test_lemma_trials_redraw_singular_summands_in_order(monkeypatch, trials, n, k, seed):
+def test_lemma_trials_redraw_singular_summands_in_order(
+        monkeypatch, rerun_trials, trials, n, k, seed):
     # |det| <= 0.2 is common for these draws, so the first block holds a
     # rejected summand and reruns trial by trial; a short last block may run
     # batched from where the reruns left the generator
     monkeypatch.setattr(coding, "SINGULAR_TOL", 0.2)
-    calls = []
-    one_trial = coding._lemma_trial
-    monkeypatch.setattr(coding, "_lemma_trial", lambda *a: calls.append(a) or one_trial(*a))
     got = run_lemma_trials(trials, n=n, k=k, seed=seed)
-    assert len(calls) >= min(trials, coding.LEMMA_BLOCK)
+    assert len(rerun_trials) >= min(trials, coding.LEMMA_BLOCK)
     assert repr(got) == repr(lemma_trials_one_by_one(trials, n=n, k=k, seed=seed))
 
 
