@@ -185,11 +185,15 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     stacked arrays; a block with a singular draw reruns trial by trial, so
     the redraws happen in order.  The scalar epilogue stays in Python
     floats: array abs and array squares round differently.  Raises
-    InvalidCount unless trials, n and k (when given) are at least 1.
+    InvalidCount unless trials, n and k (when given) are at least 1, and at
+    n = 1 unless k = 1 (an unset k cycles through k >= 2 as well).
     """
     for name, value in (("trials", trials), ("n", n), ("k", k)):
         if value is not None and value < 1:
             raise InvalidCount(f"{name} must be at least 1, got {value}")
+    if n == 1 and k != 1:
+        got = "no k" if k is None else f"k = {k}"
+        raise InvalidCount(f"n = 1 needs k = 1 (the inequality is false for k >= 2), got {got}")
     rng = np.random.default_rng(seed)
     sizes = [n] if n is not None else [2, 3, 4]
     counts = [k] if k is not None else [1, 2, 3]

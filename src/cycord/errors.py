@@ -90,4 +90,4 @@ class NumericMismatch(CycordError):
 
 
 class InvalidCount(CycordError):
-    """A trial count or matrix size is below its minimum of 1."""
+    """A trial count or matrix size below 1, or k != 1 at matrix size n = 1."""

@@ -14,15 +14,15 @@ This layer turns the exact objects of `order` into finite rings:
 * `crt_decompose`/`crt_recombine` split a composite-modulus quotient into its
   prime-power components and glue it back exactly.
 * `brute_force_ideals` enumerates every two-sided ideal of a small quotient
-  by closing F_p-subspaces under one-sided multiplication maps.  It exists as
-  an independent check for the structural classification and is deliberately
-  naive.
+  from the principal ideals Q x Q of all its elements, read off the F_p
+  structure tensor alone.  It exists as an independent check for the
+  structural classification and is deliberately naive.
 * `FpView` linearizes a finite ring of prime characteristic over F_p, and
   serves quotient rings and the matrix rings of `structure` alike.  Its bulk
   kernels (products of digit batches, the encodings of a subspace) work on
   integer arrays in bounded row blocks.  One mod-p row reduction,
-  `_rref_insert`, backs the subspace closures and the rank, kernel and
-  inverse helpers.
+  `rref_mod_p`, reduces whole stacks of matrices at once; it backs the
+  ideal spans and the rank, kernel and inverse helpers.
 
 Elements encode to integers (mixed-radix over table indices), so sets of ring
 elements are cheap and deterministic.
@@ -69,8 +69,10 @@ ENUM_LIMIT = 1 << 16
 IDEAL_BRUTE_LIMIT = 1 << 12
 # Largest commutative residue ring scanned for idempotents.
 IDEMPOTENT_SCAN_LIMIT = 1 << 20
-# float64 entries of the (rows, dim, dim) intermediate of one `FpView.mul_digits`
-# block (1 MB); the block has max(1, FP_BLOCK_ENTRIES // dim**2) rows.
+# Entries of the largest intermediate of one block (1 MB at 8 bytes): the
+# (rows, dim, dim) float64 products of `FpView.mul_digits`, whose blocks have
+# max(1, FP_BLOCK_ENTRIES // dim**2) rows, and the (elements, dim**2, dim)
+# sandwich stacks of `brute_force_ideals`.
 FP_BLOCK_ENTRIES = 1 << 17
 # Rows per block when enumerating subspace members and checking product pairs.
 ROW_BLOCK = 1 << 12
@@ -573,19 +575,19 @@ class QuotientIdeal:
 def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> frozenset:
     """Element encodings of the two-sided ideal generated by `generators`.
 
-    Runs the F_p-subspace closure when the characteristic is prime, which
-    covers every ring this package materializes.  Raises TooLargeToEnumerate
-    when the ideal has more than `limit` elements.
+    Reduces one matrix mod p: the sandwiches e_a * g * e_b of every
+    generator g over basis pairs, which span the ideal (see `_sandwiches`).
+    Needs prime characteristic, which covers every ring this package
+    materializes.  Raises TooLargeToEnumerate when the ideal has more than
+    `limit` elements.
     """
     view = FpView(Q)
-    maps = side_multiplication_maps(view)
-    vecs = [np.array(view.digits(g), dtype=np.int64) for g in generators]
-    basis = _closure_subspace(vecs, maps, view.p)
-    if view.p ** len(basis) > limit:
-        raise TooLargeToEnumerate(
-            f"ideal has {view.p ** len(basis)} elements (limit {limit})"
-        )
-    return view.span_encodings(basis)
+    d, p = view.dim, view.p
+    X = np.array([view.digits(g) for g in generators], dtype=np.int64).reshape(-1, d)
+    R, rank = rref_mod_p(_sandwiches(view, X).reshape(1, -1, d), p)
+    if p ** int(rank[0]) > limit:
+        raise TooLargeToEnumerate(f"ideal has {p ** int(rank[0])} elements (limit {limit})")
+    return view.span_encodings(R[0, :rank[0]])
 
 
 def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
@@ -765,17 +767,17 @@ class FpView:
         out %= p  # on int64: a float64 remainder costs several times more
         return out
 
-    def span_encodings(self, basis: list) -> frozenset:
-        """Element encodings of the span of an rref basis (small spaces only).
+    def span_encodings(self, rows: np.ndarray) -> frozenset:
+        """Element encodings of the span of independent digit rows (small spaces only).
 
         Member i of the span has coefficient digits i in base p.  Each k-digit
         slot maps to its table code through one p^k lookup array, and slot j
-        weighs table.size**j, which is `encode` in `flat_codes` order.  The
-        empty basis spans the zero element, whose table code need not be 0.
+        weighs table.size**j, which is `encode` in `flat_codes` order.  An empty
+        set of rows spans the zero element, whose table code need not be 0.
         """
-        p, k, d, r = self.p, self.k, self.dim, len(basis)
+        p, k, d, r = self.p, self.k, self.dim, len(rows)
         size, slots = self.ring.table.size, d // k
-        rows = np.array([row for _, row in basis], dtype=np.int64).reshape(r, d)
+        rows = np.asarray(rows, dtype=np.int64).reshape(r, d)
         place = p ** np.arange(k, dtype=np.int64)
         code_at = np.empty(p ** k, dtype=np.int64)
         code_at[np.array(self._digits, dtype=np.int64) @ place] = np.arange(size)
@@ -792,132 +794,119 @@ class FpView:
         return frozenset(out)
 
 
-def _rref_insert(basis: list, vec: np.ndarray, p: int) -> bool:
-    """Reduce vec against the row basis; insert if independent.  True if new."""
-    v = vec % p
-    for pivot_col, row in basis:
-        c = v[pivot_col]
-        if c:
-            v = (v - c * row) % p
-    nz = np.nonzero(v)[0]
-    if len(nz) == 0:
-        return False
-    pivot = int(nz[0])
-    v = (v * pow(int(v[pivot]), p - 2, p)) % p
-    for i, (pc, row) in enumerate(basis):
-        c = row[pivot]
-        if c:
-            basis[i] = (pc, (row - c * v) % p)
-    basis.append((pivot, v))
-    basis.sort(key=lambda item: item[0])
-    return True
+def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms over F_p of a stack of matrices (batch, rows, cols).
 
-
-def _row_basis(rows, p: int) -> list:
-    """Reduced row-echelon basis, as (pivot column, row) pairs, of a row span."""
-    basis: list = []
-    for row in rows:
-        _rref_insert(basis, row, p)
-    return basis
+    Returns (R, rank): R[i, :rank[i]] are the nonzero reduced rows of A[i]
+    by increasing pivot column, and the rows below them are zero.  Each
+    column takes one set of numpy steps over the whole stack: every matrix
+    picks its first row at or below its rank with a nonzero entry there,
+    moves it up to the rank, scales the pivot to 1 and clears the column in
+    every other row.  The reduced form is unique, so R depends only on the
+    row space of each matrix.
+    """
+    R = np.mod(A, p, dtype=np.int64)
+    batch, rows, cols = R.shape
+    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    rank = np.zeros(batch, dtype=np.int64)
+    below = np.arange(rows)
+    for c in range(cols):
+        cand = (R[:, :, c] != 0) & (below >= rank[:, None])
+        found = np.nonzero(cand.any(axis=1))[0]
+        if not found.size:
+            continue
+        src, dst = cand[found].argmax(axis=1), rank[found]
+        pivot = R[found, src]
+        R[found, src] = R[found, dst]
+        pivot = pivot * inv[pivot[:, c]][:, None] % p
+        R[found, dst] = pivot
+        factor = R[found, :, c]
+        factor[np.arange(found.size), dst] = 0
+        R[found] = (R[found] - factor[:, :, None] * pivot[:, None, :]) % p
+        rank[found] += 1
+    return R, rank
 
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:
     """Rank of A over F_p."""
-    return len(_row_basis(A, p))
+    return int(rref_mod_p(A[None], p)[1][0])
 
 
 def kernel_vector_mod_p(A: np.ndarray, p: int):
     """A nonzero v with A v = 0 over F_p (first free column set to 1), or None."""
-    basis = _row_basis(A, p)
-    pivots = {pc for pc, _ in basis}
+    R, rank = rref_mod_p(A[None], p)
+    rows = R[0, :rank[0]]
+    pivots = [int(c) for c in (rows != 0).argmax(axis=1)]
     free = next((c for c in range(A.shape[1]) if c not in pivots), None)
     if free is None:
         return None
     v = np.zeros(A.shape[1], dtype=np.int64)
     v[free] = 1
-    for pc, row in basis:
-        v[pc] = (-row[free]) % p
+    v[pivots] = -rows[:, free] % p
     return v
 
 
 def inverse_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Inverse over F_p, read off the reduced rows of [A | I]."""
     n = A.shape[0]
-    basis = _row_basis(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), p)
-    if [pc for pc, _ in basis[:n]] != list(range(n)):
+    R = rref_mod_p(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)[None], p)[0][0]
+    if not np.array_equal(R[:, :n], np.eye(n)):  # the pivots are not columns 0..n-1
         raise ValueError("matrix is singular mod p")
-    return np.stack([row[n:] for _, row in basis])
+    return R[:, n:]
 
 
-def _closure_subspace(start_vecs, maps, p: int) -> list:
-    """Smallest subspace containing start_vecs and stable under the maps."""
-    basis: list = []
-    queue = [v % p for v in start_vecs]
-    while queue:
-        v = queue.pop()
-        if not _rref_insert(basis, v, p):
-            continue
-        for m in maps:
-            queue.append((m @ v) % p)
-    return basis
+def _sandwiches(view: FpView, X: np.ndarray) -> np.ndarray:
+    """Digits of e_a * x * e_b over basis pairs (a, b), per row x of X.
 
-
-def side_multiplication_maps(view: FpView) -> list[np.ndarray]:
-    """Left- and right-multiplication matrices by a generating set of a quotient."""
-    Q = view.ring
-    T = view.tensor()
-    gens = [Q.from_residue(Q.S.basis(i)) for i in range(Q.S.n)]
-    if Q.n > 1:
-        gens.append(Q.z)
-    base = Q.algebra.ext.base
-    if base.kind.name != "RATIONAL":
-        gens.append(Q.one * base.element(0, 1))
-    maps = []
-    for g in gens:
-        gd = np.array(view.digits(g), dtype=np.int64)
-        # left multiplication by g: y -> digits(g * y)
-        maps.append(np.einsum("a,abd->db", gd, T) % view.p)
-        # right multiplication by g: x -> digits(x * g)
-        maps.append(np.einsum("b,abd->da", gd, T) % view.p)
-    return maps
+    Returns a (len(X), dim**2, dim) stack.  The e_a span the ring, so the
+    rows of one matrix span the two-sided ideal generated by its x.  Two
+    contractions with the structure tensor build them: e_a * x, then its
+    products with every e_b.
+    """
+    T, d, p = view.tensor(), view.dim, view.p
+    left = np.einsum("nc,acf->naf", X, T) % p
+    return (left.reshape(-1, d) @ T.reshape(d, d * d) % p).reshape(len(X), d * d, d)
 
 
 def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
     """Every two-sided ideal of Q, as element-encoding sets.
 
-    Independent of the structural classification: principal ideals are closed
-    F_p-subspaces under one-sided multiplication maps, and the lattice is
-    completed under pairwise joins.  Requires prime characteristic and at
-    most IDEAL_BRUTE_LIMIT elements.
+    Independent of the structural classification: it reads only the F_p
+    structure tensor.  The principal ideal Q x Q of every element x is
+    reduced in stacked blocks of FP_BLOCK_ENTRIES // dim**3 elements, so no
+    block intermediate exceeds FP_BLOCK_ENTRIES entries; ideals are told
+    apart by their reduced rows, and the lattice is completed under
+    pairwise joins, reduced in stacks the same way.  Requires prime
+    characteristic and at most IDEAL_BRUTE_LIMIT elements.
     """
     if Q.cardinality > IDEAL_BRUTE_LIMIT:
         raise TooLargeToEnumerate(
             f"{Q.cardinality} elements exceed the brute-force limit {IDEAL_BRUTE_LIMIT}"
         )
     view = FpView(Q)
-    maps = side_multiplication_maps(view)
-    p = view.p
-
-    def signature(basis):
-        return tuple(sorted(tuple(int(x) for x in row) for _, row in basis))
-
+    d, p = view.dim, view.p
     seen = {}
-    for vec in view.all_digits():
-        basis = _closure_subspace([vec], maps, p)
-        seen.setdefault(signature(basis), basis)
-    # join closure
-    changed = True
-    while changed:
-        changed = False
+
+    def collect(stack):
+        for rows in stack:
+            seen.setdefault(rows.tobytes(), rows)
+
+    # an ideal has dimension at most dim: rows from dim on reduce to zero
+    E = view.all_digits()
+    step = max(1, FP_BLOCK_ENTRIES // d ** 3)
+    for lo in range(0, len(E), step):
+        collect(rref_mod_p(_sandwiches(view, E[lo:lo + step]), p)[0][:, :d])
+    # join closure: join each new ideal with every earlier one
+    items, joined = list(seen.values()), 1
+    step = max(1, FP_BLOCK_ENTRIES // (2 * d * d))
+    while joined < len(items):
+        pairs = [(i, j) for j in range(joined, len(items)) for i in range(j)]
+        joined = len(items)
+        for lo in range(0, len(pairs), step):
+            stack = np.array([np.concatenate([items[i], items[j]]) for i, j in pairs[lo:lo + step]])
+            collect(rref_mod_p(stack, p)[0][:, :d])
         items = list(seen.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                joined = _row_basis([row for _, row in items[i] + items[j]], p)
-                sig = signature(joined)
-                if sig not in seen:
-                    seen[sig] = joined
-                    changed = True
-    out = [view.span_encodings(basis) for basis in seen.values()]
+    out = [view.span_encodings(rows[rows.any(axis=1)]) for rows in items]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 

@@ -360,22 +360,29 @@ class IsoCertificate:
     verified: bool = False
 
     def __post_init__(self):
-        zp = [self.target.one]
-        for _ in range(self.source.n - 1):
-            zp.append(zp[-1] * self.z_image)
-        self._zpowers = zp
+        terms, zj = [], self.target.one
+        for _ in range(self.source.n):
+            terms.append([b * zj for b in self.basis_images])
+            zj = zj * self.z_image
+        self._terms = terms
 
     def forward(self, x: GcaElement) -> MatElement:
+        """sum c_ij * (basis_images[i] * z_image^j) over x = sum c_ij b_i z^j.
+
+        The products are cached; scalar matrices are central, so scaling a
+        product scales its left factor.  The map is F_p-linear: the c_ij in
+        O_F/(alpha^s) are additive in x, scaling distributes over sums, and
+        F_p is the prime subring of O_F/(alpha^s).  So the images of an F_p
+        basis fix it, which is what `verify_isomorphism` linearizes.
+        """
         if x.ring != self.source:
             raise IncompatibleAlgebras("element is not in the certificate's source")
-        table = self.source.S.table
+        zero = self.source.S.table.zero
         acc = self.target.zero
-        for j, s in enumerate(x.zcoords):
-            lam = self.target.zero
-            for i, code in enumerate(s.codes):
-                if code != table.zero:
-                    lam = lam + self.basis_images[i].scale(code)
-            acc = acc + lam * self._zpowers[j]
+        for terms, s in zip(self._terms, x.zcoords):
+            for term, code in zip(terms, s.codes):
+                if code != zero:
+                    acc = acc + term.scale(code)
         return acc
 
 
@@ -741,7 +748,11 @@ def verify_isomorphism(
     Exhaustive mode additionally maps every element and insists the images
     are pairwise distinct, and checks every product pair when there are at
     most PAIR_EXHAUSTIVE_LIMIT of them; otherwise products are sampled.
-    Raises VerificationFailed carrying a counterexample pair.
+    Last, Phi(e_a * e_b) = Phi(e_a) * Phi(e_b) on the dim**2 basis pairs
+    and Phi(1) = 1: as Phi is F_p-linear and both products are bilinear,
+    they prove multiplicativity, so every mode proves a ring isomorphism.
+    Raises VerificationFailed carrying a counterexample pair, the lowest
+    failing one for the product checks.
     """
     Q = cert.source
     N = Q.cardinality
@@ -812,16 +823,23 @@ def verify_isomorphism(
         nprng = np.random.default_rng(seed)
         X = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
         Y = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
-    # in index order, so the first failing block holds the lowest failing pair
-    for lo in range(0, X.shape[0], ROW_BLOCK):
-        Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
-        lhs = (sview.mul_digits(Xb, Yb) @ Phi.T) % p
-        rhs = tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
-        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-        if bad.size:
-            x = sview.element(Xb[bad[0]])
-            y = sview.element(Yb[bad[0]])
-            _fail(f"product check fails at x = {x}, y = {y}", (x, y))
+    def check_products(X, Y, what):
+        # in index order, so the first failing block holds the lowest failing pair
+        for lo in range(0, X.shape[0], ROW_BLOCK):
+            Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
+            lhs = (sview.mul_digits(Xb, Yb) @ Phi.T) % p
+            rhs = tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
+            bad = np.nonzero((lhs != rhs).any(axis=1))[0]
+            if bad.size:
+                x = sview.element(Xb[bad[0]])
+                y = sview.element(Yb[bad[0]])
+                _fail(f"{what} fails at x = {x}, y = {y}", (x, y))
+
+    check_products(X, Y, "product check")
+    eye = np.eye(dim, dtype=np.int64)
+    check_products(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1)), "basis product check")
+    if tuple(int(v) for v in Phi @ sview.digits(Q.one) % p) != tview.digits(cert.target.one):
+        _fail("1 does not map to the identity", (Q.one, Q.one))
 
     cert.verified = True
     return VerificationReport(

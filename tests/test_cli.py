@@ -348,6 +348,8 @@ MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
     "lemma_k_zero": (["check-lemma", "--k", "0"], None),
     "lemma_trials_negative": (["check-lemma", "--trials", "-3"], None),
     "lemma_trials_zero": (["check-lemma", "--trials", "0"], None),
+    "lemma_n_one_k_unset": (["check-lemma", "--n", "1"], None),
+    "lemma_n_one_k_two": (["check-lemma", "--n", "1", "--k", "2"], None),
 }
 
 

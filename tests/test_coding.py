@@ -32,6 +32,7 @@ from cycord.errors import (
     BadMessageLength,
     EmptyCode,
     FormulaMismatch,
+    InvalidCount,
     NumericMismatch,
     SearchBudgetExceeded,
     SingularInput,
@@ -140,6 +141,13 @@ def test_lemma_trials_no_false_k1_failures_at_n1():
     assert rep["k1_trials"] == 500
     assert rep["k1_equality_failures"] == 0
     assert run_lemma_trials(5000, n=1, k=1, seed=11)["k1_equality_failures"] == 0
+
+
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_lemma_trials_refuse_n1_unless_k1(k):
+    # at n = 1 the inequality reads |x1|^2 + |x2|^2 >= (|x1| + |x2|)^2, false
+    with pytest.raises(InvalidCount, match="n = 1 needs k = 1"):
+        run_lemma_trials(10, n=1, k=k)
 
 
 def lemma_trials_one_by_one(trials, n=None, k=None, seed=0):

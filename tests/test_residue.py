@@ -6,8 +6,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cycord import residue
 from cycord.base_rings import RATIONAL, BaseQuotientRing
 from cycord.errors import (
     DivisionByZero,
@@ -33,10 +34,9 @@ from cycord.residue import (
     quotient_of,
     rank_mod_p,
     residue_ring,
-    side_multiplication_maps,
+    rref_mod_p,
     skew_poly_ideal_chain,
     trace_form_discriminant,
-    _closure_subspace,
 )
 from cycord.structure import identify_quotient
 
@@ -314,15 +314,190 @@ def test_ideal_elements_honours_limit(q_nilp):
         ideal_elements(q_nilp, [q_nilp.one], limit=15)
 
 
+# -- the incremental reduction and closure: reference for rref_mod_p -----------
+# One vector at a time, as the ideal oracles worked before the stacked kernel.
+
+
+def reference_rref_insert(basis, vec, p):
+    """Reduce vec against the (pivot column, row) basis; insert if independent."""
+    v = vec % p
+    for pivot_col, row in basis:
+        c = v[pivot_col]
+        if c:
+            v = (v - c * row) % p
+    nz = np.nonzero(v)[0]
+    if len(nz) == 0:
+        return False
+    pivot = int(nz[0])
+    v = (v * pow(int(v[pivot]), p - 2, p)) % p
+    for i, (pc, row) in enumerate(basis):
+        c = row[pivot]
+        if c:
+            basis[i] = (pc, (row - c * v) % p)
+    basis.append((pivot, v))
+    basis.sort(key=lambda item: item[0])
+    return True
+
+
+def reference_row_basis(rows, p):
+    basis = []
+    for row in rows:
+        reference_rref_insert(basis, row, p)
+    return basis
+
+
+def reference_side_maps(view):
+    """Left- and right-multiplication matrices by ring generators of a quotient."""
+    Q, T = view.ring, view.tensor()
+    gens = [Q.from_residue(Q.S.basis(i)) for i in range(Q.S.n)]
+    if Q.n > 1:
+        gens.append(Q.z)
+    base = Q.algebra.ext.base
+    if base.kind.name != "RATIONAL":
+        gens.append(Q.one * base.element(0, 1))
+    maps = []
+    for g in gens:
+        gd = np.array(view.digits(g), dtype=np.int64)
+        maps.append(np.einsum("a,abd->db", gd, T) % view.p)
+        maps.append(np.einsum("b,abd->da", gd, T) % view.p)
+    return maps
+
+
+def reference_closure(view, generators, maps):
+    """rref basis of the smallest subspace holding the generators and stable under maps."""
+    basis = []
+    queue = [np.array(view.digits(g), dtype=np.int64) % view.p for g in generators]
+    while queue:
+        v = queue.pop()
+        if reference_rref_insert(basis, v, view.p):
+            queue.extend((m @ v) % view.p for m in maps)
+    return basis
+
+
+def reference_rows(basis, dim):
+    return np.array([row for _, row in basis], dtype=np.int64).reshape(len(basis), dim)
+
+
+def reference_brute_force_ideals(Q):
+    """Per-element closures and pairwise joins, in the order of the original oracle."""
+    view = FpView(Q)
+    maps = reference_side_maps(view)
+    p = view.p
+
+    def signature(basis):
+        return tuple(sorted(tuple(int(x) for x in row) for _, row in basis))
+
+    seen = {}
+    for g in Q.elements():
+        basis = reference_closure(view, [g], maps)
+        seen.setdefault(signature(basis), basis)
+    changed = True
+    while changed:
+        changed = False
+        items = list(seen.values())
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                joined = reference_row_basis([row for _, row in items[i] + items[j]], p)
+                if signature(joined) not in seen:
+                    seen[signature(joined)] = joined
+                    changed = True
+    out = [view.span_encodings(reference_rows(b, view.dim)) for b in seen.values()]
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(p, stack): matrices of one shape, each a product of random factors
+    through an inner dimension up to min(rows, cols), so ranks mix."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    batch = draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+
+    def entries(r, c):
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=np.int64).reshape(r, c)
+
+    mats = []
+    for _ in range(batch):
+        inner = draw(st.integers(0, min(rows, cols)))
+        mats.append(entries(rows, inner) @ entries(inner, cols) % p)
+    return p, np.stack(mats)
+
+
+MIXED_TALL = np.array([np.zeros((6, 3)),  # all zero
+                       [[1, 1, 0]] * 3 + [[0, 0, 0]] * 3,  # rank 1
+                       [[0, 1, 1], [1, 2, 0], [1, 0, 2], [2, 2, 2], [0, 0, 0], [1, 1, 1]],
+                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]] * 2], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@example((3, MIXED_TALL))
+@example((5, np.array([[[0, 2, 4, 1, 3], [0, 4, 3, 2, 1]], [[1, 2, 3, 4, 0], [0, 0, 0, 0, 4]]])))
+@example((7, np.zeros((2, 0, 4), dtype=np.int64)))
+@given(matrix_stacks())
+def test_rref_mod_p_matches_incremental_reference(case):
+    p, stack = case
+    R, rank = rref_mod_p(stack, p)
+    assert R.shape == stack.shape and rank.shape == (len(stack),)
+    for A, Ri, r in zip(stack, R, rank):
+        basis = reference_row_basis(A, p)
+        assert r == len(basis)
+        assert np.array_equal(Ri[:r], reference_rows(basis, A.shape[1]))
+        assert not Ri[r:].any()
+
+
+FIVE_QUOTIENTS = {  # name -> (algebra fixture, ideal generator, power)
+    "golden_1pi": ("golden", (1, 1), 1),
+    "golden_u_1pi_1pi": ("golden_1pi", (1, 1), 1),
+    "golden_1pi_sq": ("golden", (1, 1), 2),
+    "gauss_5": ("gauss", (5, 0), 1),
+    "gauss_u5_5": ("gauss_u5", (5, 0), 1),
+}
+
+
+def five_quotient(request, name):
+    fixture, (a, b), s = FIVE_QUOTIENTS[name]
+    algebra = request.getfixturevalue(fixture)
+    return quotient_of(algebra, IdealSpec(algebra.ext.base.element(a, b), s))
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_QUOTIENTS))
+def test_ideal_oracles_match_reference_closure(request, name):
+    Q = five_quotient(request, name)
+    view = FpView(Q)
+    maps = reference_side_maps(view)
+    assert brute_force_ideals(Q) == reference_brute_force_ideals(Q)
+    elements = list(Q.elements())
+    for g in elements:
+        expected = view.span_encodings(reference_rows(reference_closure(view, [g], maps), view.dim))
+        assert ideal_elements(Q, [g]) == expected
+    rng = random.Random(name)
+    for _ in range(20):
+        gens = rng.sample(elements, rng.randint(2, 3))
+        basis = reference_closure(view, gens, maps)
+        assert ideal_elements(Q, gens) == view.span_encodings(reference_rows(basis, view.dim))
+
+
+@pytest.mark.parametrize("name", ["golden_1pi_sq", "gauss_u5_5"])
+def test_brute_force_ideals_over_many_blocks(request, monkeypatch, name):
+    # blocks of 3 elements and 2 join pairs: partial last blocks on both passes
+    Q = five_quotient(request, name)
+    expected = brute_force_ideals(Q)
+    d = FpView(Q).dim
+    monkeypatch.setattr(residue, "FP_BLOCK_ENTRIES", 3 * d ** 3)
+    assert brute_force_ideals(Q) == expected
+
+
 def principal_ideal_bases(Q):
     """Distinct rref bases of the principal two-sided ideals of a small quotient."""
     view = FpView(Q)
-    maps = side_multiplication_maps(view)
+    maps = reference_side_maps(view)
     bases = {}
     for g in Q.elements():
-        basis = _closure_subspace([np.array(view.digits(g), dtype=np.int64)], maps, view.p)
+        basis = reference_closure(view, [g], maps)
         key = tuple(tuple(int(v) for v in row) for _, row in basis)
-        bases.setdefault(key, (g, basis))
+        bases.setdefault(key, (g, reference_rows(basis, view.dim)))
     return view, list(bases.values())
 
 
@@ -335,16 +510,15 @@ def test_span_encodings_match_object_level(request, gauss, which):
     view, ideals = principal_ideal_bases(Q)
     # every ideal of these rings is principal: 0 < <z> < ring, or 0 < ring
     assert sorted(len(b) for _, b in ideals) == ([0, 2, 4] if which == "q_nilp" else [0, 4])
-    for g, basis in ideals:
-        rows = [row for _, row in basis]
+    for g, rows in ideals:
         expected = set()
         for coeffs in itertools.product(range(view.p), repeat=len(rows)):
             digs = sum((c * row for c, row in zip(coeffs, rows)),
                        np.zeros(view.dim, dtype=np.int64)) % view.p
             expected.add(view.element(digs).encode())
-        assert view.span_encodings(basis) == expected
+        assert view.span_encodings(rows) == expected
         assert ideal_elements(Q, [g]) == expected
-    assert Q.zero.encode() in view.span_encodings([])
+    assert Q.zero.encode() in view.span_encodings(np.zeros((0, view.dim), dtype=np.int64))
 
 
 def test_span_encodings_over_several_blocks(golden):
@@ -358,9 +532,10 @@ def test_span_encodings_beyond_int64(q15):
     # q15 mod 7 has 49**16 > 2**63 elements: encodings stay exact Python ints
     Q = quotient_of(q15, IdealSpec(q15.ext.base.element(7)))
     view = FpView(Q)
-    basis = _closure_subspace([np.array(view.digits(Q.z), dtype=np.int64)], [], view.p)
+    R, rank = rref_mod_p(np.array([[view.digits(Q.z)]], dtype=np.int64), view.p)
+    assert rank[0] == 1
     scalar = q15.ext.base.element
-    assert view.span_encodings(basis) == {(Q.z * scalar(c)).encode() for c in range(7)}
+    assert view.span_encodings(R[0, :1]) == {(Q.z * scalar(c)).encode() for c in range(7)}
     assert ideal_elements(Q, [Q.zero]) == {Q.zero.encode()}
 
 

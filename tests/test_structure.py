@@ -1,6 +1,7 @@
 """Tests for quotient classification, certificates, and ideal lattices."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from cycord.errors import (
 from cycord.extension import IdealSpec
 from cycord.residue import (
     FiniteField,
+    FpView,
     brute_force_ideals,
     factor_prime,
     ideal_elements,
@@ -169,6 +171,69 @@ def test_certificate_relations(golden):
         lhs = cert.forward(Q.z * Q.from_residue(s))
         rhs = cert.forward(Q.from_residue(Q.S.sigma(s))) * cert.z_image
         assert lhs == rhs
+
+
+SHIPPED_CERTIFICATES = {  # name -> (algebra fixture, ideal generator, power)
+    "golden_1pi": ("golden", (1, 1), 1),
+    "golden_1pi_sq": ("golden", (1, 1), 2),
+    "q7_2": ("q7", (2, 0), 1),
+    "q15_1pi": ("q15", (1, 1), 1),
+    "gauss_5": ("gauss", (5, 0), 1),
+}
+
+
+def shipped_certificate(request, name):
+    fixture, (a, b), s = SHIPPED_CERTIFICATES[name]
+    algebra = request.getfixturevalue(fixture)
+    return identify_quotient(algebra, ideal_of(algebra, a, b, s=s)).certificate
+
+
+def forward_one_product_per_z_power(cert, x):
+    """The certificate map as first written: sum_j lambda(s_j) * z_image^j."""
+    zero = cert.source.S.table.zero
+    acc, zj = cert.target.zero, cert.target.one
+    for s in x.zcoords:
+        lam = cert.target.zero
+        for image, code in zip(cert.basis_images, s.codes):
+            if code != zero:
+                lam = lam + image.scale(code)
+        acc = acc + lam * zj
+        zj = zj * cert.z_image
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CERTIFICATES))
+def test_forward_is_the_fp_linear_certificate_map(request, name):
+    cert = shipped_certificate(request, name)
+    Q = cert.source
+    p = FpView(Q).p
+    rng = random.Random(name)
+    for _ in range(100):
+        x, y = Q.random_element(rng), Q.random_element(rng)
+        fx = cert.forward(x)
+        assert fx == forward_one_product_per_z_power(cert, x)
+        assert cert.forward(x + y) == fx + cert.forward(y)
+        c = rng.randrange(p)
+        assert cert.forward(x * c) == fx * c
+
+
+def test_basis_product_check_catches_swapped_basis_images(q7, monkeypatch):
+    # no spot checks and no sampled pairs: only the basis-pair proof is left
+    monkeypatch.setattr(structure, "SPOT_CHECKS", 0)
+    monkeypatch.setattr(structure, "PAIR_SAMPLE", 0)
+    good = identify_quotient(q7, ideal_of(q7, 2)).certificate
+    images = good.basis_images
+    bad = IsoCertificate(source=good.source, target=good.target,
+                         basis_images=(images[0], images[2], images[1]),
+                         z_image=good.z_image)
+    basis = FpView(good.source).basis_elements()
+    lowest = next((x, y) for x, y in itertools.product(basis, repeat=2)
+                  if bad.forward(x * y) != bad.forward(x) * bad.forward(y))
+    with pytest.raises(VerificationFailed, match="basis product check fails") as exc:
+        verify_isomorphism(bad, VerifyMode.SAMPLED, seed=0)
+    assert exc.value.pair == lowest
+    report = verify_isomorphism(good, VerifyMode.SAMPLED, seed=0)
+    assert report.passed and report.pairs_checked == 0
 
 
 def test_corrupted_certificate_fails_with_counterexample(golden):
