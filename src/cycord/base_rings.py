@@ -12,9 +12,10 @@ exactly with integer arithmetic.
 Residue rings O_F/(m) are materialized as lookup tables (`ResidueTable`) so
 that the quotient layers above can run on small-integer indices instead of
 object arithmetic.  This bottom module also holds the package's only copies
-of four generic mechanisms: `RingElement`, the base of every element class;
+of five generic mechanisms: `RingElement`, the base of every element class;
 `power`, the square-and-multiply; `cofactor_det`, the cofactor determinant;
-and `radix_encode`/`radix_decode`, the integer codec of residue coordinates.
+`radix_encode`/`radix_decode`, the integer codec of residue coordinates; and
+`one_hot`, the coordinate tuple of a scalar or basis element.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ def cofactor_det(rows, zero, add=operator.add, mul=operator.mul, neg=operator.ne
     return acc
 
 
+def one_hot(n: int, i: int, value, zero) -> tuple:
+    """The length-n tuple holding `value` at position i and `zero` elsewhere."""
+    return (zero,) * i + (value,) + (zero,) * (n - 1 - i)
+
+
 def radix_encode(digits, base: int) -> int:
     """The integer with base-`base` digits `digits`, least significant first."""
     total = 0
@@ -192,9 +198,10 @@ class RingElement:
     `__neg__` and `__mul__`; subtraction, int and base-ring scalars on the
     left, powers, equality, hashing and the zero test follow from those.
     An operand of another ring raises the class's `error`.  `__bool__`
-    reads a key of coordinates that are falsy exactly when zero.  These
-    methods run in the innermost loops, so rings are compared by identity
-    first, and `key` and `is_zero` are properties over C callables.
+    reads a key of coordinates that are falsy exactly when zero;
+    `residue.CodeElement` supplies all but `_mul` for residue-table codes.
+    These methods run in the innermost loops, so rings are compared by
+    identity first, and `key` and `is_zero` are properties over C callables.
     """
 
     __slots__ = ("ring",)
@@ -376,15 +383,18 @@ def euclidean_divmod(x: BaseElement, m: BaseElement) -> tuple[BaseElement, BaseE
             return (q0 + 1,)
         return (q0, q0 + 1)
 
+    # candidate remainders x - q*m on int pairs; elements only for the winner
+    t0, t1 = ring.delta_square
+    xa, xb, ma, mb = x.a, x.b, m.a, m.b
     best = None
     for qa in roundings(num.a):
-        for qb in roundings(num.b) if ring.kind is not RingKind.RATIONAL else (0,):
-            q = ring.element(qa, qb)
-            r = x - q * m
-            key = (r.a, r.b)
+        for qb in roundings(num.b):  # over Z, num.b = 0 rounds to 0 alone
+            bd = qb * mb
+            key = (xa - qa * ma - t0 * bd, xb - qa * mb - qb * ma - t1 * bd)
             if best is None or key < best[0]:
-                best = (key, q, r)
-    _, q, r = best
+                best = (key, qa, qb)
+    (ra, rb), qa, qb = best
+    q, r = BaseElement(ring, qa, qb), BaseElement(ring, ra, rb)
     if not r.norm() < m.norm():
         raise VerificationFailed(f"{x} mod {m} leaves a remainder {r} of no smaller norm")
     return q, r

@@ -296,16 +296,16 @@ def _load_code_spec(path: str) -> dict:
             raise CycordError(f"code spec field {key!r} must be a JSON object")
     if not isinstance(spec.get("u", ""), str):
         raise CycordError("code spec field 'u' must be a string")
+    if _spec_int(spec.get("outer", {}), "length", 3) < 2:
+        raise CycordError("code spec field 'length' must be at least 2")
     return spec
 
 
 def _spec_int(section: dict, key: str, default=None) -> int:
     value = section.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CycordError(
-            f"code spec field {key!r} must be an integer, got {value!r}") from None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CycordError(f"code spec field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _spec_parts(spec: dict):

@@ -32,7 +32,7 @@ from .errors import (
     WrongCase,
 )
 from .extension import IdealSpec
-from .order import AlgebraSpec, OrderElement, box_values
+from .order import AlgebraSpec, OrderElement, box_digits, box_values
 from .residue import (
     FiniteField,
     GcaElement,
@@ -604,8 +604,8 @@ class _BoxTable:
 
     Enumerating least significant coordinate first puts the scalar 1
     immediately after 0, so ties in a strict-improvement search resolve
-    to the simplest witness.  Row i has digit index (i // d^m) % d at
-    varying coordinate m, where d = len(values).
+    to the simplest witness.  The rows are those of `box_digits`, over
+    the varying coordinates.
 
     The matrix embedding is Z-linear, M(x) = sum_k x_k E_k, so the numeric
     matrices come from one product with the unit-coordinate matrices E_k;
@@ -629,9 +629,8 @@ class _BoxTable:
         if count > AXIS_LIMIT:
             raise TooLargeToEnumerate(
                 f"{count} axis elements exceed the limit {AXIS_LIMIT}")
-        idx = np.arange(count, dtype=np.int64)[:, None]
         # coordinate values at the varying positions, one row per element
-        self.digits = self.values[(idx // d ** np.arange(p)) % d]
+        self.digits = box_digits(bound, p)
         n = algebra.n
         E = np.array([self._element(u).matrix().numeric()
                       for u in np.eye(p, dtype=np.int64)], dtype=complex)

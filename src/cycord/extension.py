@@ -28,6 +28,7 @@ from .base_rings import (
     RingElement,
     divides,
     is_prime_element,
+    one_hot,
     ring_by_name,
 )
 from .errors import IncompatibleRings
@@ -117,8 +118,7 @@ class ExtensionSpec:
         return self.element(coords)
 
     def from_base(self, c: BaseElement) -> "OKElement":
-        coords = [c] + [self.base.zero] * (self.n - 1)
-        return self.element(coords)
+        return self.element(one_hot(self.n, 0, c, self.base.zero))
 
     @property
     def zero(self) -> "OKElement":
@@ -129,9 +129,7 @@ class ExtensionSpec:
         return self.from_base(self.base.one)
 
     def basis_element(self, i: int) -> "OKElement":
-        coords = [self.base.zero] * self.n
-        coords[i] = self.base.one
-        return self.element(coords)
+        return self.element(one_hot(self.n, i, self.base.one, self.base.zero))
 
     # -- arithmetic -----------------------------------------------------------
 

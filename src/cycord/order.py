@@ -27,7 +27,9 @@ import json
 from importlib import resources
 from operator import attrgetter
 
-from .base_rings import BaseElement, RingElement, cofactor_det
+import numpy as np
+
+from .base_rings import BaseElement, RingElement, cofactor_det, one_hot
 from .errors import IncompatibleAlgebras, NotInBaseRing
 from .extension import ExtensionSpec, OKElement, extension_from_dict
 
@@ -56,7 +58,7 @@ class TwistedRing:
         return self.coeffs.n
 
     def _scalar(self, c):
-        return self.element([c] + [self.coeffs.zero] * (self.n - 1))
+        return self.element(one_hot(self.n, 0, c, self.coeffs.zero))
 
     @property
     def zero(self):
@@ -70,29 +72,25 @@ class TwistedRing:
     def z(self):
         if self.n == 1:
             return self._scalar(self.ubar)
-        coords = [self.coeffs.zero] * self.n
-        coords[1] = self.coeffs.one
-        return self.element(coords)
+        return self.element(one_hot(self.n, 1, self.coeffs.one, self.coeffs.zero))
 
     def mul(self, x, y):
-        n = self.n
-        C = self.coeffs
-        out = [C.zero] * n
-        for i in range(n):
-            xi = x.zcoords[i]
-            if xi.is_zero:
+        """x*y, each z-power's (x_i, sigma^i(y_j)) pairs summed by one `coeffs.dot`;
+        a wrapped pair (i + j >= n) has its second factor multiplied by ubar."""
+        n, C = self.n, self.coeffs
+        pairs = [[] for _ in range(n)]
+        ys = [(j, yj) for j, yj in enumerate(y.zcoords) if yj]
+        for i, xi in enumerate(x.zcoords):
+            if not xi:
                 continue
-            for j in range(n):
-                yj = y.zcoords[j]
-                if yj.is_zero:
-                    continue
-                term = C.mul(xi, C.sigma(yj, i))
+            for j, yj in ys:
+                term = C.sigma(yj, i)
                 k = i + j
                 if k >= n:
                     k -= n
                     term = C.mul(term, self.ubar)
-                out[k] = out[k] + term
-        return type(x)(self, tuple(out))
+                pairs[k].append((xi, term))
+        return type(x)(self, tuple(C.dot(p) for p in pairs))
 
 
 class TwistedElement(RingElement):
@@ -416,17 +414,24 @@ def box_values(bound: int) -> list[int]:
     return out
 
 
+def box_digits(bound: int, count: int) -> np.ndarray:
+    """Every point of [-bound, bound]^count as int64 rows, coordinate 0 fastest:
+    row i holds `box_values(bound)[(i // d^m) % d]` at coordinate m."""
+    values = np.array(box_values(bound), dtype=np.int64)
+    d = len(values)
+    idx = np.arange(d ** count, dtype=np.int64)[:, None]
+    return values[(idx // d ** np.arange(count)) % d]
+
+
 def box_elements(algebra: AlgebraSpec, bound: int) -> list[OrderElement]:
     """All order elements whose integer coordinates lie in [-bound, bound].
 
     The list is ordered lexicographically over the flattened coordinates with
     digit order 0, 1, -1, ...: the zero element comes first and elements with
-    later or fewer nonzero digits come earlier.
+    later or fewer nonzero digits come earlier: the `box_digits` rows with
+    the columns reversed, as `from_draws` coordinates.
     """
     rational = algebra.ext.base.kind.name == "RATIONAL"
     slots = algebra.n * algebra.ext.n * (1 if rational else 2)
-    out = []
-    for combo in itertools.product(box_values(bound), repeat=slots):
-        flat = [v for a in combo for v in (a, 0)] if rational else combo
-        out.append(algebra.from_flat_ints(flat))
-    return out
+    rows = box_digits(bound, slots)[:, ::-1].tolist()
+    return [algebra.from_draws(iter(row).__next__) for row in rows]

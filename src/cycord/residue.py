@@ -24,8 +24,9 @@ This layer turns the exact objects of `order` into finite rings:
   `rref_mod_p`, reduces whole stacks of matrices at once; it backs the
   ideal spans and the rank, kernel and inverse helpers.
 
-Elements encode to integers (mixed-radix over table indices), so sets of ring
-elements are cheap and deterministic.
+Elements of S, like the matrices of `structure`, are `CodeElement`s: tuples of
+residue-table codes, which encode to integers (mixed-radix over the codes), so
+sets of ring elements are cheap and deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .base_rings import (
     cofactor_det,
     divides,
     invert_mod,
+    one_hot,
     power,
     quotient_ring,
     radix_decode,
@@ -176,34 +178,29 @@ class ResidueRing:
         return self.basis(0)
 
     def basis(self, i: int) -> "ResidueElement":
-        codes = [self.table.zero] * self.n
-        codes[i] = self.table.one
-        return ResidueElement(self, tuple(codes))
+        return ResidueElement(self, one_hot(self.n, i, self.table.one, self.table.zero))
 
     # -- arithmetic -------------------------------------------------------------
 
     def mul(self, x: "ResidueElement", y: "ResidueElement") -> "ResidueElement":
-        t = self.table
-        tm, ta = t.mul, t.add
-        n = self.n
-        out = [t.zero] * n
-        for i in range(n):
-            xi = x.codes[i]
-            if xi == t.zero:
-                continue
-            row = self.mult[i]
-            for j in range(n):
-                yj = y.codes[j]
-                if yj == t.zero:
+        return self.dot(((x, y),))
+
+    def dot(self, pairs) -> "ResidueElement":
+        """Sum of x*y over the (x, y) pairs, accumulated in table codes."""
+        tm, ta, zero = self.table.mul, self.table.add, self.table.zero
+        out = [zero] * self.n
+        for x, y in pairs:
+            ys = [(j, yj) for j, yj in enumerate(y.codes) if yj != zero]
+            for row, xi in zip(self.mult, x.codes):
+                if xi == zero:
                     continue
-                scale = tm[xi][yj]
-                if scale == t.zero:
-                    continue
-                cell = row[j]
-                for r in range(n):
-                    c = cell[r]
-                    if c != t.zero:
-                        out[r] = ta[out[r]][tm[scale][c]]
+                for j, yj in ys:
+                    scale = tm[xi][yj]
+                    if scale == zero:
+                        continue
+                    for r, c in enumerate(row[j]):
+                        if c != zero:
+                            out[r] = ta[out[r]][tm[scale][c]]
         return ResidueElement(self, tuple(out))
 
     def sigma(self, x: "ResidueElement", power: int = 1) -> "ResidueElement":
@@ -236,12 +233,14 @@ class ResidueRing:
         return ResidueElement(self, tuple(radix_decode(code, self.table.size, self.n)))
 
 
-class ResidueElement(RingElement):
-    """Element of O_K/mO_K: a tuple of residue-table indices."""
+class CodeElement(RingElement):
+    """Element stored as a flat tuple of codes of its ring's residue `table`.
+
+    Everything but `_mul`, the product of two elements, acts code by code."""
 
     __slots__ = ("codes",)
 
-    def __init__(self, ring: ResidueRing, codes):
+    def __init__(self, ring, codes):
         self.ring = ring
         self.codes = codes
 
@@ -250,27 +249,40 @@ class ResidueElement(RingElement):
     def __add__(self, other):
         self._check(other)
         add = self.ring.table.add
-        return ResidueElement(
-            self.ring, tuple(add[a][b] for a, b in zip(self.codes, other.codes))
-        )
+        return type(self)(self.ring, tuple(add[a][b] for a, b in zip(self.codes, other.codes)))
 
     def __neg__(self):
         neg = self.ring.table.neg
-        return ResidueElement(self.ring, tuple(neg[a] for a in self.codes))
+        return type(self)(self.ring, tuple(neg[a] for a in self.codes))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = self.ring.ext.base.element(other)
+            other = self.ring.table.ring.base.element(other)
         if isinstance(other, BaseElement):
-            code = self.ring.table.encode(other)
-            mul = self.ring.table.mul
-            return ResidueElement(self.ring, tuple(mul[a][code] for a in self.codes))
+            return self.scale(self.ring.table.encode(other))
         self._check(other)
-        return self.ring.mul(self, other)
+        return self._mul(other)
 
-    def __bool__(self):
+    def __bool__(self):  # the table's zero code need not be 0
         zero = self.ring.table.zero
         return any(c != zero for c in self.codes)
+
+    def scale(self, code: int):
+        """Code-by-code multiplication by a residue-table scalar."""
+        mul = self.ring.table.mul[code]
+        return type(self)(self.ring, tuple(mul[a] for a in self.codes))
+
+    def encode(self) -> int:
+        return radix_encode(self.codes, self.ring.table.size)
+
+
+class ResidueElement(CodeElement):
+    """Element of O_K/mO_K: the table codes of its power-basis coordinates."""
+
+    __slots__ = ()
+
+    def _mul(self, other):
+        return self.ring.mul(self, other)
 
     def sigma(self, power: int = 1) -> "ResidueElement":
         return self.ring.sigma(self, power)
@@ -278,9 +290,6 @@ class ResidueElement(RingElement):
     def lift(self) -> OKElement:
         dec = self.ring.table.decode
         return self.ring.ext.element([dec(c) for c in self.codes])
-
-    def encode(self) -> int:
-        return radix_encode(self.codes, self.ring.table.size)
 
     def __str__(self):
         return str(self.lift())
@@ -716,12 +725,7 @@ class FpView:
         return rows
 
     def basis_elements(self) -> list:
-        out = []
-        for a in range(self.dim):
-            digs = [0] * self.dim
-            digs[a] = 1
-            out.append(self.element(digs))
-        return out
+        return [self.element(one_hot(self.dim, a, 1, 0)) for a in range(self.dim)]
 
     @property
     def block_rows(self) -> int:

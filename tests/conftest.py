@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from cycord.base_rings import cofactor_det
+from cycord.base_rings import RingKind, cofactor_det
 from cycord.order import SHIPPED_ALGEBRAS, load_algebra
 
 
@@ -95,8 +95,56 @@ def _ref_reduced_det(algebra, x):
                         neg=lambda x: tuple(-a for a in x))
 
 
+def _ref_divmod(x, m):
+    """euclidean_divmod with every candidate remainder x - q*m taken on objects."""
+    ring = x.ring
+    num = x * m.conjugate()
+    den = m.norm()
+
+    def roundings(p):
+        q0, rem = divmod(p, den)
+        if 2 * rem < den:
+            return (q0,)
+        if 2 * rem > den:
+            return (q0 + 1,)
+        return (q0, q0 + 1)
+
+    best = None
+    for qa in roundings(num.a):
+        for qb in roundings(num.b) if ring.kind is not RingKind.RATIONAL else (0,):
+            q = ring.element(qa, qb)
+            r = x - q * m
+            key = (r.a, r.b)
+            if best is None or key < best[0]:
+                best = (key, q, r)
+    return best[1], best[2]
+
+
+def _ref_twisted_mul(ring, x, y):
+    """A `TwistedRing` product term by term, summed with the coefficients' `+`."""
+    n, C = ring.n, ring.coeffs
+    out = [C.zero] * n
+    for i in range(n):
+        xi = x.zcoords[i]
+        if xi.is_zero:
+            continue
+        for j in range(n):
+            yj = y.zcoords[j]
+            if yj.is_zero:
+                continue
+            term = C.mul(xi, C.sigma(yj, i))
+            k = i + j
+            if k >= n:
+                k -= n
+                term = C.mul(term, ring.ubar)
+            out[k] = out[k] + term
+    return type(x)(ring, tuple(out))
+
+
 @pytest.fixture(scope="session")
 def objloop():
-    """O_K arithmetic by BaseElement object loops, on coordinate tuples."""
+    """O_K arithmetic by BaseElement object loops, on coordinate tuples, and
+    object-level references for the base-ring divmod and twisted products."""
     return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
-                                 matmul=_ref_matmul, reduced_det=_ref_reduced_det)
+                                 matmul=_ref_matmul, reduced_det=_ref_reduced_det,
+                                 divmod=_ref_divmod, twisted_mul=_ref_twisted_mul)

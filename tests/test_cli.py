@@ -344,6 +344,11 @@ MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
         {"algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i"},
          "outer": {"kind": "ReedSolomon", "length": 4, "p": 2, "m": 2,
                    "dimension": 2}})),
+    **{f"{command}_length_{name}": (args, json.dumps(
+        {**ZCODE, "outer": {"kind": "ParityOverRing", "length": length}}))
+       for command, args in (("encode", ["encode", "--message", '["1,0"]']),
+                             ("deltamin", ["deltamin"]))
+       for name, length in (("one", 1), ("float", 1.5), ("bool", True))},
     "lemma_n_zero": (["check-lemma", "--n", "0"], None),
     "lemma_k_zero": (["check-lemma", "--k", "0"], None),
     "lemma_trials_negative": (["check-lemma", "--trials", "-3"], None),

@@ -18,6 +18,8 @@ from cycord.order import (
     box_values,
     load_algebra,
 )
+from cycord.residue import CodeElement, ResidueElement
+from cycord.structure import MatElement
 
 coords = st.integers(min_value=-4, max_value=4)
 
@@ -237,6 +239,22 @@ def test_matrix_product_and_det_match_object_loop(shipped, objloop, name, data):
     assert x.reduced_det() == det[0]
 
 
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_order_product_matches_term_by_term(shipped, objloop, name, data):
+    algebra = shipped[name]
+
+    def draw():
+        # zero z-coordinates take the product's skip paths
+        x = data.draw(drawn_elements(algebra))
+        drop = data.draw(st.lists(st.booleans(), min_size=algebra.n, max_size=algebra.n))
+        return algebra.element(algebra.ext.zero if d else c for d, c in zip(drop, x.zcoords))
+
+    x, y = draw(), draw()
+    assert x * y == objloop.twisted_mul(algebra, x, y)
+
+
 def test_matrix_product_across_specs(golden, q7):
     M = golden.z.matrix()
     same = load_algebra("golden_u_i").z.matrix()
@@ -296,9 +314,9 @@ def test_ring_element_laws(golden, q7, name):
 ALLOWED_OVERRIDES = {
     ("FFElement", "__pow__"),  # negative exponents invert
     ("TwistedElement", "__rmul__"),  # coefficient-ring scalars on the left
-    ("ResidueElement", "__bool__"),  # the table's zero code need not be 0
-    ("MatElement", "__bool__"),
+    ("CodeElement", "__bool__"),  # the table's zero code need not be 0
 }
+CODE_TUPLE_METHODS = {"key", "__add__", "__neg__", "__bool__", "encode", "scale"}
 SHARED = {"_check", "__eq__", "__hash__", "__sub__", "__rmul__", "__pow__",
           "__bool__", "is_zero"}
 
@@ -312,8 +330,12 @@ def test_element_classes_share_ring_element():
     }
     assert {cls.__name__ for cls in classes} == {
         "RingElement", "BaseElement", "OKElement", "TwistedElement", "OrderElement",
-        "GcaElement", "ResidueElement", "MatElement", "FFElement"}
+        "GcaElement", "ResidueElement", "MatElement", "FFElement", "CodeElement"}
     for cls in classes - {RingElement}:
         assert issubclass(cls, RingElement), cls
         own = {(cls.__name__, name) for name in SHARED & set(vars(cls))}
         assert own <= ALLOWED_OVERRIDES, own
+    # the code-tuple classes share one copy of the code-tuple methods
+    for cls in (ResidueElement, MatElement):
+        assert cls.__bases__ == (CodeElement,), cls
+        assert not CODE_TUPLE_METHODS & set(vars(cls)), cls

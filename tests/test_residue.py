@@ -127,6 +127,43 @@ def test_quotient_reduction_is_ring_hom(golden, q_gold, data):
     assert r(golden.z) == q_gold.z
 
 
+@pytest.fixture(scope="module")
+def product_quotients(golden, gauss, q7):
+    return {name: quotient_of(algebra, IdealSpec(algebra.ext.base.element(*alpha)))
+            for name, algebra, alpha in (("golden_1pi", golden, (1, 1)),
+                                         ("gauss_5", gauss, (5, 0)),
+                                         ("q7_2", q7, (2, 0)))}
+
+
+def residue_elements(S):
+    """Elements of S, the zero element (whose codes need not be 0) among them."""
+    codes = st.lists(st.integers(0, S.table.size - 1), min_size=S.n, max_size=S.n)
+    return st.one_of(st.just(S.zero), codes.map(S.element))
+
+
+@pytest.mark.parametrize("name", ["golden_1pi", "gauss_5", "q7_2"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_quotient_product_matches_term_by_term(product_quotients, objloop, name, data):
+    Q = product_quotients[name]
+    coords = st.lists(residue_elements(Q.S), min_size=Q.n, max_size=Q.n)
+    x, y = data.draw(coords.map(Q.element)), data.draw(coords.map(Q.element))
+    assert x * y == objloop.twisted_mul(Q, x, y)
+
+
+@pytest.mark.parametrize("name", ["golden_1pi", "gauss_5", "q7_2"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_residue_dot_is_sum_of_products(product_quotients, name, data):
+    S = product_quotients[name].S
+    pairs = data.draw(st.lists(st.tuples(residue_elements(S), residue_elements(S)),
+                               max_size=4))
+    expect = S.zero
+    for x, y in pairs:
+        expect = expect + S.mul(x, y)
+    assert S.dot(pairs) == expect
+
+
 def test_quotient_canonical_section(q_gold):
     for q in q_gold.elements():
         lifted = q_gold.lift(q)
