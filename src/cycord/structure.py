@@ -793,12 +793,13 @@ def verify_isomorphism(
         X = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
         Y = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
     def check_products(X, Y, what):
-        # in index order, so the first failing block holds the lowest failing pair
+        # in index order, so the first failing block holds the lowest failing pair;
+        # only a block's mismatch mask outlives it, which lowers the peak memory
         for lo in range(0, X.shape[0], ROW_BLOCK):
             Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
             lhs = (sview.mul_digits(Xb, Yb) @ Phi.T) % p
-            rhs = tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
-            bad = np.nonzero((lhs != rhs).any(axis=1))[0]
+            differs = lhs != tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
+            bad = np.nonzero(differs.any(axis=1))[0]
             if bad.size:
                 x = sview.element(Xb[bad[0]])
                 y = sview.element(Yb[bad[0]])
