@@ -93,7 +93,7 @@ def test_divmod_matches_object_reference(objloop, ring, data):
     m = data.draw(elements(ring).filter(lambda e: not e.is_zero))
     x = data.draw(elements(ring))
     if data.draw(st.booleans()):
-        # m = 2*half and x = x*m + half*h: x/m = x + h/2 ties in each coordinate of h
+        # m' = 2m and x' = x m' + m h, so x'/m' = x + h/2: a tie in each coordinate of h
         h = data.draw(st.sampled_from([(1, 0)] if ring is RATIONAL else [(1, 0), (0, 1), (1, 1)]))
         m, x = m * 2, x * m * 2 + m * ring.element(*h)
     assert euclidean_divmod(x, m) == objloop.divmod(x, m)
