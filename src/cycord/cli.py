@@ -10,6 +10,7 @@ import random
 import re
 import sys
 
+from .base_rings import one_hot
 from .coding import (
     FirstCoefficientCode,
     LiftStrategy,
@@ -298,7 +299,15 @@ def _load_code_spec(path: str) -> dict:
         raise CycordError("code spec field 'u' must be a string")
     if _spec_int(spec.get("outer", {}), "length", 3) < 2:
         raise CycordError("code spec field 'length' must be at least 2")
+    if "seed" in spec:
+        _check_seed(spec["seed"], "code spec field 'seed'")
     return spec
+
+
+def _check_seed(value, what: str) -> None:
+    """A seed is a non-negative integer, as numpy's generators require."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise CycordError(f"{what} must be a non-negative integer, got {value!r}")
 
 
 def _spec_int(section: dict, key: str, default=None) -> int:
@@ -371,7 +380,7 @@ def _cmd_encode(args):
         raise CycordError(str(exc)) from exc
     lifted = lift_codeword(
         word, strategy, algebra=algebra,
-        seed=_spec_int(spec, "seed", args.seed),
+        seed=spec.get("seed", args.seed),
         box_bound=_spec_int(spec, "box_bound", 1))
     payload["lift_strategy"] = strategy.value
     payload["components"] = [
@@ -394,7 +403,7 @@ def _decode_symbol(code, algebra, m):
     """
     if isinstance(code, ReedSolomonCode):
         try:
-            return code.field.element(int(m))
+            return code.ring.element(int(m))
         except (TypeError, ValueError) as exc:
             raise CycordError(f"bad field symbol {m!r}: {exc}") from exc
     if not isinstance(m, str):
@@ -523,7 +532,7 @@ def _suite_unipotent_inverse(rng) -> int:
     for algebra, ideal in cases:
         Q = quotient_of(algebra, ideal)
         for c in Q.S.elements(Q.S.size):
-            x = Q.one + Q.element([Q.S.zero] * 1 + [c] + [Q.S.zero] * (Q.n - 2))
+            x = Q.one + Q.element(one_hot(Q.n, 1, c, Q.S.zero))
             inv = invert_unipotent(Q, x)
             if x * inv != Q.one or inv * x != Q.one:
                 raise SelfTestFailed(f"{inv} is not a two-sided inverse of {x}")
@@ -657,6 +666,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seed(args.seed, "--seed")
         code, payload, lines = args.func(args)
     except (CycordError, FileNotFoundError) as exc:
         if args.output == "json":

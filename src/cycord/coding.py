@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_rings import BaseElement, divides
+from .base_rings import divides
 from .errors import (
     BadMessageLength,
     EmptyCode,
@@ -247,7 +247,21 @@ def _alphabet(ring):
     raise TypeError(f"unsupported symbol ring {type(ring).__name__}")
 
 
-class ParityCode:
+class _MessageCode:
+    """A code whose codewords are the encodings of all messages over `ring`."""
+
+    def codewords(self, limit: int = CODE_ENUM_LIMIT):
+        size, elems = _alphabet(self.ring)
+        total = size ** self.message_length
+        if total > limit:
+            raise TooLargeToEnumerate(
+                f"{total} codewords exceed the enumeration limit {limit}")
+        pool = list(elems())
+        for msg in itertools.product(pool, repeat=self.message_length):
+            yield self.encode(msg)
+
+
+class ParityCode(_MessageCode):
     """Length-L code whose last symbol is the sum of the first L - 1."""
 
     kind = "ParityOverRing"
@@ -272,16 +286,6 @@ class ParityCode:
             total = total + s
         return tuple(message) + (total,)
 
-    def codewords(self, limit: int = CODE_ENUM_LIMIT):
-        size, elems = _alphabet(self.ring)
-        total = size ** (self.length - 1)
-        if total > limit:
-            raise TooLargeToEnumerate(
-                f"{total} codewords exceed the enumeration limit {limit}")
-        pool = list(elems())
-        for msg in itertools.product(pool, repeat=self.length - 1):
-            yield self.encode(msg)
-
     def hamming_distance(self) -> int:
         """2, without enumeration.
 
@@ -292,8 +296,8 @@ class ParityCode:
         return 2
 
 
-class ReedSolomonCode:
-    """Evaluation code over a finite field at the points 0, 1, g, g^2, ...
+class ReedSolomonCode(_MessageCode):
+    """Evaluation code over a finite field `ring` at the points 0, 1, g, g^2, ...
 
     Messages are polynomial coefficients in increasing degree; codewords
     are the evaluations at the first `length` points of the sequence.
@@ -307,7 +311,7 @@ class ReedSolomonCode:
         if length > ff.size:
             raise ValueError(
                 f"length {length} exceeds the field size {ff.size}")
-        self.field = ff
+        self.ring = ff
         self.length = length
         self.dimension = dimension
         pts = [ff.zero]
@@ -328,20 +332,11 @@ class ReedSolomonCode:
                 f"expected {self.dimension} coefficients, got {len(message)}")
         out = []
         for p in self.points:
-            val = self.field.zero
+            val = self.ring.zero
             for c in reversed(message):
                 val = val * p + c
             out.append(val)
         return tuple(out)
-
-    def codewords(self, limit: int = CODE_ENUM_LIMIT):
-        total = self.field.size ** self.dimension
-        if total > limit:
-            raise TooLargeToEnumerate(
-                f"{total} codewords exceed the enumeration limit {limit}")
-        pool = list(self.field.elements())
-        for msg in itertools.product(pool, repeat=self.dimension):
-            yield self.encode(msg)
 
     def hamming_distance(self) -> int:
         # L - k + 1: evaluation codes at distinct points are MDS
@@ -387,8 +382,7 @@ class FirstCoefficientCode:
     def codewords(self, limit: int = CODE_ENUM_LIMIT):
         n = self.quotient.n
         free_size = self.quotient.S.size ** ((n - 1) * self.length)
-        size, _elems = _alphabet(self.inner.ring if hasattr(self.inner, "ring")
-                                 else self.inner.field)
+        size, _elems = _alphabet(self.inner.ring)
         inner_total = size ** self.inner.message_length
         if inner_total * free_size > limit:
             raise TooLargeToEnumerate(
@@ -604,8 +598,9 @@ class _BoxTable:
 
     Enumerating least significant coordinate first puts the scalar 1
     immediately after 0, so ties in a strict-improvement search resolve
-    to the simplest witness.  The rows are those of `box_digits`, over
-    the varying coordinates.
+    to the simplest witness.  The rows are those of `box_digits`, over the
+    algebra's `int_positions` of the slots, and `from_positions` builds
+    their elements.
 
     The matrix embedding is Z-linear, M(x) = sum_k x_k E_k, so the numeric
     matrices come from one product with the unit-coordinate matrices E_k;
@@ -613,16 +608,9 @@ class _BoxTable:
     """
 
     def __init__(self, algebra: AlgebraSpec, bound: int, z_slots=None):
-        ext = algebra.ext
         self.algebra = algebra
         self.bound = bound
-        width = 1 if ext.base.kind.name == "RATIONAL" else 2
-        if z_slots is None:
-            z_slots = list(range(algebra.n))
-        # positions into the flat_ints layout (z-power, basis, a, b)
-        self.positions = [(zp * ext.n + bi) * 2 + w
-                          for zp in z_slots for bi in range(ext.n)
-                          for w in range(width)]
+        self.positions = algebra.int_positions(z_slots)
         self.values = np.array(box_values(bound), dtype=np.int64)
         d, p = len(self.values), len(self.positions)
         count = d ** p
@@ -632,20 +620,14 @@ class _BoxTable:
         # coordinate values at the varying positions, one row per element
         self.digits = box_digits(bound, p)
         n = algebra.n
-        E = np.array([self._element(u).matrix().numeric()
-                      for u in np.eye(p, dtype=np.int64)], dtype=complex)
+        E = np.array([algebra.from_positions(self.positions, u).matrix().numeric()
+                      for u in np.eye(p, dtype=np.int64).tolist()], dtype=complex)
         mats = (self.digits @ E.reshape(p, n * n)).reshape(count, n, n)
         self.mats = mats
         self.hmats = np.einsum("rij,rkj->rik", mats, mats.conj())
 
-    def _element(self, digits) -> OrderElement:
-        flat = [0] * (2 * self.algebra.n * self.algebra.ext.n)
-        for pos, v in zip(self.positions, digits.tolist()):
-            flat[pos] = v
-        return self.algebra.from_flat_ints(flat)
-
     def element(self, i: int) -> OrderElement:
-        return self._element(self.digits[i])
+        return self.algebra.from_positions(self.positions, self.digits[i].tolist())
 
     def __len__(self):
         return len(self.digits)

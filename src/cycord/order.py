@@ -141,7 +141,7 @@ class TwistedElement(RingElement):
 class AlgebraSpec(TwistedRing):
     """A cyclic algebra (K/F, sigma, u) restricted to its natural order."""
 
-    __slots__ = ("ext", "u", "claims_division", "name", "notes")
+    __slots__ = ("ext", "u", "claims_division", "name", "notes", "_positions")
 
     def __init__(
         self,
@@ -161,6 +161,7 @@ class AlgebraSpec(TwistedRing):
         self.claims_division = claims_division
         self.name = name or ext.name
         self.notes = notes
+        self._positions = self.int_positions()  # read by every `from_draws`
 
     def __eq__(self, other):
         return self is other or (
@@ -197,16 +198,26 @@ class AlgebraSpec(TwistedRing):
                          for a, b in itertools.islice(pairs, ext.n)])
             for _ in range(self.n)])
 
-    def from_draws(self, draw) -> "OrderElement":
-        """Element whose integer coordinates are successive `draw()` values.
+    def int_positions(self, z_slots=None) -> list[int]:
+        """Indices into `flat_ints` of the integer coordinates of the given
+        z-slots (all by default): (z-power, basis, a, b) order, no b over Z."""
+        m = self.ext.n
+        width = 1 if self.ext.base.kind.name == "RATIONAL" else 2
+        slots = range(self.n) if z_slots is None else z_slots
+        return [(zp * m + bi) * 2 + w
+                for zp in slots for bi in range(m) for w in range(width)]
 
-        Coordinates are drawn in `flat_ints` order, a before b, with no b
-        draw over Z.
-        """
-        rational = self.ext.base.kind.name == "RATIONAL"
-        return self.from_flat_ints([
-            v for _ in range(self.n * self.ext.n)
-            for v in (draw(), 0 if rational else draw())])
+    def from_positions(self, positions, values) -> "OrderElement":
+        """Element with `values` at the `flat_ints` `positions`, 0 elsewhere."""
+        flat = [0] * (2 * self.n * self.ext.n)
+        for pos, v in zip(positions, values):
+            flat[pos] = v
+        return self.from_flat_ints(flat)
+
+    def from_draws(self, draw) -> "OrderElement":
+        """Element whose integer coordinates are successive `draw()` values,
+        in `int_positions` order."""
+        return self.from_positions(self._positions, [draw() for _ in self._positions])
 
     # -- matrix embedding -------------------------------------------------------
 
@@ -276,13 +287,10 @@ def _poly_add(p, q):
 
 
 def _poly_mul(ext, p, q):
-    out = [ext.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
+    """Product of polynomials over O_K, each coefficient one `ext.dot`."""
+    return [ext.dot((p[i], q[k - i])
+                    for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1))
+            for k in range(len(p) + len(q) - 1)]
 
 
 class OrderMatrix:
@@ -331,12 +339,9 @@ class OrderMatrix:
     def det(self) -> OKElement:
         return cofactor_det(self.entries, self.ext.zero)
 
-    def numeric(self, embeddings_offset: int = 0) -> list[list[complex]]:
-        """Entrywise image under the fixed embedding (index 0 by default)."""
-        return [
-            [e.embed(embeddings_offset) for e in row]
-            for row in self.entries
-        ]
+    def numeric(self) -> list[list[complex]]:
+        """Entrywise image under the fixed embedding."""
+        return [[e.embed() for e in row] for row in self.entries]
 
     def __str__(self):
         return "[" + "; ".join(
@@ -414,24 +419,30 @@ def box_values(bound: int) -> list[int]:
     return out
 
 
+def digit_rows(base: int, count: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The base-`base` digits of lo, ..., hi - 1 (default base**count - 1),
+    one int64 row each, lowest digit in column 0: `radix_decode` row by row."""
+    idx = np.arange(lo, base ** count if hi is None else hi, dtype=np.int64)
+    rows = idx[:, None] // base ** np.arange(count, dtype=np.int64)
+    rows %= base  # in place: a second rows-sized temporary would raise peak RSS
+    return rows
+
+
 def box_digits(bound: int, count: int) -> np.ndarray:
     """Every point of [-bound, bound]^count as int64 rows, coordinate 0 fastest:
     row i holds `box_values(bound)[(i // d^m) % d]` at coordinate m."""
     values = np.array(box_values(bound), dtype=np.int64)
-    d = len(values)
-    idx = np.arange(d ** count, dtype=np.int64)[:, None]
-    return values[(idx // d ** np.arange(count)) % d]
+    return values[digit_rows(len(values), count)]
 
 
 def box_elements(algebra: AlgebraSpec, bound: int) -> list[OrderElement]:
     """All order elements whose integer coordinates lie in [-bound, bound].
 
-    The list is ordered lexicographically over the flattened coordinates with
-    digit order 0, 1, -1, ...: the zero element comes first and elements with
-    later or fewer nonzero digits come earlier: the `box_digits` rows with
-    the columns reversed, as `from_draws` coordinates.
+    The list is ordered lexicographically over the `int_positions`
+    coordinates with digit order 0, 1, -1, ...: the zero element comes first
+    and elements with later or fewer nonzero digits come earlier: the
+    `box_digits` rows with the columns reversed, placed by `from_positions`.
     """
-    rational = algebra.ext.base.kind.name == "RATIONAL"
-    slots = algebra.n * algebra.ext.n * (1 if rational else 2)
-    rows = box_digits(bound, slots)[:, ::-1].tolist()
-    return [algebra.from_draws(iter(row).__next__) for row in rows]
+    positions = algebra.int_positions()
+    rows = box_digits(bound, len(positions))[:, ::-1].tolist()
+    return [algebra.from_positions(positions, row) for row in rows]

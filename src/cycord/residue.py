@@ -20,9 +20,11 @@ This layer turns the exact objects of `order` into finite rings:
 * `FpView` linearizes a finite ring of prime characteristic over F_p, and
   serves quotient rings and the matrix rings of `structure` alike.  Its bulk
   kernels (products of digit batches, the encodings of a subspace) work on
-  integer arrays in bounded row blocks.  One mod-p row reduction,
-  `rref_mod_p`, reduces whole stacks of matrices at once; it backs the
-  ideal spans and the rank, kernel and inverse helpers.
+  integer arrays in bounded row blocks; every base-p digit row comes from
+  `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
+  stacks of matrices at once; it backs the ideal spans (`ideal_elements`,
+  which also gives the `skew_poly_ideal_chain` sets) and the rank, kernel
+  and inverse helpers.
 
 Elements of S, like the matrices of `structure`, are `CodeElement`s: tuples of
 residue-table codes, which encode to integers (mixed-radix over the codes), so
@@ -63,7 +65,7 @@ from .errors import (
     WrongCase,
 )
 from .extension import ExtensionSpec, IdealSpec, OKElement
-from .order import AlgebraSpec, OrderElement, TwistedElement, TwistedRing
+from .order import AlgebraSpec, OrderElement, TwistedElement, TwistedRing, digit_rows
 
 # Largest quotient ring we will stream element-by-element.
 ENUM_LIMIT = 1 << 16
@@ -603,7 +605,8 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
     """The ideals <z^i>, i = 1..n, of an inert nilpotent-u quotient.
 
     The quotient by <z^i> is the truncated twisted polynomial ring spanned by
-    1, z, ..., z^(i-1) over the residue field.
+    1, z, ..., z^(i-1) over the residue field.  Each element set, when the
+    quotient is small enough to enumerate, is `ideal_elements` of z^i.
     """
     ideal = Q.ideal
     if not isinstance(ideal, IdealSpec) or ideal.s != 1:
@@ -613,17 +616,11 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
     split = factor_prime(Q.algebra.ext, ideal.alpha)
     if split.g != 1:
         raise WrongCase("the chain classification needs an inert prime")
-    n = Q.n
     out = []
     enumerable = Q.cardinality <= ENUM_LIMIT
-    for i in range(1, n + 1):
+    for i in range(1, Q.n + 1):
         gen = Q.z ** i
-        elems = None
-        if enumerable:
-            elems = frozenset(
-                g.encode() for g in Q.elements()
-                if all(c.is_zero for c in g.zcoords[:i])
-            )
+        elems = ideal_elements(Q, [gen]) if enumerable else None
         kbar = f"field of {Q.S.size} elements"
         out.append(
             QuotientIdeal(
@@ -719,10 +716,7 @@ class FpView:
 
     def all_digits(self) -> np.ndarray:
         """Every digit vector, row i holding the base-p digits of i, lowest first."""
-        idx = np.arange(self.p ** self.dim, dtype=np.int64)
-        rows = idx[:, None] // self.p ** np.arange(self.dim, dtype=np.int64)
-        rows %= self.p  # in place: a second p**dim x dim temporary would raise peak RSS
-        return rows
+        return digit_rows(self.p, self.dim)
 
     def basis_elements(self) -> list:
         return [self.element(one_hot(self.dim, a, 1, 0)) for a in range(self.dim)]
@@ -774,10 +768,11 @@ class FpView:
     def span_encodings(self, rows: np.ndarray) -> frozenset:
         """Element encodings of the span of independent digit rows (small spaces only).
 
-        Member i of the span has coefficient digits i in base p.  Each k-digit
-        slot maps to its table code through one p^k lookup array, and slot j
-        weighs table.size**j, which is `encode` in `flat_codes` order.  An empty
-        set of rows spans the zero element, whose table code need not be 0.
+        Member i of the span has coefficient digits i in base p (`digit_rows`).
+        Each k-digit slot maps to its table code through one p^k lookup array,
+        and slot j weighs table.size**j, which is `encode` in `flat_codes`
+        order.  An empty set of rows spans the zero element, whose table code
+        need not be 0.
         """
         p, k, d, r = self.p, self.k, self.dim, len(rows)
         size, slots = self.ring.table.size, d // k
@@ -788,11 +783,9 @@ class FpView:
         # encodings exceed int64 only for rings of 2**63 elements or more
         weights = np.array([size ** j for j in range(slots)],
                            dtype=np.int64 if size ** slots < 1 << 63 else object)
-        powers = p ** np.arange(r, dtype=np.int64)
         out: set = set()
         for lo in range(0, p ** r, ROW_BLOCK):
-            idx = np.arange(lo, min(p ** r, lo + ROW_BLOCK), dtype=np.int64)
-            digs = ((idx[:, None] // powers) % p) @ rows % p
+            digs = digit_rows(p, r, lo, min(p ** r, lo + ROW_BLOCK)) @ rows % p
             codes = code_at[digs.reshape(-1, slots, k) @ place]
             out.update((codes @ weights).tolist())
         return frozenset(out)

@@ -351,6 +351,15 @@ class IsoCertificate:
                     acc = acc + term.scale(code)
         return acc
 
+    def linearization(self) -> tuple[FpView, FpView, np.ndarray]:
+        """(source view, target view, Phi): the F_p matrix of `forward`, whose
+        column a holds the target digits of the image of source basis e_a."""
+        sview, tview = FpView(self.source), FpView(self.target)
+        Phi = np.zeros((tview.dim, sview.dim), dtype=np.int64)
+        for a, e in enumerate(sview.basis_elements()):
+            Phi[:, a] = tview.digits(self.forward(e))
+        return sview, tview, Phi
+
 
 def _mult_matrix(mat: MatRing, S: ResidueRing, s: ResidueElement) -> MatElement:
     """Matrix of multiplication by s on S, columns = coordinates of s * b_c."""
@@ -447,12 +456,8 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     n = Qs.n
 
     # pull the s = 1 matrix units back through the linear inverse of cert1
-    sview = FpView(Q1)
-    tview = FpView(cert1.target)
+    sview, tview, Phi = cert1.linearization()
     p = sview.p
-    Phi = np.zeros((tview.dim, sview.dim), dtype=np.int64)
-    for a, e in enumerate(sview.basis_elements()):
-        Phi[:, a] = tview.digits(cert1.forward(e))
     try:
         Phi_inv = inverse_mod_p(Phi, p)
     except ValueError as exc:  # pragma: no cover - cert1 is checked at build
@@ -728,14 +733,9 @@ def verify_isomorphism(
         raise TooLargeToEnumerate(
             f"{N} elements exceed the exhaustive verification limit {ENUM_LIMIT}"
         )
-    sview = FpView(Q)
-    tview = FpView(cert.target)
+    sview, tview, Phi = cert.linearization()
     p = sview.p
     dim = sview.dim
-
-    Phi = np.zeros((tview.dim, dim), dtype=np.int64)
-    for a, e in enumerate(sview.basis_elements()):
-        Phi[:, a] = tview.digits(cert.forward(e))
 
     # exact spot checks: the certificate map itself, no linearization shortcuts
     rng = random.Random(seed)

@@ -349,6 +349,14 @@ MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
        for command, args in (("encode", ["encode", "--message", '["1,0"]']),
                              ("deltamin", ["deltamin"]))
        for name, length in (("one", 1), ("float", 1.5), ("bool", True))},
+    **{f"deltamin_seed_{name}": (["deltamin", "--budget", "10"], json.dumps(
+        {**ZCODE, "randomized": True, "seed": seed}))
+       for name, seed in (("text", "x"), ("float", 1.5), ("negative", -1))},
+    "encode_seed_negative": (["encode", "--message", '["1,0", "0,1"]'], json.dumps(
+        {**ZCODE, "seed": -1})),
+    "lemma_seed_negative": (["check-lemma", "--seed", "-1"], None),
+    "verify_seed_negative": (["structure", "--algebra", "golden_u_i", "--ideal", "1+i",
+                              "--verify", "--mode", "sampled", "--seed", "-1"], None),
     "lemma_n_zero": (["check-lemma", "--n", "0"], None),
     "lemma_k_zero": (["check-lemma", "--k", "0"], None),
     "lemma_trials_negative": (["check-lemma", "--trials", "-3"], None),

@@ -4,11 +4,12 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycord
-from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, quotient_ring
+from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, quotient_ring, radix_decode
 from cycord.errors import IncompatibleAlgebras, IncompatibleRings
 from cycord.extension import IdealSpec
 from cycord.order import (
@@ -16,6 +17,7 @@ from cycord.order import (
     OrderMatrix,
     box_elements,
     box_values,
+    digit_rows,
     load_algebra,
 )
 from cycord.residue import CodeElement, ResidueElement
@@ -164,6 +166,40 @@ def test_abs_det_sq_matches_numeric(golden):
     for x in box_elements(golden, 1)[:200]:
         numeric = abs(np.linalg.det(np.array(x.matrix().numeric()))) ** 2
         assert abs(numeric - x.abs_det_sq()) <= 1e-6 * max(1.0, x.abs_det_sq())
+
+
+@pytest.mark.parametrize("base, count", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])
+def test_digit_rows_match_radix_decode(base, count):
+    full = digit_rows(base, count)
+    assert full.dtype == np.int64
+    assert full.tolist() == [radix_decode(i, base, count) for i in range(base ** count)]
+    # an offset window [lo, hi), and one running to the end
+    lo, hi = base ** count // 3, base ** count - 1
+    assert digit_rows(base, count, lo, hi).tolist() == full[lo:hi].tolist()
+    assert digit_rows(base, count, lo).tolist() == full[lo:].tolist()
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_positions_round_trip(shipped, name, data):
+    algebra = shipped[name]
+    positions = algebra.int_positions()
+    values = data.draw(st.lists(coords, min_size=len(positions), max_size=len(positions)))
+    x = algebra.from_positions(positions, values)
+    flat = x.flat_ints()
+    assert [flat[p] for p in positions] == values
+    assert all(v == 0 for p, v in enumerate(flat) if p not in positions)
+    assert algebra.from_positions(positions, [flat[p] for p in positions]) == x
+    # over Z there are no b positions: every position is an a-coordinate
+    if algebra.ext.base.kind.name == "RATIONAL":
+        assert positions == list(range(0, len(flat), 2))
+    else:
+        assert positions == list(range(len(flat)))
+    # the positions of some z-slots are those of the whole that lie in them
+    per_slot = 2 * algebra.ext.n
+    for slots in ([0], [algebra.n - 1], range(1, algebra.n)):
+        assert algebra.int_positions(slots) == [p for p in positions if p // per_slot in slots]
 
 
 def test_box_values_ordering():

@@ -18,6 +18,7 @@ from cycord.errors import (
     UnsupportedCase,
 )
 from cycord.extension import IdealSpec
+from cycord.order import load_algebra
 from cycord.residue import (
     CompositeIdeal,
     FiniteField,
@@ -320,6 +321,25 @@ def test_skew_poly_ideal_chain(q_nilp):
     assert len(chain[1].elements) == 1  # z^2 = u = 0 here
     # chain is decreasing
     assert chain[1].elements <= chain[0].elements
+
+
+def _z_power_ideals_by_scan(Q):
+    """Reference for the <z^i> sets, i = 1..n: one scan of Q, <z^i> holding
+    the elements whose first i z-coordinates vanish."""
+    elems = [(g.encode(), g.zcoords) for g in Q.elements()]
+    return [frozenset(code for code, zc in elems if all(c.is_zero for c in zc[:i]))
+            for i in range(1, Q.n + 1)]
+
+
+@pytest.mark.parametrize("name, u", [
+    ("golden_u_1pi", None), ("gauss_over_Q", "3"), ("gauss_over_Q", "7"),
+    ("q15_quartic", "1+i"),
+])
+def test_skew_poly_ideal_chain_matches_element_scan(name, u):
+    algebra = load_algebra(name, u=u)
+    Q = quotient_of(algebra, IdealSpec(algebra.u))
+    chain = skew_poly_ideal_chain(Q)
+    assert [I.elements for I in chain] == _z_power_ideals_by_scan(Q)
 
 
 def test_ideal_elements_matches_chain(q_nilp):
