@@ -298,7 +298,10 @@ class BaseElement(RingElement):
         return self.norm() == 1
 
     def complex(self) -> complex:
-        return self.a + self.b * self.ring.delta_complex
+        try:
+            return self.a + self.b * self.ring.delta_complex
+        except OverflowError:  # the size goes unprinted: it can be any length
+            raise UnsupportedSize("a coordinate is beyond the float range") from None
 
     def __repr__(self):
         return f"<{self} in {self.ring.kind.value}>"
@@ -333,8 +336,9 @@ _ELEMENT_RE = re.compile(
 
 
 def parse_element(ring: BaseRing, text: str) -> BaseElement:
-    """Parse strings like '2', '-1+i', '3-2w' into a base ring element."""
-    match = _ELEMENT_RE.match(text)
+    """Parse strings like '2', '-1+i', '3-2w' into a base ring element;
+    anything else, a non-string included, raises ValueError."""
+    match = isinstance(text, str) and _ELEMENT_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse base ring element from {text!r}")
     a = 0

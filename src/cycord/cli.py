@@ -23,7 +23,7 @@ from .coding import (
     run_lemma_trials,
 )
 from .errors import CycordError, SelfTestFailed, VerificationFailed
-from .extension import IdealSpec
+from .extension import IdealSpec, read_field
 from .order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
 from .residue import (
     CompositeIdeal,
@@ -282,79 +282,70 @@ def _cmd_ideals(args):
 
 
 def _load_code_spec(path: str) -> dict:
-    """Read a code-spec file; malformed content raises CycordError."""
+    """The fields of a code-spec file, each checked and defaulted here once."""
     with open(path) as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise CycordError(f"code spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict):
-        raise CycordError("a code spec must be a JSON object")
-    if not isinstance(spec.get("algebra_spec"), str):
-        raise CycordError("a code spec needs an 'algebra_spec' string")
-    for key in ("ideal", "outer"):
-        if not isinstance(spec.get(key, {}), dict):
-            raise CycordError(f"code spec field {key!r} must be a JSON object")
-    if not isinstance(spec.get("u", ""), str):
-        raise CycordError("code spec field 'u' must be a string")
-    if _spec_int(spec.get("outer", {}), "length", 3) < 2:
-        raise CycordError("code spec field 'length' must be at least 2")
-    if "seed" in spec:
-        _check_seed(spec["seed"], "code spec field 'seed'")
-    return spec
-
-
-def _check_seed(value, what: str) -> None:
-    """A seed is a non-negative integer, as numpy's generators require."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise CycordError(f"{what} must be a non-negative integer, got {value!r}")
-
-
-def _spec_int(section: dict, key: str, default=None) -> int:
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CycordError(f"code spec field {key!r} must be an integer, got {value!r}")
-    return value
+    try:
+        if type(spec) is not dict:
+            raise ValueError("a code spec must be a JSON object")
+        ideal = read_field(spec, "ideal", dict, {})
+        outer = read_field(spec, "outer", dict, {})
+        fields = {
+            "algebra_spec": read_field(spec, "algebra_spec", str),
+            "u": read_field(spec, "u", str, None),
+            "alpha": read_field(ideal, "alpha", str, "1+i"),
+            "s": read_field(ideal, "s", int, 1, least=1),
+            "monomial_power": read_field(ideal, "monomial_power", int, None, least=1),
+            "kind": read_field(outer, "kind", str, "ParityOverRing"),
+            "length": read_field(outer, "length", int, 3, least=2),
+            "lift_strategy": LiftStrategy(read_field(spec, "lift_strategy", str, "CanonicalZero")),
+            "box_bound": read_field(spec, "box_bound", int, 1, least=0),
+            "seed": read_field(spec, "seed", int, None, least=0),
+            "randomized": read_field(spec, "randomized", bool, False),
+        }
+        if fields["kind"] == "ReedSolomon":
+            fields.update(p=read_field(outer, "p", int, least=2),
+                          m=read_field(outer, "m", int, least=1),
+                          dimension=read_field(outer, "dimension", int, least=1))
+    except ValueError as exc:
+        raise CycordError(f"code spec {path}: {exc}") from exc
+    return fields
 
 
 def _spec_parts(spec: dict):
-    algebra = _resolve_algebra(spec["algebra_spec"], spec.get("u"))
-    ideal_d = spec.get("ideal", {})
-    s = _spec_int(ideal_d, "s", 1)
+    algebra = _resolve_algebra(spec["algebra_spec"], spec["u"])
     try:
-        ideal = IdealSpec(algebra.ext.base.parse(ideal_d.get("alpha", "1+i")), s)
+        return algebra, IdealSpec(algebra.ext.base.parse(spec["alpha"]), spec["s"])
     except ValueError as exc:
         raise CycordError(str(exc)) from exc
-    power = ideal_d.get("monomial_power")
-    if power is not None:
-        power = _spec_int(ideal_d, "monomial_power")
-    return algebra, ideal, power
 
 
-def _outer_code(spec: dict, algebra, ideal, power):
-    outer = spec.get("outer", {})
-    kind = outer.get("kind", "ParityOverRing")
-    length = _spec_int(outer, "length", 3)
-    if kind == "ParityOverRing":
-        if power is not None:
-            ring = residue_ring(algebra.ext, ideal.modulus)
-        else:
-            ring = quotient_of(algebra, ideal)
-        return ParityCode(ring, length)
-    if kind == "ReedSolomon":
-        ff = FiniteField(_spec_int(outer, "p"), _spec_int(outer, "m"))
-        return ReedSolomonCode(ff, length, _spec_int(outer, "dimension"))
-    if kind == "FirstCoefficientScheme":
-        Q = quotient_of(algebra, ideal)
-        inner = ParityCode(Q.S, length)
-        return FirstCoefficientCode(Q, inner)
+def _outer_code(spec: dict, algebra, ideal):
+    kind, length = spec["kind"], spec["length"]
+    try:
+        if kind == "ParityOverRing":
+            if spec["monomial_power"] is not None:
+                ring = residue_ring(algebra.ext, ideal.modulus)
+            else:
+                ring = quotient_of(algebra, ideal)
+            return ParityCode(ring, length)
+        if kind == "ReedSolomon":
+            return ReedSolomonCode(FiniteField(spec["p"], spec["m"]), length, spec["dimension"])
+        if kind == "FirstCoefficientScheme":
+            Q = quotient_of(algebra, ideal)
+            return FirstCoefficientCode(Q, ParityCode(Q.S, length))
+    except ValueError as exc:  # a code the library refuses, such as dimension > length
+        raise CycordError(str(exc)) from exc
     raise CycordError(f"unknown outer code kind {kind!r}")
 
 
 def _cmd_encode(args):
     spec = _load_code_spec(args.code_spec)
-    algebra, ideal, power = _spec_parts(spec)
-    code = _outer_code(spec, algebra, ideal, power)
+    algebra, ideal = _spec_parts(spec)
+    code = _outer_code(spec, algebra, ideal)
     try:
         message = json.loads(args.message)
     except json.JSONDecodeError as exc:
@@ -374,14 +365,11 @@ def _cmd_encode(args):
         payload["components"] = None
         lines.append("Reed-Solomon symbols are abstract field elements; no lift")
         return EXIT_OK, payload, lines
-    try:
-        strategy = LiftStrategy(spec.get("lift_strategy", "CanonicalZero"))
-    except ValueError as exc:
-        raise CycordError(str(exc)) from exc
+    strategy = spec["lift_strategy"]
     lifted = lift_codeword(
         word, strategy, algebra=algebra,
-        seed=spec.get("seed", args.seed),
-        box_bound=_spec_int(spec, "box_bound", 1))
+        seed=args.seed if spec["seed"] is None else spec["seed"],
+        box_bound=spec["box_bound"])
     payload["lift_strategy"] = strategy.value
     payload["components"] = [
         {"element": str(c), "coordinates": list(c.flat_ints())}
@@ -429,12 +417,10 @@ def _parse_residue(S: ResidueRing, text: str):
 
 def _cmd_deltamin(args):
     spec = _load_code_spec(args.code_spec)
-    algebra, ideal, power = _spec_parts(spec)
-    outer = spec.get("outer", {})
-    if outer.get("kind", "ParityOverRing") != "ParityOverRing":
+    algebra, ideal = _spec_parts(spec)
+    if spec["kind"] != "ParityOverRing":
         raise CycordError("determinant searches support parity outer codes")
-    length = _spec_int(outer, "length", 3)
-    box = _spec_int(spec, "box_bound", 1)
+    length, box, power = spec["length"], spec["box_bound"], spec["monomial_power"]
     if power is not None:
         if ideal.s != 1:
             raise CycordError("monomial ideals live over a prime quotient")
@@ -442,7 +428,7 @@ def _cmd_deltamin(args):
                                     length=length, box_bound=box)
     else:
         study = SumClosedStudy(algebra, ideal, length=length, box_bound=box)
-    seed = spec.get("seed") if spec.get("randomized") else None
+    seed = spec["seed"] if spec["randomized"] else None
     report = delta_min_search(study, budget=args.budget,
                               seed=seed, samples=args.samples)
     payload = report.to_dict()
@@ -666,9 +652,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_seed(args.seed, "--seed")
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise CycordError(f"--seed must be a non-negative integer, got {args.seed}")
         code, payload, lines = args.func(args)
-    except (CycordError, FileNotFoundError) as exc:
+    except (CycordError, OSError) as exc:
         if args.output == "json":
             print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         else:

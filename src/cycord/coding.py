@@ -29,6 +29,7 @@ from .errors import (
     SearchBudgetExceeded,
     SingularInput,
     TooLargeToEnumerate,
+    UnsupportedSize,
     WrongCase,
 )
 from .extension import IdealSpec
@@ -47,6 +48,8 @@ from .residue import (
 SEARCH_BUDGET = 10 ** 8
 # codewords an outer-code enumeration may visit
 CODE_ENUM_LIMIT = 1 << 20
+# indices a randomized search may draw, samples x (length - 1): 64 MB of int64
+SAMPLE_LIMIT = 1 << 23
 # matrices below this |det| are rejected as singular
 SINGULAR_TOL = 1e-12
 # slack allowed when comparing floating determinant scores
@@ -446,6 +449,8 @@ def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZE
     outer_word = tuple(outer_word)
     if not outer_word:
         raise BadMessageLength("cannot lift an empty codeword")
+    if strategy is LiftStrategy.RANDOMIZED and box_bound >= 2 ** 63:
+        raise UnsupportedSize(f"box bound {box_bound} exceeds the int64 draws")
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -611,12 +616,12 @@ class _BoxTable:
         self.algebra = algebra
         self.bound = bound
         self.positions = algebra.int_positions(z_slots)
-        self.values = np.array(box_values(bound), dtype=np.int64)
-        d, p = len(self.values), len(self.positions)
+        d, p = 2 * max(bound, 0) + 1, len(self.positions)
         count = d ** p
-        if count > AXIS_LIMIT:
+        if count > AXIS_LIMIT:  # before box_values, which lists all d digits
             raise TooLargeToEnumerate(
-                f"{count} axis elements exceed the limit {AXIS_LIMIT}")
+                f"{d}^{p} axis elements exceed the limit {AXIS_LIMIT}")
+        self.values = np.array(box_values(bound), dtype=np.int64)
         # coordinate values at the varying positions, one row per element
         self.digits = box_digits(bound, p)
         n = algebra.n
@@ -792,12 +797,13 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
     since one of x_1 and the last component is then nonzero.
     """
     n_msg, n_off = len(msg), len(off)
-    total = n_msg ** (length - 1) * n_off
+    # n_msg >= 3, so capping the exponent at the budget's bits keeps this exact
+    total = n_msg ** min(length - 1, budget.bit_length()) * n_off
     if total > budget:
         if seed is None:
             raise SearchBudgetExceeded(
-                f"{total} codewords exceed the budget {budget}; "
-                "pass a seed for a randomized search")
+                f"{n_msg}^{length - 1} x {n_off} codewords exceed the budget "
+                f"{budget}; pass a seed for a randomized search")
         return _sample(length, msg, off, seed, samples)
     n = msg.algebra.n
     slow_count = length - 2
@@ -853,6 +859,8 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
 
 
 def _sample(length: int, msg: _BoxTable, off: _BoxTable, seed, samples):
+    if samples * (length - 1) > SAMPLE_LIMIT:
+        raise TooLargeToEnumerate(f"{samples} x {length - 1} draws exceed {SAMPLE_LIMIT}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(msg), size=(samples, length - 1))
     offs = rng.integers(0, len(off), size=samples)
@@ -885,8 +893,11 @@ def delta_min_search(study, *, budget: int = SEARCH_BUDGET,
     row of the enumeration is skipped when the Minkowski determinant
     inequality det(sum A_i)^(1/n) >= sum det(A_i)^(1/n), for the PSD
     summands A_i = X_i X_i^* of the Gram matrix, shows that none of its
-    codewords can beat the best score so far.
+    codewords can beat the best score so far.  Raises InvalidCount when
+    `samples` is below 1.
     """
+    if samples < 1:
+        raise InvalidCount(f"samples must be at least 1, got {samples}")
     full = _BoxTable(study.algebra, study.box_bound)
     inner_min, inner_arg = _box_minimum(full)
     report = study.bound_report(inner_min)

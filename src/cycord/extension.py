@@ -19,10 +19,12 @@ while the inner loops create and type-check no objects.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
 from .base_rings import (
+    TABLE_LIMIT,
     BaseElement,
     BaseRing,
     RingElement,
@@ -31,7 +33,7 @@ from .base_rings import (
     one_hot,
     ring_by_name,
 )
-from .errors import IncompatibleRings
+from .errors import IncompatibleRings, UnsupportedSize
 
 EMBED_TOL = 1e-9
 
@@ -68,7 +70,7 @@ class ExtensionSpec:
         self.min_poly = tuple(min_poly) if min_poly else None
         self.name = name
         self.notes = notes
-        tables = (self.mult_table, self.sigma_matrix, *self.mult_table)
+        tables = (self.mult_table, self.sigma_matrix, self.embeddings, *self.mult_table)
         if any(len(t) != n or any(len(v) != n for v in t) for t in tables):
             raise ValueError(f"structure tables must be {n} x {n} (x {n})")
         # _mul_terms[i][j]: the (r, a, b) with b_i*b_j = sum (a + b*delta) b_r;
@@ -244,8 +246,6 @@ class ExtensionSpec:
             if self.sigma(self.sigma(b[i], n - 1)) != b[i]:  # sigma(b, n) reduces to power 0
                 raise ValueError("sigma^n is not the identity")
         # numeric embeddings: multiplicative, and listed along the sigma orbit
-        if len(self.embeddings) != n:
-            raise ValueError("need one embedding per automorphism power")
         for e in range(n):
             for i in range(n):
                 for j in range(n):
@@ -341,6 +341,9 @@ class IdealSpec:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("exponent must be at least 1")
+        # every prime has norm >= 2: an s past log2(TABLE_LIMIT) is refused unbuilt
+        if self.s >= TABLE_LIMIT.bit_length() or self.alpha.ideal_norm() ** self.s > TABLE_LIMIT:
+            raise UnsupportedSize(f"O_F/{self} exceeds the table limit {TABLE_LIMIT}")
         if not is_prime_element(self.alpha):
             raise ValueError(f"{self.alpha} is not prime in its ring")
 
@@ -357,28 +360,70 @@ class IdealSpec:
         return f"({self.alpha})^{self.s}"
 
 
+_REQUIRED = object()
+
+
+def read_field(data: dict, key: str, kind, default=_REQUIRED, least=None, shape=()):
+    """`data[key]` of a JSON spec: the one reader of algebra and code specs.
+
+    `kind` is a JSON type, compared by `type()` (true is no integer, null is
+    no type), or a function that converts an entry or raises ValueError.  A
+    `shape` makes the value nested lists of those lengths, `kind` applying to
+    each entry.  An absent key gives `default`, required when not given.
+    Refusals raise ValueError naming the key.
+    """
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"spec field {key!r} is missing")
+        return default
+    try:
+        return _read(data[key], kind, least, shape)
+    except ValueError as exc:
+        raise ValueError(f"spec field {key!r}: {exc}") from None
+
+
+def _read(value, kind, least=None, shape=()):
+    if shape:
+        if type(value) is not list or len(value) != shape[0]:
+            raise ValueError(f"expected a list of {shape[0]} entries, got {value!r}")
+        return [_read(v, kind, least, shape[1:]) for v in value]
+    if not isinstance(kind, type):
+        return kind(value)
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"expected at least {least}, got {value}")
+    return value
+
+
+def _real(value) -> float:
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def extension_from_dict(data: dict) -> ExtensionSpec:
-    """Build and validate an ExtensionSpec from parsed JSON data."""
-    base = ring_by_name(data["base_ring"])
-    n = int(data["degree"])
-    mult_table = [
-        [[base.parse(c) for c in cell] for cell in row] for row in data["mult_table"]
-    ]
-    sigma_matrix = [[base.parse(c) for c in row] for row in data["sigma_matrix"]]
-    embeddings = [
-        [complex(re, im) for re, im in row] for row in data["embeddings"]
-    ]
-    min_poly = [base.parse(c) for c in data["min_poly"]] if "min_poly" in data else None
+    """Build and validate an ExtensionSpec from parsed JSON data.
+
+    Each key is read once by `read_field`, which checks its type and its
+    dimensions against `degree` and converts it; `validate` then checks
+    the algebra.
+    """
+    if type(data) is not dict:
+        raise ValueError("an algebra spec must be a JSON object")
+    base = ring_by_name(read_field(data, "base_ring", str))
+    n = read_field(data, "degree", int, least=1)
     ext = ExtensionSpec(
         base,
         n,
-        mult_table,
-        sigma_matrix,
-        embeddings,
-        basis_names=data.get("basis"),
-        min_poly=min_poly,
-        name=data.get("name", ""),
-        notes=data.get("notes", ""),
+        read_field(data, "mult_table", base.parse, shape=(n, n, n)),
+        read_field(data, "sigma_matrix", base.parse, shape=(n, n)),
+        [[complex(*c) for c in row]
+         for row in read_field(data, "embeddings", _real, shape=(n, n, 2))],
+        basis_names=read_field(data, "basis", str, None, shape=(n,)),
+        min_poly=read_field(data, "min_poly", base.parse, None, shape=(n + 1,)),
+        name=read_field(data, "name", str, ""),
+        notes=read_field(data, "notes", str, ""),
     )
     ext.validate()
     return ext

@@ -31,7 +31,7 @@ import numpy as np
 
 from .base_rings import BaseElement, RingElement, cofactor_det, one_hot
 from .errors import IncompatibleAlgebras, NotInBaseRing
-from .extension import ExtensionSpec, OKElement, extension_from_dict
+from .extension import ExtensionSpec, OKElement, extension_from_dict, read_field
 
 SHIPPED_ALGEBRAS = (
     "golden_u_i",
@@ -393,21 +393,15 @@ def load_algebra(source: str, u: str | BaseElement | None = None) -> AlgebraSpec
             text = fh.read()
     data = json.loads(text)
     ext = extension_from_dict(data)
-    recorded_u = ext.base.parse(data["u"])
-    claims = bool(data.get("claims_division", False))
+    recorded_u = read_field(data, "u", ext.base.parse)
+    claims = read_field(data, "claims_division", bool, False)
     if u is None:
         u_val = recorded_u
     else:
         u_val = ext.base.parse(u) if isinstance(u, str) else u
         if u_val != recorded_u:
             claims = False
-    return AlgebraSpec(
-        ext,
-        u_val,
-        claims_division=claims,
-        name=data.get("name", ""),
-        notes=data.get("notes", ""),
-    )
+    return AlgebraSpec(ext, u_val, claims_division=claims, notes=ext.notes)
 
 
 def box_values(bound: int) -> list[int]:

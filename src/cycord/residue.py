@@ -44,6 +44,7 @@ from .base_rings import (
     BaseElement,
     ResidueTable,
     RingElement,
+    _is_prime_int,
     cofactor_det,
     divides,
     invert_mod,
@@ -648,7 +649,7 @@ def fp_table_digits(table: ResidueTable):
     characteristic to be prime (then the additive group is an F_p space).
     """
     p = table.char
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not _is_prime_int(p):
         raise UnsupportedCase(
             f"characteristic {p} is not prime; no F_p structure available"
         )
@@ -953,6 +954,11 @@ class FiniteField:
     def __init__(self, p: int, m: int, modulus=None):
         if m < 1:
             raise ValueError("extension degree must be positive")
+        # size first, as a prime test of a huge p is slow; p >= 2 bounds m unbuilt
+        if m >= ENUM_LIMIT.bit_length() or p ** m > ENUM_LIMIT:
+            raise ValueError(f"F_{p}^{m} exceeds the enumeration limit {ENUM_LIMIT}")
+        if not _is_prime_int(p):
+            raise ValueError(f"the characteristic {p} is not prime")
         self.p = p
         self.m = m
         self.size = p ** m
@@ -1074,10 +1080,6 @@ class FFElement(RingElement):
     def __init__(self, field: FiniteField, val: int):
         self.ring = field
         self.val = val
-
-    @property
-    def field(self) -> FiniteField:
-        return self.ring
 
     @property
     def key(self) -> tuple[int]:

@@ -1,19 +1,25 @@
 """End-to-end tests of the command line interface, run in process.
 
-Tests of interpreter flags and of tracebacks start a fresh interpreter.
+Tests of interpreter flags start a fresh interpreter.
 """
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycord.cli as cli
 from cycord.errors import VerificationFailed
+from cycord.order import SHIPPED_ALGEBRAS
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -306,54 +312,54 @@ def test_deltamin_rejects_non_parity(capsys, tmp_path):
 ZCODE = {"algebra_spec": "golden_u_1pi",
          "ideal": {"alpha": "1+i", "s": 1, "monomial_power": 1},
          "outer": {"kind": "ParityOverRing", "length": 3}}
-MALFORMED_SPECS = {  # name -> (subcommand, extra arguments, spec file text)
-    "missing_algebra_spec": ("deltamin", [], json.dumps({"ideal": {"alpha": "1+i"}})),
-    "invalid_json": ("deltamin", [], "{bad"),
-    "non_integer_box_bound": ("deltamin", [], json.dumps({**ZCODE, "box_bound": "x"})),
-    "non_prime_alpha": ("deltamin", [], json.dumps(
+SHIPPED_SPECS = [json.loads(resources.files("cycord.data").joinpath(f"{name}.json").read_text())
+                 for name in SHIPPED_ALGEBRAS]
+GOLDEN = SHIPPED_SPECS[SHIPPED_ALGEBRAS.index("golden_u_i")]
+SPEC = "<spec file>"  # replaced by the path of the case's spec text
+
+
+def golden_text(drop=(), **changes):
+    return json.dumps({k: v for k, v in {**GOLDEN, **changes}.items() if k not in drop})
+
+
+def rs_text(**outer):
+    return json.dumps({"algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i"},
+                       "outer": {"kind": "ReedSolomon", "length": 4, "p": 2, "m": 2,
+                                 "dimension": 2, **outer}})
+
+
+DESCRIBE = ["describe", "--algebra", SPEC]
+DELTAMIN = ["deltamin", "--code-spec", SPEC]
+ENCODE = ["encode", "--code-spec", SPEC, "--message", '["1,0", "0,1"]']
+ENCODE_RS = ["encode", "--code-spec", SPEC, "--message", "[1, 2]"]
+MALFORMED_INPUTS = {  # name -> (arguments, spec file text or None)
+    "missing_algebra_spec": (DELTAMIN, json.dumps({"ideal": {"alpha": "1+i"}})),
+    "invalid_json": (DELTAMIN, "{bad"),
+    "non_integer_box_bound": (DELTAMIN, json.dumps({**ZCODE, "box_bound": "x"})),
+    "non_prime_alpha": (DELTAMIN, json.dumps(
         {"algebra_spec": "golden_u_i", "ideal": {"alpha": "2"}})),
-    "unknown_lift_strategy": ("encode", ["--message", '["1,0", "0,1"]'],
-                              json.dumps({**ZCODE, "lift_strategy": "Nope"})),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
-def test_malformed_code_spec_reports_error(tmp_path, name):
-    command, extra, text = MALFORMED_SPECS[name]
-    path = tmp_path / "spec.json"
-    path.write_text(text)
-    proc = run_python(["-m", "cycord.cli", command, "--code-spec", str(path),
-                       *extra, "--output", "json"])
-    assert proc.returncode == 1
-    assert "error" in json.loads(proc.stdout)
-    assert "Traceback" not in proc.stderr
-
-
-MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
+    "unknown_lift_strategy": (ENCODE, json.dumps({**ZCODE, "lift_strategy": "Nope"})),
     "element_coordinate": (["reduce", "--algebra", "golden_u_i", "--ideal", "1+i",
                             "--element", "1,x;3,4"], None),
     "u_text": (["describe", "--algebra", "golden_u_i", "--u", "1+q"], None),
     "u_zero": (["describe", "--algebra", "golden_u_i", "--u", "0"], None),
     "ideal_text": (["structure", "--algebra", "golden_u_i", "--ideal", "1+x"], None),
-    "spec_u_text": (["deltamin"], json.dumps({**ZCODE, "u": "1+q"})),
-    "spec_u_number": (["deltamin"], json.dumps({**ZCODE, "u": 5})),
-    "message_json": (["encode", "--message", "[1,"], json.dumps(ZCODE)),
-    "residue_symbol": (["encode", "--message", '["1,x", "0,1"]'], json.dumps(ZCODE)),
-    "symbol_type": (["encode", "--message", "[1, 2]"], json.dumps(ZCODE)),
-    "field_symbol": (["encode", "--message", "[1, 99]"], json.dumps(
-        {"algebra_spec": "golden_u_i", "ideal": {"alpha": "1+i"},
-         "outer": {"kind": "ReedSolomon", "length": 4, "p": 2, "m": 2,
-                   "dimension": 2}})),
+    "spec_u_text": (DELTAMIN, json.dumps({**ZCODE, "u": "1+q"})),
+    "spec_u_number": (DELTAMIN, json.dumps({**ZCODE, "u": 5})),
+    "message_json": (["encode", "--code-spec", SPEC, "--message", "[1,"], json.dumps(ZCODE)),
+    "residue_symbol": (["encode", "--code-spec", SPEC, "--message", '["1,x", "0,1"]'],
+                       json.dumps(ZCODE)),
+    "symbol_type": (["encode", "--code-spec", SPEC, "--message", "[1, 2]"], json.dumps(ZCODE)),
+    "field_symbol": (["encode", "--code-spec", SPEC, "--message", "[1, 99]"], rs_text()),
     **{f"{command}_length_{name}": (args, json.dumps(
         {**ZCODE, "outer": {"kind": "ParityOverRing", "length": length}}))
-       for command, args in (("encode", ["encode", "--message", '["1,0"]']),
-                             ("deltamin", ["deltamin"]))
+       for command, args in (("encode", ["encode", "--code-spec", SPEC, "--message", '["1,0"]']),
+                             ("deltamin", DELTAMIN))
        for name, length in (("one", 1), ("float", 1.5), ("bool", True))},
-    **{f"deltamin_seed_{name}": (["deltamin", "--budget", "10"], json.dumps(
+    **{f"deltamin_seed_{name}": (DELTAMIN + ["--budget", "10"], json.dumps(
         {**ZCODE, "randomized": True, "seed": seed}))
        for name, seed in (("text", "x"), ("float", 1.5), ("negative", -1))},
-    "encode_seed_negative": (["encode", "--message", '["1,0", "0,1"]'], json.dumps(
-        {**ZCODE, "seed": -1})),
+    "encode_seed_negative": (ENCODE, json.dumps({**ZCODE, "seed": -1})),
     "lemma_seed_negative": (["check-lemma", "--seed", "-1"], None),
     "verify_seed_negative": (["structure", "--algebra", "golden_u_i", "--ideal", "1+i",
                               "--verify", "--mode", "sampled", "--seed", "-1"], None),
@@ -363,20 +369,60 @@ MALFORMED_INPUTS = {  # name -> (arguments, code spec text or None)
     "lemma_trials_zero": (["check-lemma", "--trials", "0"], None),
     "lemma_n_one_k_unset": (["check-lemma", "--n", "1"], None),
     "lemma_n_one_k_two": (["check-lemma", "--n", "1", "--k", "2"], None),
+    # library refusals of outer codes, and sizes checked before any work
+    "field_p_composite": (ENCODE_RS, rs_text(p=4, m=1)),
+    "field_p_huge": (ENCODE_RS, rs_text(p=1000000, m=2)),
+    "field_m_huge": (ENCODE_RS, rs_text(p=2, m=1000000)),
+    "rs_dimension_above_length": (ENCODE_RS, rs_text(dimension=5)),
+    "structure_ideal_power_huge": (["structure", "--algebra", "golden_u_i",
+                                    "--ideal", "(1+i)^100000"], None),
+    "reduce_ideal_power_huge": (["reduce", "--algebra", "golden_u_i", "--ideal",
+                                 "(1+i)^100000", "--element", "1,0;0,1"], None),
+    "structure_ideal_power_1e7": (["structure", "--algebra", "golden_u_i",
+                                   "--ideal", "(2+i)^10000000"], None),
+    "spec_s_huge": (DELTAMIN, json.dumps({**ZCODE, "ideal": {"alpha": "1+i", "s": 1000000}})),
+    "deltamin_length_3000": (DELTAMIN, json.dumps(
+        {**ZCODE, "outer": {"kind": "ParityOverRing", "length": 3000}})),
+    "deltamin_samples_over_limit": (DELTAMIN + ["--budget", "10"], json.dumps(
+        {**ZCODE, "outer": {"kind": "ParityOverRing", "length": 10},
+         "randomized": True, "seed": 0})),
+    **{f"deltamin_samples_{name}": (DELTAMIN + ["--budget", "10", "--samples", samples],
+                                    json.dumps({**ZCODE, "randomized": True, "seed": 0}))
+       for name, samples in (("negative", "-5"), ("zero", "0"))},
+    "deltamin_box_bound_huge": (DELTAMIN, json.dumps({**ZCODE, "box_bound": 10 ** 6})),
+    **{f"encode_box_bound_{name}": (ENCODE, json.dumps(
+        {**ZCODE, "lift_strategy": "Randomized", "box_bound": bound}))
+       for name, bound in (("negative", -1), ("huge", 2 ** 63))},
+    "code_spec_directory": (["deltamin", "--code-spec", "."], None),
+    "spec_u_beyond_float": (DELTAMIN, json.dumps({**ZCODE, "u": "1" + "0" * 400})),
+    "algebra_entry_beyond_float": (DESCRIBE, golden_text(
+        mult_table=[GOLDEN["mult_table"][0], [["0", "1"], ["1" + "0" * 400, "1"]]])),
+    # one case per class of the algebra-spec and code-spec fuzz
+    **{f"algebra_missing_{key}": (DESCRIBE, golden_text(drop=[key]))
+       for key in ("degree", "mult_table", "u")},
+    "algebra_basis_name_number": (DESCRIBE, golden_text(basis=["1", 2])),
+    "spec_alpha_number": (DELTAMIN, json.dumps({**ZCODE, "ideal": {"alpha": 5}})),
+    "algebra_embedding_row_short": (DESCRIBE, golden_text(
+        embeddings=[GOLDEN["embeddings"][0][:1], GOLDEN["embeddings"][1]])),
+    "algebra_claims_division_text": (DESCRIBE, golden_text(claims_division="yes")),
+    "algebra_degree_text": (DESCRIBE, golden_text(degree="2")),
+    "algebra_basis_null": (DESCRIBE, golden_text(basis=None)),
+    "spec_monomial_power_null": (DELTAMIN, json.dumps(
+        {**ZCODE, "ideal": {"alpha": "1+i", "monomial_power": None}})),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
-def test_malformed_input_reports_error(tmp_path, name):
+def test_malformed_input_reports_error(capsys, tmp_path, name):
     args, spec_text = MALFORMED_INPUTS[name]
     if spec_text is not None:
         path = tmp_path / "spec.json"
         path.write_text(spec_text)
-        args = args + ["--code-spec", str(path)]
-    proc = run_python(["-m", "cycord.cli", *args, "--output", "json"])
-    assert proc.returncode == 1
-    assert "error" in json.loads(proc.stdout)
-    assert "Traceback" not in proc.stderr
+        args = [str(path) if a == SPEC else a for a in args]
+    code, out, err = run(args + ["--output", "json"], capsys)
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert "Traceback" not in err
 
 
 BROKEN_INVARIANTS = {  # name -> (script that breaks one exact check, its message)
@@ -576,3 +622,58 @@ def test_usage_error_exits_1(capsys):
     assert code == 1
     code, _out, _err = run(["describe"], capsys)  # missing --algebra
     assert code == 1
+
+
+# -- derandomized fuzz of the two JSON formats -------------------------------------
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a JSON value."""
+    items = value.items() if type(value) is dict else (
+        enumerate(value) if type(value) is list else ())
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _paths(item, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, specs):
+    """One of `specs` with one key or list entry dropped, or one value at
+    any depth replaced by a small JSON value of any type."""
+    spec = copy.deepcopy(draw(st.sampled_from(specs)))
+    *head, last = draw(st.sampled_from(list(_paths(spec))))
+    parent = functools.reduce(operator.getitem, head, spec)
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                                      st.sampled_from([1.5, "", "x", "1+i", [], {}, ["1"]])))
+    return spec
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_clean_exit(argv, capsys):
+    code, out, err = run(argv + ["--output", "json"], capsys)
+    assert code == 0 or (code == 1 and "error" in json.loads(out)), (argv, out, err)
+
+
+@settings(FUZZ, max_examples=200)
+@given(spec=mutated(SHIPPED_SPECS))
+def test_mutated_algebra_spec_exits_cleanly(capsys, tmp_path, spec):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec))
+    assert_clean_exit(["describe", "--algebra", str(path)], capsys)
+
+
+@settings(FUZZ, max_examples=100)
+@given(spec=mutated([json.loads(Path(ZCODE_SPEC).read_text())]))
+def test_mutated_code_spec_exits_cleanly(capsys, tmp_path, spec):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    assert_clean_exit(["encode", "--code-spec", str(path), "--message", '["1,0", "0,1"]'],
+                      capsys)
+    assert_clean_exit(["deltamin", "--code-spec", str(path), "--budget", "10",
+                       "--samples", "1000"], capsys)
