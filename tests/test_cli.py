@@ -574,6 +574,15 @@ PINNED_OUTPUT = {  # name -> (argv, SHA-256 of the `--output json` stdout)
     "ideals_gauss_u5": (
         ["ideals", "--algebra", "gauss_over_Q", "--u", "5", "--ideal", "5"],
         "285bd19de7d3c4e6abd4637a896aedcd1899af8a518fa27d47bc3447e76c708a"),
+    "ideals_inert_chain_golden_u_1pi": (  # the <z^i> chain
+        ["ideals", "--algebra", "golden_u_1pi", "--ideal", "1+i"],
+        "f309597cb65a794727cd36c775e008746f2df7bf811261fbdbd23c64e3772d17"),
+    "ideals_gauss_u17_above_enum_limit": (  # every size null but the zero ideal's
+        ["ideals", "--algebra", "gauss_over_Q", "--u", "17", "--ideal", "17"],
+        "470aae9815292ae674bfd63636e576ecbe81bc8addf8bfe54c223914d10c975a"),
+    "structure_unit_chain_q7": (  # the q^t chain, sizes null
+        ["structure", "--algebra", "q7_cubic", "--ideal", "2"],
+        "93c1d9937109bb068631b041599c70edb6c72314a576c4d7e6ad71ba1bdfaf97"),
     "check_lemma_seed_0": (
         ["check-lemma", "--trials", "10000", "--seed", "0"],
         "6f8cbbed7ef660bec0e7a714e616468559eb037c2081f97e243f7d50d5aff5a8"),
