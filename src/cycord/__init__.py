@@ -5,9 +5,9 @@ from .base_rings import (
     GAUSSIAN,
     RATIONAL,
     BaseElement,
-    BaseQuotientRing,
     BaseRing,
     RingKind,
+    ResidueTable,
     euclidean_divmod,
     is_prime_element,
     parse_element,
@@ -67,7 +67,6 @@ from .coding import (
     delta_lower_bound,
     delta_min_search,
     det_inequality_check,
-    hamming_distance,
     lift_codeword,
     min_det_sq_in_box,
     run_lemma_trials,

@@ -9,13 +9,15 @@ multiplicative Euclidean function (the squared complex modulus), so gcds,
 modular inverses, and canonical residues mod alpha^s are all computed
 exactly with integer arithmetic.
 
-Residue rings O_F/(m) are materialized as lookup tables (`ResidueTable`) so
-that the quotient layers above can run on small-integer indices instead of
-object arithmetic.  This bottom module also holds the package's only copies
-of five generic mechanisms: `RingElement`, the base of every element class;
-`power`, the square-and-multiply; `cofactor_det`, the cofactor determinant;
-`radix_encode`/`radix_decode`, the integer codec of residue coordinates; and
-`one_hot`, the coordinate tuple of a scalar or basis element.
+Each residue ring O_F/(m) is one `ResidueTable`, shared through
+`residue_table`: its modulus, sorted canonical representatives, `reduce`,
+and the lookup tables that let the quotient layers above run on
+small-integer indices instead of object arithmetic.  This bottom module
+also holds the package's only copies of five generic mechanisms:
+`RingElement`, the base of every element class; `power`, the
+square-and-multiply; `cofactor_det`, the cofactor determinant;
+`radix_encode`/`radix_decode`, the integer codec of residue coordinates;
+and `one_hot`, the coordinate tuple of a scalar or basis element.
 """
 
 from __future__ import annotations
@@ -411,13 +413,6 @@ def divides(d: BaseElement, x: BaseElement) -> bool:
     return r.is_zero
 
 
-def exact_div(x: BaseElement, d: BaseElement) -> BaseElement:
-    q, r = euclidean_divmod(x, d)
-    if not r.is_zero:
-        raise ValueError(f"{x} is not divisible by {d}")
-    return q
-
-
 def xgcd(x: BaseElement, y: BaseElement) -> tuple[BaseElement, BaseElement, BaseElement]:
     """Extended gcd: returns (g, s, t) with s*x + t*y = g."""
     ring = x.ring
@@ -489,25 +484,57 @@ def is_prime_element(x: BaseElement) -> bool:
     return root % 3 == 2
 
 
-class BaseQuotientRing:
-    """The finite ring O_F/(m) with canonical euclidean representatives."""
+class ResidueTable:
+    """The finite ring O_F/(m) with canonical euclidean representatives.
 
-    __slots__ = ("base", "modulus", "size", "_reps", "_table")
+    Elements are integers 0..size-1 indexing `reps`, the canonical
+    representatives sorted by (a, b); addition and multiplication become
+    list lookups, which keeps the quotient layers fast and hashable.  Tables
+    compare by value, on (base, modulus).
+    """
+
+    __slots__ = ("base", "modulus", "reps", "index", "add", "mul", "neg", "inv",
+                 "zero", "one", "char", "size")
 
     def __init__(self, base: BaseRing, modulus: BaseElement):
         if modulus.ring != base:
             raise IncompatibleRings("modulus does not live in the stated ring")
         if modulus.is_zero:
             raise DivisionByZero("zero modulus")
+        self.size = size = modulus.ideal_norm()
+        if size > TABLE_LIMIT:
+            raise UnsupportedSize(
+                f"residue ring of size {size} exceeds the table limit {TABLE_LIMIT}"
+            )
         self.base = base
         self.modulus = modulus
-        self.size = modulus.ideal_norm()
-        self._reps = None
-        self._table = None
+        red = self.reduce
+        reps = {red(pt) for pt in self._transversal()}
+        if len(reps) != size:
+            raise VerificationFailed(
+                f"transversal reduces to {len(reps)} residues, not {size}")
+        self.reps = reps = tuple(sorted(reps, key=lambda e: (e.a, e.b)))
+        self.index = idx = {(e.a, e.b): i for i, e in enumerate(reps)}
+
+        def code(e: BaseElement) -> int:
+            return idx[(e.a, e.b)]
+
+        self.add = [[code(red(x + y)) for y in reps] for x in reps]
+        self.mul = [[code(red(x * y)) for y in reps] for x in reps]
+        self.neg = [code(red(-x)) for x in reps]
+        self.zero = code(red(base.zero))
+        self.one = code(red(base.one))
+        self.inv = [row.index(self.one) if self.one in row else None for row in self.mul]
+        # additive order of 1
+        k, acc = 1, self.one
+        while acc != self.zero:
+            acc = self.add[acc][self.one]
+            k += 1
+        self.char = k
 
     def __eq__(self, other):
         return (
-            isinstance(other, BaseQuotientRing)
+            isinstance(other, ResidueTable)
             and self.base == other.base
             and self.modulus == other.modulus
         )
@@ -516,25 +543,11 @@ class BaseQuotientRing:
         return hash((self.base, self.modulus.a, self.modulus.b))
 
     def __repr__(self):
-        return f"BaseQuotientRing({self.base.kind.value} mod {self.modulus})"
+        return f"ResidueTable({self.base.kind.value} mod {self.modulus})"
 
     def reduce(self, x: BaseElement) -> BaseElement:
         _, r = euclidean_divmod(x, self.modulus)
         return r
-
-    def elements(self) -> tuple[BaseElement, ...]:
-        """All canonical representatives, sorted by (a, b)."""
-        if self._reps is None:
-            if self.size > TABLE_LIMIT:
-                raise UnsupportedSize(
-                    f"residue ring of size {self.size} exceeds the table limit {TABLE_LIMIT}"
-                )
-            reps = {self.reduce(pt) for pt in self._transversal()}
-            if len(reps) != self.size:
-                raise VerificationFailed(
-                    f"transversal reduces to {len(reps)} residues, not {self.size}")
-            self._reps = tuple(sorted(reps, key=lambda e: (e.a, e.b)))
-        return self._reps
 
     def _transversal(self):
         m = self.modulus
@@ -560,63 +573,13 @@ class BaseQuotientRing:
             self.base.element(a, b) for b in range(d1) for a in range(d0)
         ]
 
-    def table(self) -> "ResidueTable":
-        if self._table is None:
-            self._table = ResidueTable(self)
-        return self._table
-
-
-class ResidueTable:
-    """Index-encoded arithmetic for a small residue ring.
-
-    Elements are integers 0..size-1 indexing the sorted canonical
-    representatives; addition and multiplication become list lookups, which
-    keeps the quotient layers fast and hashable.
-    """
-
-    __slots__ = (
-        "ring", "reps", "index", "add", "mul", "neg", "inv",
-        "zero", "one", "char", "size",
-    )
-
-    def __init__(self, ring: BaseQuotientRing):
-        reps = ring.elements()
-        self.ring = ring
-        self.reps = reps
-        self.size = len(reps)
-        self.index = {(e.a, e.b): i for i, e in enumerate(reps)}
-        idx = self.index
-        red = ring.reduce
-
-        def code(e: BaseElement) -> int:
-            return idx[(e.a, e.b)]
-
-        self.add = [[code(red(x + y)) for y in reps] for x in reps]
-        self.mul = [[code(red(x * y)) for y in reps] for x in reps]
-        self.neg = [code(red(-x)) for x in reps]
-        self.zero = code(red(ring.base.zero))
-        self.one = code(red(ring.base.one))
-        self.inv = [None] * self.size
-        for i in range(self.size):
-            row = self.mul[i]
-            for j in range(self.size):
-                if row[j] == self.one:
-                    self.inv[i] = j
-                    break
-        # additive order of 1
-        k, acc = 1, self.one
-        while acc != self.zero:
-            acc = self.add[acc][self.one]
-            k += 1
-        self.char = k
-
     def encode(self, x: BaseElement) -> int:
         """Index of x mod m; a canonical residue is looked up, not divided."""
-        if x.ring == self.ring.base:
+        if x.ring == self.base:
             i = self.index.get((x.a, x.b))
             if i is not None:
                 return i
-        r = self.ring.reduce(x)
+        r = self.reduce(x)
         return self.index[(r.a, r.b)]
 
     def decode(self, i: int) -> BaseElement:
@@ -624,11 +587,6 @@ class ResidueTable:
 
 
 @lru_cache(maxsize=None)
-def _cached_quotient(kind: RingKind, a: int, b: int) -> BaseQuotientRing:
-    ring = ring_by_name(kind.value)  # the shared instance, so ring checks hit identity
-    return BaseQuotientRing(ring, ring.element(a, b))
-
-
-def quotient_ring(base: BaseRing, modulus: BaseElement) -> BaseQuotientRing:
-    """Shared-instance constructor so table construction is amortized."""
-    return _cached_quotient(base.kind, modulus.a, modulus.b)
+def residue_table(base: BaseRing, modulus: BaseElement) -> ResidueTable:
+    """The shared table of O_F/(modulus), so each is built once."""
+    return ResidueTable(base, modulus)

@@ -408,11 +408,6 @@ class FirstCoefficientCode:
         return best
 
 
-def hamming_distance(outer) -> int:
-    """Minimum Hamming distance of an outer code."""
-    return outer.hamming_distance()
-
-
 # ---------------------------------------------------------------------------
 # lifting outer codewords into the order
 # ---------------------------------------------------------------------------

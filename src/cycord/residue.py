@@ -22,9 +22,11 @@ This layer turns the exact objects of `order` into finite rings:
   kernels (products of digit batches, the encodings of a subspace) work on
   integer arrays in bounded row blocks; every base-p digit row comes from
   `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
-  stacks of matrices at once; it backs the ideal spans (`ideal_elements`,
-  which also gives the `skew_poly_ideal_chain` sets) and the rank, kernel
-  and inverse helpers.
+  stacks of matrices at once; it backs the ideal spans (`ideal_elements`)
+  and the rank, kernel and inverse helpers.
+* `quotient_ideal` builds every entry of an ideal lattice, with its element
+  set from `ideal_elements` when the quotient is small enough; the
+  `skew_poly_ideal_chain` of an inert nilpotent-u quotient is one such list.
 
 Elements of S, like the matrices of `structure`, are `CodeElement`s: tuples of
 residue-table codes, which encode to integers (mixed-radix over the codes), so
@@ -50,9 +52,9 @@ from .base_rings import (
     invert_mod,
     one_hot,
     power,
-    quotient_ring,
     radix_decode,
     radix_encode,
+    residue_table,
 )
 from .errors import (
     DivisionByZero,
@@ -121,7 +123,7 @@ class ResidueRing:
     def __init__(self, ext: ExtensionSpec, modulus: BaseElement):
         self.ext = ext
         self.modulus = modulus
-        self.table = quotient_ring(ext.base, modulus).table()
+        self.table = residue_table(ext.base, modulus)
         enc = self.table.encode
         n = ext.n
         self.mult = tuple(
@@ -260,7 +262,7 @@ class CodeElement(RingElement):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = self.ring.table.ring.base.element(other)
+            other = self.ring.table.base.element(other)
         if isinstance(other, BaseElement):
             return self.scale(self.ring.table.encode(other))
         self._check(other)
@@ -444,11 +446,10 @@ def _crt_data(ring: QuotientRing):
         e_i = M_i * t_i
         glue.append(e_i)
     # the glue elements form a complete system mod M
-    red = quotient_ring(base, M).reduce
     total = base.zero
     for e in glue:
         total = total + e
-    if red(total) != red(base.one):
+    if not divides(M, total - base.one):
         raise VerificationFailed(f"CRT glue elements sum to {total}, not 1 mod {M}")
     ring._crt = (components, tuple(glue))
     return ring._crt
@@ -577,8 +578,7 @@ class QuotientIdeal:
 
     label: str
     generators: tuple
-    elements: frozenset | None = None
-    note: str = ""
+    elements: frozenset | None
 
     def __str__(self):
         return self.label
@@ -602,12 +602,33 @@ def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> froz
     return view.span_encodings(R[0, :rank[0]])
 
 
+def quotient_ideal(Q: QuotientRing, label: str, generators) -> QuotientIdeal:
+    """The lattice entry `label`: the two-sided ideal of Q generated by `generators`.
+
+    Its element set is `ideal_elements`, or None when Q has more than
+    ENUM_LIMIT elements or the set cannot be enumerated.  An entry with no
+    generators is the zero ideal, {0} at any size.
+    """
+    generators = tuple(generators)
+    elements = None
+    if not generators:
+        elements = frozenset({Q.zero.encode()})
+    elif Q.cardinality <= ENUM_LIMIT:
+        try:
+            elements = ideal_elements(Q, generators)
+        except (UnsupportedCase, TooLargeToEnumerate):
+            pass
+    return QuotientIdeal(label, generators, elements)
+
+
 def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
     """The ideals <z^i>, i = 1..n, of an inert nilpotent-u quotient.
 
     The quotient by <z^i> is the truncated twisted polynomial ring spanned by
-    1, z, ..., z^(i-1) over the residue field.  Each element set, when the
-    quotient is small enough to enumerate, is `ideal_elements` of z^i.
+    1, z, ..., z^(i-1) over the residue field.  Each entry comes from
+    `quotient_ideal`, so its element set is there when Q is small enough to
+    enumerate.  Raises WrongCase unless the modulus is an inert prime
+    containing u.
     """
     ideal = Q.ideal
     if not isinstance(ideal, IdealSpec) or ideal.s != 1:
@@ -617,24 +638,8 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
     split = factor_prime(Q.algebra.ext, ideal.alpha)
     if split.g != 1:
         raise WrongCase("the chain classification needs an inert prime")
-    out = []
-    enumerable = Q.cardinality <= ENUM_LIMIT
-    for i in range(1, Q.n + 1):
-        gen = Q.z ** i
-        elems = ideal_elements(Q, [gen]) if enumerable else None
-        kbar = f"field of {Q.S.size} elements"
-        out.append(
-            QuotientIdeal(
-                label=f"<z^{i}>" if i > 1 else "<z>",
-                generators=(gen,),
-                elements=elems,
-                note=(
-                    f"quotient is the span of 1..z^{i-1} over the {kbar}"
-                    if i > 1 else f"quotient is the {kbar}"
-                ),
-            )
-        )
-    return out
+    return [quotient_ideal(Q, f"<z^{i}>" if i > 1 else "<z>", [Q.z ** i])
+            for i in range(1, Q.n + 1)]
 
 
 # -- F_p linearization -------------------------------------------------------------

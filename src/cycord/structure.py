@@ -16,7 +16,8 @@ we produce an explicit isomorphism certificate:
 When u falls into the prime the quotient is never a matrix ring; instead its
 two-sided ideals form a completely explicit lattice: a chain of powers of z
 in the inert case, and a cyclic staircase of monomial ideals in the split
-case (`enumerate_monomial_ideals`).
+case (`enumerate_monomial_ideals`).  Every lattice entry, the q^t chain of
+the unit cases included, is built by `residue.quotient_ideal`.
 
 `verify_isomorphism` checks certificates against nothing but ring axioms:
 exact spot products, a kernel rank over the prime field, cardinality count,
@@ -32,7 +33,7 @@ import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,15 +55,14 @@ from .residue import (
     CodeElement,
     FpView,
     GcaElement,
-    QuotientIdeal,
     QuotientRing,
     ResidueElement,
     ResidueRing,
     Splitting,
     factor_prime,
-    ideal_elements,
     inverse_mod_p,
     kernel_vector_mod_p,
+    quotient_ideal,
     quotient_of,
     rank_mod_p,
     skew_poly_ideal_chain,
@@ -76,7 +76,8 @@ PAIR_SAMPLE_EXHAUSTIVE = 100_000
 PAIR_SAMPLE = 10_000
 # Object-level (non-linearized) product checks per verification run.
 SPOT_CHECKS = 200
-# Largest component field scanned exhaustively in the norm-equation fallback.
+# Largest residue ring O_K/qO_K whose component-field elements are listed,
+# which the generator search of the norm equation needs.
 NORM_SCAN_LIMIT = 1 << 16
 
 
@@ -112,11 +113,11 @@ class MatRing:
         return (
             isinstance(other, MatRing)
             and self.n == other.n
-            and self.table.ring == other.table.ring
+            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.n, self.table.ring))
+        return hash((self.n, self.table))
 
     def __repr__(self):
         return f"MatRing({self.label})"
@@ -278,9 +279,9 @@ def solve_norm_equation(component: ComponentField, target: ResidueElement) -> Re
 
     On the cyclic unit group the norm is the power map e -> e * (Q-1)/(P-1),
     so the equation reduces to a linear congruence in discrete logs.  The
-    returned solution is always re-checked against the actual twisted product
-    of conjugates; if that ever disagreed we would fall back to an exhaustive
-    scan rather than trust the power-map model.
+    target lies in F_P^*, which is generated by g^M, so M divides its log and
+    the congruence is solvable.  The solution is still re-checked against the
+    actual product of conjugates, and WrongCase is raised if that disagrees.
     """
     if target.is_zero:
         raise ZeroTarget("norm equations are only posed for unit targets")
@@ -292,16 +293,10 @@ def solve_norm_equation(component: ComponentField, target: ResidueElement) -> Re
         d = math.gcd(M, Q - 1)
         if t % d == 0:
             mod = (Q - 1) // d
-            if mod == 1:
-                e = 0
-            else:
-                e = (t // d) * pow(M // d, -1, mod) % mod
+            e = (t // d) * pow(M // d, -1, mod) % mod
             k = component.pow(component.generator(), e)
             if component.norm(k) == target:
                 return k
-    for k in component.elements():  # pragma: no cover - fallback path
-        if not k.is_zero and component.norm(k) == target:
-            return k
     raise WrongCase("target is outside the image of the component norm")
 
 
@@ -322,7 +317,6 @@ class IsoCertificate:
     target: MatRing
     basis_images: tuple
     z_image: MatElement
-    witnesses: dict = field(default_factory=dict, repr=False)
     verified: bool = False
 
     def __post_init__(self):
@@ -419,7 +413,6 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
         target=mat,
         basis_images=basis_images,
         z_image=z_image,
-        witnesses={"w": Q.from_residue(w), "y": y, "norm_solution": k},
     )
     _require(cert.forward(Q.one) == mat.one, "1 must map to the identity")
     _require(cert.forward(y) == T, "y must map to the sigma matrix")
@@ -547,7 +540,7 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     mat = MatRing(
         table,
         n,
-        label=f"M_{n}({table.ring.base.kind.value} mod {ideal})",
+        label=f"M_{n}({table.base.kind.value} mod {ideal})",
     )
 
     def phi(x: GcaElement) -> MatElement:
@@ -565,10 +558,6 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
         target=mat,
         basis_images=basis_images,
         z_image=z_image,
-        witnesses={
-            "matrix_units": tuple(tuple(row) for row in units),
-            "s1_certificate": cert1,
-        },
     )
     # the linear evaluation must agree with direct corner extraction
     rng = random.Random(7)
@@ -875,40 +864,6 @@ class StructureReport:
         }
 
 
-def _safe_ideal_elements(Q: QuotientRing, generators):
-    if Q.cardinality > ENUM_LIMIT:
-        return None
-    try:
-        return ideal_elements(Q, generators)
-    except (UnsupportedCase, TooLargeToEnumerate):
-        return None
-
-
-def _power_chain_lattice(Q: QuotientRing, ideal: IdealSpec) -> list[QuotientIdeal]:
-    """The chain ring > qLambda > ... > q^s Lambda = 0 inside the quotient."""
-    out = []
-    power = ideal.alpha.ring.one
-    for t in range(ideal.s + 1):
-        gen = Q.one * power
-        if t == 0:
-            label = "ring"
-        elif t == ideal.s:
-            label = "0"
-        else:
-            label = f"q^{t}"
-        elems = _safe_ideal_elements(Q, [gen])
-        out.append(
-            QuotientIdeal(
-                label=label,
-                generators=(gen,),
-                elements=elems,
-                note=f"image of q^{t} Lambda",
-            )
-        )
-        power = power * ideal.alpha
-    return out
-
-
 def identify_quotient(algebra: AlgebraSpec, ideal: IdealSpec) -> StructureReport:
     """Classify Lambda/q^s Lambda and build its certificate or ideal lattice.
 
@@ -929,33 +884,15 @@ def identify_quotient(algebra: AlgebraSpec, ideal: IdealSpec) -> StructureReport
 
     if u_in_q:
         if g == 1:
-            chain = skew_poly_ideal_chain(Q)
-            ring_ideal = QuotientIdeal(
-                label="ring",
-                generators=(Q.one,),
-                elements=_safe_ideal_elements(Q, [Q.one]),
-                note="the whole quotient",
-            )
             return StructureReport(
                 case=QuotientCase.INERT_NILPOTENT,
                 quotient=Q,
                 splitting=split,
                 target=f"F_{Q.S.size}[z; sigma] / (z^{n})",
                 certificate=None,
-                ideal_lattice=[ring_ideal] + chain,
+                ideal_lattice=[quotient_ideal(Q, "ring", [Q.one])] + skew_poly_ideal_chain(Q),
             )
         monomials = enumerate_monomial_ideals(algebra, ideal)
-        lattice = []
-        for mi in monomials:
-            gens = monomial_generator_elements(Q, split, mi)
-            lattice.append(
-                QuotientIdeal(
-                    label=str(mi),
-                    generators=gens,
-                    elements=_safe_ideal_elements(Q, gens) if gens else frozenset({Q.zero.encode()}),
-                    note=f"thresholds {mi.thresholds}",
-                )
-            )
         return StructureReport(
             case=QuotientCase.SPLIT_NILPOTENT,
             quotient=Q,
@@ -965,7 +902,8 @@ def identify_quotient(algebra: AlgebraSpec, ideal: IdealSpec) -> StructureReport
                 f"with {len(monomials)} monomial ideals"
             ),
             certificate=None,
-            ideal_lattice=lattice,
+            ideal_lattice=[quotient_ideal(Q, str(mi), monomial_generator_elements(Q, split, mi))
+                           for mi in monomials],
         )
 
     if s == 1:
@@ -982,5 +920,10 @@ def identify_quotient(algebra: AlgebraSpec, ideal: IdealSpec) -> StructureReport
         splitting=split,
         target=cert.target.label,
         certificate=cert,
-        ideal_lattice=_power_chain_lattice(Q, ideal),
+        # the chain ring > q > ... > q^s = 0, generated by the images of q^t
+        ideal_lattice=[
+            quotient_ideal(Q, "ring" if t == 0 else "0" if t == s else f"q^{t}",
+                           [Q.one * ideal.alpha ** t])
+            for t in range(s + 1)
+        ],
     )

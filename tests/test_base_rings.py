@@ -6,21 +6,20 @@ from cycord.base_rings import (
     EISENSTEIN,
     GAUSSIAN,
     RATIONAL,
-    BaseQuotientRing,
+    ResidueTable,
     euclidean_divmod,
-    exact_div,
     divides,
     format_element,
     invert_mod,
     is_prime_element,
     parse_element,
-    quotient_ring,
     radix_decode,
     radix_encode,
+    residue_table,
     ring_by_name,
     xgcd,
 )
-from cycord.errors import DivisionByZero, IncompatibleRings
+from cycord.errors import DivisionByZero, IncompatibleRings, UnsupportedSize
 
 RINGS = [RATIONAL, GAUSSIAN, EISENSTEIN]
 
@@ -112,7 +111,7 @@ def test_divmod_tie_break_is_canonical():
     q2, r2 = euclidean_divmod(GAUSSIAN.one, m)
     assert (q1, r1) == (q2, r2)
     assert r1 == GAUSSIAN.element(-1)
-    assert quotient_ring(GAUSSIAN, m).reduce(GAUSSIAN.one) == GAUSSIAN.element(-1)
+    assert residue_table(GAUSSIAN, m).reduce(GAUSSIAN.one) == GAUSSIAN.element(-1)
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -128,19 +127,11 @@ def test_xgcd_bezout(ring, data):
     assert divides(g, x) and divides(g, y)
 
 
-def test_exact_div():
-    x = GAUSSIAN.element(5, 5)
-    d = GAUSSIAN.element(1, 1)
-    assert exact_div(x, d) * d == x
-    with pytest.raises(ValueError):
-        exact_div(GAUSSIAN.one, GAUSSIAN.element(2))
-
-
 def test_invert_mod():
     m = GAUSSIAN.element(2, 1)  # norm 5
     for a in (GAUSSIAN.one, GAUSSIAN.element(0, 1), GAUSSIAN.element(1, 1)):
         inv = invert_mod(a, m)
-        q = quotient_ring(GAUSSIAN, m)
+        q = residue_table(GAUSSIAN, m)
         assert q.reduce(a * inv) == q.reduce(GAUSSIAN.one)
 
 
@@ -177,22 +168,20 @@ def test_parse_examples():
     ("1+i", 2), ("2", 4), ("2+i", 5), ("3", 9),
 ])
 def test_quotient_sizes(modulus, size):
-    q = quotient_ring(GAUSSIAN, GAUSSIAN.parse(modulus))
-    assert len(q.elements()) == size
+    t = residue_table(GAUSSIAN, GAUSSIAN.parse(modulus))
+    assert len(t.reps) == size
 
 
 def test_residue_table_matches_reduce():
     m = GAUSSIAN.element(1, 1)
-    q = quotient_ring(GAUSSIAN, m)
-    t = q.table()
-    els = q.elements()
-    for x in els:
-        for y in els:
-            assert t.add[t.encode(x)][t.encode(y)] == t.encode(q.reduce(x + y))
-            assert t.mul[t.encode(x)][t.encode(y)] == t.encode(q.reduce(x * y))
+    t = residue_table(GAUSSIAN, m)
+    for x in t.reps:
+        for y in t.reps:
+            assert t.add[t.encode(x)][t.encode(y)] == t.encode(t.reduce(x + y))
+            assert t.mul[t.encode(x)][t.encode(y)] == t.encode(t.reduce(x * y))
     # zero and one are the canonical representatives, not the raw inputs
-    assert t.decode(t.zero) == q.reduce(GAUSSIAN.zero)
-    assert t.decode(t.one) == q.reduce(GAUSSIAN.one)
+    assert t.decode(t.zero) == t.reduce(GAUSSIAN.zero)
+    assert t.decode(t.one) == t.reduce(GAUSSIAN.one)
 
 
 # the residue tables of golden_u_i mod (1+i), (1+i)^2 and of q7_cubic mod 2
@@ -202,21 +191,40 @@ CERTIFIED_TABLES = [(GAUSSIAN, "1+i"), (GAUSSIAN, "2i"), (EISENSTEIN, "2")]
 @pytest.mark.parametrize("ring,modulus", CERTIFIED_TABLES)
 def test_residue_table_encodes_canonical_residues_by_lookup(monkeypatch, ring, modulus):
     m = ring.parse(modulus)
-    t = quotient_ring(ring, m).table()
+    t = residue_table(ring, m)
     shifted = [t.encode(rep + m * ring.element(2, -1)) for rep in t.reps]
     assert shifted == list(range(t.size))
     # a canonical residue needs no division at all
-    monkeypatch.setattr(BaseQuotientRing, "reduce", None)
+    monkeypatch.setattr(ResidueTable, "reduce", None)
     assert [t.encode(rep) for rep in t.reps] == list(range(t.size))
 
 
 @pytest.mark.parametrize("ring,modulus", CERTIFIED_TABLES)
 def test_residue_table_encode_rejects_foreign_ring(ring, modulus):
-    t = quotient_ring(ring, ring.parse(modulus)).table()
+    t = residue_table(ring, ring.parse(modulus))
     foreign = EISENSTEIN if ring is GAUSSIAN else GAUSSIAN
     for rep in t.reps:  # same (a, b) as a table key, but another ring
         with pytest.raises(IncompatibleRings):
             t.encode(foreign.element(rep.a, rep.b))
+
+
+def test_residue_table_refuses_bad_moduli_at_construction():
+    with pytest.raises(DivisionByZero):
+        ResidueTable(GAUSSIAN, GAUSSIAN.zero)
+    with pytest.raises(IncompatibleRings):
+        ResidueTable(GAUSSIAN, EISENSTEIN.element(2))
+    with pytest.raises(UnsupportedSize, match="4225 exceeds the table limit 4096"):
+        ResidueTable(GAUSSIAN, GAUSSIAN.element(65))  # 65^2 residues
+
+
+def test_residue_table_is_shared_per_modulus():
+    t = residue_table(GAUSSIAN, GAUSSIAN.element(3))
+    assert residue_table(GAUSSIAN, GAUSSIAN.parse("3")) is t
+    # a table built apart compares equal by (base, modulus)
+    fresh = ResidueTable(GAUSSIAN, GAUSSIAN.element(3))
+    assert fresh == t and hash(fresh) == hash(t)
+    assert residue_table(EISENSTEIN, EISENSTEIN.element(3)) != t
+    assert residue_table(GAUSSIAN, GAUSSIAN.element(2, 1)) != t
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), max_size=8),

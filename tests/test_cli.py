@@ -443,8 +443,8 @@ BROKEN_INVARIANTS = {  # name -> (script that breaks one exact check, its messag
         "import sys\n"
         "from cycord import base_rings, cli\n"
         "init = base_rings.ResidueTable.__init__\n"
-        "def miscounted(self, ring):\n"
-        "    init(self, ring)\n"
+        "def miscounted(self, *args):\n"
+        "    init(self, *args)\n"
         "    self.char = 3\n"
         "base_rings.ResidueTable.__init__ = miscounted\n"
         "sys.exit(cli.main(['structure', '--algebra', 'golden_u_i', '--ideal',\n"

@@ -21,7 +21,6 @@ from cycord.coding import (
     delta_lower_bound,
     delta_min_search,
     det_inequality_check,
-    hamming_distance,
     lift_codeword,
     min_det_sq_in_box,
     monomial_project,
@@ -230,7 +229,7 @@ def test_parity_code_over_quotient(q_gold):
     code = ParityCode(q_gold, 3)
     assert code.kind == "ParityOverRing"
     assert code.message_length == 2
-    assert hamming_distance(code) == 2
+    assert code.hamming_distance() == 2
     words = list(code.codewords())
     assert len(words) == 16 ** 2
     for w in words:

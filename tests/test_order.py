@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycord
-from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, quotient_ring, radix_decode
+from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, radix_decode, residue_table
 from cycord.errors import IncompatibleAlgebras, IncompatibleRings
 from cycord.extension import IdealSpec
 from cycord.order import (
@@ -312,7 +312,7 @@ def law_cases(golden, q7):
     ext, i = golden.ext, GAUSSIAN.element(0, 1)
     Q = quotient_of(golden, IdealSpec(GAUSSIAN.element(1, 1), 2))
     Q3 = quotient_of(golden, IdealSpec(GAUSSIAN.element(3)))
-    mat = MatRing(quotient_ring(GAUSSIAN, GAUSSIAN.element(3)).table(), 2)
+    mat = MatRing(residue_table(GAUSSIAN, GAUSSIAN.element(3)), 2)
     ff = FiniteField(3, 2)
     x_ord = golden.z + golden.one * i
     return {

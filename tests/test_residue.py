@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cycord import residue
-from cycord.base_rings import RATIONAL, BaseQuotientRing
+from cycord.base_rings import RATIONAL, ResidueTable
 from cycord.errors import (
     DivisionByZero,
     RamifiedPrime,
@@ -32,6 +32,7 @@ from cycord.residue import (
     inverse_mod_p,
     invert_unipotent,
     kernel_vector_mod_p,
+    quotient_ideal,
     quotient_of,
     rank_mod_p,
     residue_ring,
@@ -369,6 +370,36 @@ def test_ideal_elements_honours_limit(q_nilp):
         ideal_elements(q_nilp, [q_nilp.z], limit=3)
     with pytest.raises(TooLargeToEnumerate):
         ideal_elements(q_nilp, [q_nilp.one], limit=15)
+
+
+@pytest.fixture(scope="module")
+def q_big():
+    # gauss_over_Q with u = 17, mod 17: 17^4 elements, above ENUM_LIMIT
+    gauss = load_algebra("gauss_over_Q", u="17")
+    Q = quotient_of(gauss, IdealSpec(gauss.u))
+    assert Q.cardinality > residue.ENUM_LIMIT
+    return Q
+
+
+def test_quotient_ideal_without_generators_is_zero(q_nilp, q_big):
+    for Q in (q_nilp, q_big):
+        entry = quotient_ideal(Q, "0", [])
+        assert (entry.label, entry.generators) == ("0", ())
+        assert entry.elements == {Q.zero.encode()}
+
+
+def test_quotient_ideal_elements(q_nilp, q_big):
+    assert quotient_ideal(q_big, "ring", [q_big.one]).elements is None
+    assert quotient_ideal(q_big, "0", [q_big.zero]).elements is None
+    for gens in ([q_nilp.one], [q_nilp.z], [q_nilp.z ** 2], [q_nilp.z, q_nilp.one]):
+        entry = quotient_ideal(q_nilp, "I", gens)
+        assert entry.generators == tuple(gens)
+        assert entry.elements == ideal_elements(q_nilp, gens)
+    # characteristic 9 has no F_p structure, so the set cannot be enumerated
+    gauss = load_algebra("gauss_over_Q")
+    Q9 = quotient_of(gauss, IdealSpec(gauss.ext.base.element(3), 2))
+    assert Q9.cardinality <= residue.ENUM_LIMIT
+    assert quotient_ideal(Q9, "ring", [Q9.one]).elements is None
 
 
 # -- the incremental reduction and closure: reference for rref_mod_p -----------
@@ -764,7 +795,7 @@ def test_fp_table_digits_survives_freed_tables():
     # a cache keyed by id(table) hands a freed table's digits to a new table
     # that reuses its address; the digits must follow the table itself
     for modulus in (2, 3) * 10:
-        table = BaseQuotientRing(RATIONAL, RATIONAL.element(modulus)).table()
+        table = ResidueTable(RATIONAL, RATIONAL.element(modulus))
         p, k, digits, _ = fp_table_digits(table)
         assert (p, k, len(digits)) == (modulus, 1, modulus)
         del table, digits

@@ -1,0 +1,73 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+No linter ships with the project, so two of a linter's checks live here:
+every imported name is used by its module, and every module-level private
+function or class is used somewhere in the package.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import cycord
+
+PACKAGE = Path(cycord.__file__).resolve().parent
+# the package namespace re-exports what it imports, so it is exempt
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(node, attributes=False) -> Counter:
+    """Names read under `node`: bare names, the names inside string
+    annotations and, with `attributes`, attribute names."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif attributes and isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        for note in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                found.update(_references(ast.parse(note.value, mode="eval")))
+    return found
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def test_modules_are_found():
+    assert {p.stem for p in MODULES} >= {"base_rings", "residue", "structure", "cli"}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        used = _references(tree)
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree)
+                   if not used[name]]
+    assert unused == []
+
+
+def test_every_private_definition_is_used():
+    trees = {path.name: _tree(path) for path in MODULES}
+    # another module may reach a private name as an attribute of its module
+    used = sum((_references(tree, True) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                # a definition's references to itself do not count
+                if used[node.name] == _references(node, True)[node.name]:
+                    unused.append(f"{name}: {node.name}")
+    assert unused == []

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cycord import structure
-from cycord.base_rings import GAUSSIAN, quotient_ring
+from cycord.base_rings import GAUSSIAN, residue_table
 from cycord.errors import (
     UnsupportedCase,
     VerificationFailed,
@@ -434,7 +434,7 @@ def test_matrix_ring_zero_test(golden):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matrix_ring_constructors_match_nested_entries(n):
     # Z[i]/(3): zero and one have codes 4 and 7, so no code is its own index
-    table = quotient_ring(GAUSSIAN, GAUSSIAN.element(3)).table()
+    table = residue_table(GAUSSIAN, GAUSSIAN.element(3))
     mat, z, c = MatRing(table, n), table.zero, 2
 
     def nested(at):
