@@ -131,8 +131,8 @@ def test_invert_mod():
     m = GAUSSIAN.element(2, 1)  # norm 5
     for a in (GAUSSIAN.one, GAUSSIAN.element(0, 1), GAUSSIAN.element(1, 1)):
         inv = invert_mod(a, m)
-        q = residue_table(GAUSSIAN, m)
-        assert q.reduce(a * inv) == q.reduce(GAUSSIAN.one)
+        t = residue_table(GAUSSIAN, m)
+        assert t.reduce(a * inv) == t.reduce(GAUSSIAN.one)
 
 
 @pytest.mark.parametrize("ring,prime,composite", [
