@@ -720,10 +720,6 @@ class FpView:
             [self._code_of[digs[pos:pos + k]] for pos in range(0, self.dim, k)]
         )
 
-    def all_digits(self) -> np.ndarray:
-        """Every digit vector, row i holding the base-p digits of i, lowest first."""
-        return digit_rows(self.p, self.dim)
-
     def basis_elements(self) -> list:
         return [self.element(one_hot(self.dim, a, 1, 0)) for a in range(self.dim)]
 
@@ -895,7 +891,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
             seen.setdefault(rows.tobytes(), rows)
 
     # an ideal has dimension at most dim: rows from dim on reduce to zero
-    E = view.all_digits()
+    E = digit_rows(p, d)
     step = max(1, FP_BLOCK_ENTRIES // d ** 3)
     for lo in range(0, len(E), step):
         collect(rref_mod_p(_sandwiches(view, E[lo:lo + step]), p)[0][:, :d])

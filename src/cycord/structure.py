@@ -48,7 +48,7 @@ from .errors import (
     ZeroTarget,
 )
 from .extension import IdealSpec
-from .order import AlgebraSpec
+from .order import AlgebraSpec, digit_rows
 from .residue import (
     ENUM_LIMIT,
     ROW_BLOCK,
@@ -712,7 +712,10 @@ def verify_isomorphism(
     and Phi(1) = 1: as Phi is F_p-linear and both products are bilinear,
     they prove multiplicativity, so every mode proves a ring isomorphism.
     Behind that basis-pair proof and the rank check, the image check and
-    the bulk pair check are defence in depth.
+    the bulk pair check are defence in depth.  Only the N int64 image keys
+    and the drawn pairs, as digits of the narrowest dtype that holds p - 1,
+    are held at full size; image rows, int64 draws and products exist one
+    block of ROW_BLOCK rows at a time.
     Raises VerificationFailed carrying a counterexample pair, the lowest
     failing one for the product checks.
     """
@@ -753,34 +756,39 @@ def verify_isomorphism(
         _fail(f"cardinalities differ: source {N}, target {tcard}")
 
     elements_enumerated = 0
-    E = None
     if mode is VerifyMode.EXHAUSTIVE:
         _require(N == p ** dim, "prime-characteristic digit count must match")
-        E = sview.all_digits()
-        imgs = (E @ Phi.T) % p
         # most significant digit first: keys sort like the image rows
-        keys = imgs @ p ** np.arange(imgs.shape[1] - 1, -1, -1, dtype=np.int64)
+        place = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        keys = np.empty(N, dtype=np.int64)
+        for lo in range(0, N, ROW_BLOCK):
+            imgs = digit_rows(p, dim, lo, min(N, lo + ROW_BLOCK)) @ Phi.T
+            imgs %= p
+            keys[lo:lo + len(imgs)] = imgs @ place
         order = np.argsort(keys, kind="stable")
         dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
         if dup.size:
-            i = int(dup[0])
-            x1 = sview.element(E[order[i]])
-            x2 = sview.element(E[order[i + 1]])
+            i = int(order[dup[0]]), int(order[dup[0] + 1])
+            x1, x2 = (sview.element(digit_rows(p, dim, j, j + 1)[0]) for j in i)
             _fail(f"two elements share an image: {x1} and {x2}", (x1, x2))
-        del imgs, keys, order  # before the pair arrays are drawn: lowers the peak
+        del imgs, keys, order
         elements_enumerated = N
 
-    # bulk product checks over the linearized tensors
+    # bulk product checks over the linearized tensors, digits stored narrow
+    narrow = np.min_scalar_type(p - 1)
     pairs_exhaustive = mode is VerifyMode.EXHAUSTIVE and N * N <= PAIR_EXHAUSTIVE_LIMIT
     if pairs_exhaustive:
-        idx = np.arange(N)
+        E, idx = digit_rows(p, dim).astype(narrow), np.arange(N)
         X = E[np.repeat(idx, N)]
         Y = E[np.tile(idx, N)]
     else:
         count = PAIR_SAMPLE_EXHAUSTIVE if mode is VerifyMode.EXHAUSTIVE else PAIR_SAMPLE
         nprng = np.random.default_rng(seed)
-        X = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
-        Y = nprng.integers(0, p, size=(count, dim), dtype=np.int64)
+        X, Y = np.empty((count, dim), dtype=narrow), np.empty((count, dim), dtype=narrow)
+        for A in (X, Y):  # int64 draws in chunks: the same stream as one whole draw
+            for lo in range(0, count, ROW_BLOCK):
+                rows = min(ROW_BLOCK, count - lo)
+                A[lo:lo + rows] = nprng.integers(0, p, size=(rows, dim), dtype=np.int64)
     def check_products(X, Y, what):
         # in index order, so the first failing block holds the lowest failing pair;
         # only a block's mismatch mask outlives it, which lowers the peak memory

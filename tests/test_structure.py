@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -261,8 +262,7 @@ SHIFTED_Z_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("s, mode", sorted(SHIFTED_Z_PAIRS, key=str))
-def test_product_check_reports_lowest_failing_pair(golden, monkeypatch, s, mode):
+def shifted_z_pair(golden, monkeypatch, s, mode):
     monkeypatch.setattr(structure, "SPOT_CHECKS", 0)
     good = identify_quotient(golden, ideal_of(golden, 1, 1, s=s)).certificate
     bad = IsoCertificate(source=good.source, target=good.target,
@@ -270,10 +270,15 @@ def test_product_check_reports_lowest_failing_pair(golden, monkeypatch, s, mode)
                          z_image=good.z_image + good.target.one)
     with pytest.raises(VerificationFailed, match="product check fails") as exc:
         verify_isomorphism(bad, mode, seed=0)
-    assert tuple(x.encode() for x in exc.value.pair) == SHIFTED_Z_PAIRS[(s, mode)]
+    return tuple(x.encode() for x in exc.value.pair)
 
 
-def test_image_check_reports_first_shared_image(golden, monkeypatch):
+@pytest.mark.parametrize("s, mode", sorted(SHIFTED_Z_PAIRS, key=str))
+def test_product_check_reports_lowest_failing_pair(golden, monkeypatch, s, mode):
+    assert shifted_z_pair(golden, monkeypatch, s, mode) == SHIFTED_Z_PAIRS[(s, mode)]
+
+
+def shared_image_pair(golden, monkeypatch):
     # with the rank check forced to pass, a zero z image reaches the
     # exhaustive image check; it reports the first two elements with the
     # smallest shared image, which for a linear map is always 0
@@ -284,7 +289,41 @@ def test_image_check_reports_first_shared_image(golden, monkeypatch):
                          basis_images=good.basis_images, z_image=good.target.zero)
     with pytest.raises(VerificationFailed, match="share an image") as exc:
         verify_isomorphism(bad, VerifyMode.EXHAUSTIVE)
-    assert tuple(x.encode() for x in exc.value.pair) == (255, 207)
+    return tuple(x.encode() for x in exc.value.pair)
+
+
+def test_image_check_reports_first_shared_image(golden, monkeypatch):
+    assert shared_image_pair(golden, monkeypatch) == (255, 207)
+
+
+@pytest.fixture(scope="module")
+def q15_certificate(q15):
+    return identify_quotient(q15, ideal_of(q15, 1, 1)).certificate
+
+
+def test_checks_do_not_depend_on_the_row_block(golden, q15_certificate, monkeypatch):
+    # a small odd block: the key build, both draws and the product check
+    # span many blocks, the last one ragged; the drawn pairs and the
+    # reported lowest pairs must not move
+    monkeypatch.setattr(structure, "ROW_BLOCK", 37)
+    report = verify_isomorphism(q15_certificate, VerifyMode.EXHAUSTIVE)
+    assert (report.pairs_checked, report.elements_enumerated) == (100_000, 65_536)
+    for (s, mode), pair in SHIFTED_Z_PAIRS.items():
+        assert shifted_z_pair(golden, monkeypatch, s, mode) == pair
+    assert shared_image_pair(golden, monkeypatch) == (255, 207)
+
+
+def test_exhaustive_verify_holds_no_full_size_image_rows(q15_certificate):
+    # numpy reports its buffers to tracemalloc; N x dim int64 image rows
+    # and int64 pair arrays put the peak near 40 MB, narrow pairs and
+    # per-block images near 10 MB
+    tracemalloc.start()
+    try:
+        verify_isomorphism(q15_certificate, VerifyMode.EXHAUSTIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_unsupported_nilpotent_power(golden_1pi):
