@@ -768,8 +768,8 @@ def verify_isomorphism(
         order = np.argsort(keys, kind="stable")
         dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
         if dup.size:
-            i = int(order[dup[0]]), int(order[dup[0] + 1])
-            x1, x2 = (sview.element(digit_rows(p, dim, j, j + 1)[0]) for j in i)
+            x1, x2 = (sview.element(digit_rows(p, dim, j, j + 1)[0])
+                      for j in order[dup[0]:dup[0] + 2])
             _fail(f"two elements share an image: {x1} and {x2}", (x1, x2))
         del imgs, keys, order
         elements_enumerated = N
@@ -785,7 +785,7 @@ def verify_isomorphism(
         count = PAIR_SAMPLE_EXHAUSTIVE if mode is VerifyMode.EXHAUSTIVE else PAIR_SAMPLE
         nprng = np.random.default_rng(seed)
         X, Y = np.empty((count, dim), dtype=narrow), np.empty((count, dim), dtype=narrow)
-        for A in (X, Y):  # int64 draws in chunks: the same stream as one whole draw
+        for A in (X, Y):  # int64 chunks draw one whole draw's stream; uint8 would not
             for lo in range(0, count, ROW_BLOCK):
                 rows = min(ROW_BLOCK, count - lo)
                 A[lo:lo + rows] = nprng.integers(0, p, size=(rows, dim), dtype=np.int64)
