@@ -24,8 +24,8 @@ This layer turns the exact objects of `order` into finite rings:
   `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
   stacks of matrices at once; it backs the ideal spans (`ideal_elements`)
   and the rank, kernel and inverse helpers.
-* `quotient_ideal` builds every entry of an ideal lattice, with its element
-  set from `ideal_elements` when the quotient is small enough; the
+* `quotient_ideal` builds every entry of an ideal lattice; an entry finds its
+  size (from the rank) and its element set only when asked.  The
   `skew_poly_ideal_chain` of an inert nilpotent-u quotient is one such list.
 
 Elements of S, like the matrices of `structure`, are `CodeElement`s: tuples of
@@ -574,51 +574,66 @@ def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
 
 @dataclass(frozen=True)
 class QuotientIdeal:
-    """A two-sided ideal of a quotient ring, with its element set when small."""
+    """The two-sided ideal of `quotient` generated by `generators`, on demand.
+
+    No generators: the zero ideal, size 1 and {0}.  Otherwise `size` is p^rank
+    and `elements` the span, None above ENUM_LIMIT; both None without F_p.
+    """
 
     label: str
+    quotient: QuotientRing
     generators: tuple
-    elements: frozenset | None
 
     def __str__(self):
         return self.label
+
+    @functools.cached_property
+    def _basis(self):  # (view, `_ideal_rows`), or None without F_p structure
+        try:
+            view = FpView(self.quotient)
+        except UnsupportedCase:
+            return None
+        return view, _ideal_rows(view, self.generators)
+
+    @functools.cached_property
+    def size(self) -> int | None:
+        if not self.generators:
+            return 1
+        return None if self._basis is None else self._basis[0].p ** len(self._basis[1])
+
+    @functools.cached_property
+    def elements(self) -> frozenset | None:
+        if not self.generators:
+            return frozenset({self.quotient.zero.encode()})
+        if self.quotient.cardinality > ENUM_LIMIT or self._basis is None:
+            return None
+        return self._basis[0].span_encodings(self._basis[1])
+
+
+def _ideal_rows(view: FpView, generators) -> np.ndarray:
+    """Reduced rows spanning the ideal of `generators`: the rank step, by `_sandwiches`."""
+    d = view.dim
+    X = np.array([view.digits(g) for g in generators], dtype=np.int64).reshape(-1, d)
+    R, rank = rref_mod_p(_sandwiches(view, X).reshape(1, -1, d), view.p)
+    return R[0, :rank[0]]
 
 
 def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> frozenset:
     """Element encodings of the two-sided ideal generated by `generators`.
 
-    Reduces one matrix mod p: the sandwiches e_a * g * e_b of every
-    generator g over basis pairs, which span the ideal (see `_sandwiches`).
-    Needs prime characteristic, which covers every ring this package
-    materializes.  Raises TooLargeToEnumerate when the ideal has more than
-    `limit` elements.
+    Needs prime characteristic.  Raises TooLargeToEnumerate when the ideal
+    has more than `limit` elements.
     """
     view = FpView(Q)
-    d, p = view.dim, view.p
-    X = np.array([view.digits(g) for g in generators], dtype=np.int64).reshape(-1, d)
-    R, rank = rref_mod_p(_sandwiches(view, X).reshape(1, -1, d), p)
-    if p ** int(rank[0]) > limit:
-        raise TooLargeToEnumerate(f"ideal has {p ** int(rank[0])} elements (limit {limit})")
-    return view.span_encodings(R[0, :rank[0]])
+    rows = _ideal_rows(view, generators)
+    if view.p ** len(rows) > limit:
+        raise TooLargeToEnumerate(f"ideal has {view.p ** len(rows)} elements (limit {limit})")
+    return view.span_encodings(rows)
 
 
 def quotient_ideal(Q: QuotientRing, label: str, generators) -> QuotientIdeal:
-    """The lattice entry `label`: the two-sided ideal of Q generated by `generators`.
-
-    Its element set is `ideal_elements`, or None when Q has more than
-    ENUM_LIMIT elements or the set cannot be enumerated.  An entry with no
-    generators is the zero ideal, {0} at any size.
-    """
-    generators = tuple(generators)
-    elements = None
-    if not generators:
-        elements = frozenset({Q.zero.encode()})
-    elif Q.cardinality <= ENUM_LIMIT:
-        try:
-            elements = ideal_elements(Q, generators)
-        except (UnsupportedCase, TooLargeToEnumerate):
-            pass
-    return QuotientIdeal(label, generators, elements)
+    """The lattice entry `label`, which computes nothing until read (`QuotientIdeal`)."""
+    return QuotientIdeal(label, Q, tuple(generators))
 
 
 def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
@@ -626,9 +641,8 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
 
     The quotient by <z^i> is the truncated twisted polynomial ring spanned by
     1, z, ..., z^(i-1) over the residue field.  Each entry comes from
-    `quotient_ideal`, so its element set is there when Q is small enough to
-    enumerate.  Raises WrongCase unless the modulus is an inert prime
-    containing u.
+    `quotient_ideal`, so its size and element set are computed on demand.
+    Raises WrongCase unless the modulus is an inert prime containing u.
     """
     ideal = Q.ideal
     if not isinstance(ideal, IdealSpec) or ideal.s != 1:

@@ -17,7 +17,8 @@ When u falls into the prime the quotient is never a matrix ring; instead its
 two-sided ideals form a completely explicit lattice: a chain of powers of z
 in the inert case, and a cyclic staircase of monomial ideals in the split
 case (`enumerate_monomial_ideals`).  Every lattice entry, the q^t chain of
-the unit cases included, is built by `residue.quotient_ideal`.
+the unit cases included, is built by `residue.quotient_ideal`; its size and
+element set are computed when read, and `StructureReport.to_dict` reads sizes.
 
 `verify_isomorphism` checks certificates against nothing but ring axioms:
 exact spot products, a kernel rank over the prime field, cardinality count,
@@ -842,15 +843,9 @@ class StructureReport:
         return self.quotient.cardinality
 
     def to_dict(self) -> dict:
-        lattice = []
-        for ideal in self.ideal_lattice:
-            lattice.append(
-                {
-                    "label": ideal.label,
-                    "size": None if ideal.elements is None else len(ideal.elements),
-                    "generators": [str(x) for x in ideal.generators],
-                }
-            )
+        big = self.cardinality > ENUM_LIMIT  # then the JSON keeps null for a generated ideal
+        lattice = [{"label": I.label, "size": None if I.generators and big else I.size,
+                    "generators": [str(x) for x in I.generators]} for I in self.ideal_lattice]
         cert = None
         if self.certificate is not None:
             cert = {

@@ -402,6 +402,22 @@ def test_quotient_ideal_elements(q_nilp, q_big):
     assert quotient_ideal(Q9, "ring", [Q9.one]).elements is None
 
 
+
+def test_quotient_ideal_sizes(q_nilp, q_big):
+    for gens in ([], [q_nilp.one], [q_nilp.z], [q_nilp.z ** 2], [q_nilp.zero]):
+        entry = quotient_ideal(q_nilp, "I", gens)
+        assert entry.size == len(entry.elements)
+    # above ENUM_LIMIT the size comes from the rank alone
+    assert quotient_ideal(q_big, "ring", [q_big.one]).size == q_big.cardinality == 17 ** 4
+    assert quotient_ideal(q_big, "0", [q_big.zero]).size == 1
+    assert quotient_ideal(q_big, "0", []).size == 1
+    gauss = load_algebra("gauss_over_Q")
+    Q9 = quotient_of(gauss, IdealSpec(gauss.ext.base.element(3), 2))
+    ring = quotient_ideal(Q9, "ring", [Q9.one])
+    assert ring.size is None and ring.elements is None
+    zero = quotient_ideal(Q9, "0", [])
+    assert zero.size == len(zero.elements) == 1
+
 # -- the incremental reduction and closure: reference for rref_mod_p -----------
 # One vector at a time, as the ideal oracles worked before the stacked kernel.
 

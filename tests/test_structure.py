@@ -15,7 +15,9 @@ from cycord.errors import (
     ZeroTarget,
 )
 from cycord.extension import IdealSpec
+from cycord.order import load_algebra
 from cycord.residue import (
+    ENUM_LIMIT,
     FiniteField,
     FpView,
     brute_force_ideals,
@@ -135,6 +137,71 @@ def test_structure_report_to_dict(golden):
     assert d["cardinality"] == 16
     assert [e["label"] for e in d["ideal_lattice"]] == ["ring", "0"]
 
+
+
+# the quotients of the certify jobs up to ENUM_LIMIT: algebra fixture, ideal
+SMALL_QUOTIENTS = {
+    "golden_(1+i)": ("golden", (1, 1)),
+    "golden_(1+i)^2": ("golden", (1, 1, 2)),
+    "golden_1pi_(1+i)": ("golden_1pi", (1, 1)),
+    "q15_(1+i)": ("q15", (1, 1)),
+    "gauss_(5)": ("gauss", (5,)),
+    "gauss_u5_(5)": ("gauss_u5", (5,)),
+}
+
+
+def small_report(request, name):
+    algebra = request.getfixturevalue(SMALL_QUOTIENTS[name][0])
+    return identify_quotient(algebra, ideal_of(algebra, *SMALL_QUOTIENTS[name][1]))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_QUOTIENTS))
+def test_lattice_sizes_match_element_sets(request, name):
+    rep = small_report(request, name)
+    assert rep.cardinality <= ENUM_LIMIT
+    for ideal in rep.ideal_lattice:
+        assert ideal.size == len(ideal.elements)
+    assert max(ideal.size for ideal in rep.ideal_lattice) == rep.cardinality
+
+
+@pytest.mark.parametrize("name, u, modulus", [("q7_cubic", None, 2), ("gauss_over_Q", "17", 17)])
+def test_trivial_lattice_sizes_above_enum_limit(name, u, modulus):
+    algebra = load_algebra(name, u=u)
+    rep = identify_quotient(algebra, ideal_of(algebra, modulus))
+    assert rep.cardinality > ENUM_LIMIT
+    entries = {I.label: I for I in rep.ideal_lattice}
+    assert (entries["ring"].size, entries["0"].size) == (rep.cardinality, 1)
+    assert entries["ring"].elements is None
+    # the JSON keeps its null sizes: only an entry without generators prints one
+    assert [e["size"] for e in rep.to_dict()["ideal_lattice"]] == [
+        1 if not I.generators else None for I in rep.ideal_lattice]
+
+
+@pytest.mark.parametrize("name", ["golden_(1+i)^2", "golden_1pi_(1+i)", "gauss_u5_(5)"])
+def test_printing_a_lattice_enumerates_nothing(request, monkeypatch, name):
+    expected = small_report(request, name).to_dict()
+
+    def enumerate_span(self, rows):
+        raise AssertionError("a lattice element set was enumerated")
+
+    monkeypatch.setattr(FpView, "span_encodings", enumerate_span)
+    rep = small_report(request, name)
+    assert rep.to_dict() == expected
+    with pytest.raises(AssertionError):
+        rep.ideal_lattice[0].elements
+
+
+def test_identify_quotient_holds_no_element_set(q15):
+    identify_quotient(q15, ideal_of(q15, 1, 1))  # fills the shared caches
+    # the "ring" set of q15 (1+i), 65,536 ints, put the peak near 9 MiB
+    tracemalloc.start()
+    try:
+        rep = identify_quotient(q15, ideal_of(q15, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cardinality == 2 ** 16
+    assert peak < 1 << 20
 
 # -- certificate internals ---------------------------------------------------------
 
