@@ -402,7 +402,6 @@ def test_quotient_ideal_elements(q_nilp, q_big):
     assert quotient_ideal(Q9, "ring", [Q9.one]).elements is None
 
 
-
 def test_quotient_ideal_sizes(q_nilp, q_big):
     for gens in ([], [q_nilp.one], [q_nilp.z], [q_nilp.z ** 2], [q_nilp.zero]):
         entry = quotient_ideal(q_nilp, "I", gens)
@@ -417,6 +416,7 @@ def test_quotient_ideal_sizes(q_nilp, q_big):
     assert ring.size is None and ring.elements is None
     zero = quotient_ideal(Q9, "0", [])
     assert zero.size == len(zero.elements) == 1
+
 
 # -- the incremental reduction and closure: reference for rref_mod_p -----------
 # One vector at a time, as the ideal oracles worked before the stacked kernel.

@@ -138,7 +138,6 @@ def test_structure_report_to_dict(golden):
     assert [e["label"] for e in d["ideal_lattice"]] == ["ring", "0"]
 
 
-
 # the quotients of the certify jobs up to ENUM_LIMIT: algebra fixture, ideal
 SMALL_QUOTIENTS = {
     "golden_(1+i)": ("golden", (1, 1)),
@@ -202,6 +201,7 @@ def test_identify_quotient_holds_no_element_set(q15):
         tracemalloc.stop()
     assert rep.cardinality == 2 ** 16
     assert peak < 1 << 20
+
 
 # -- certificate internals ---------------------------------------------------------
 
