@@ -18,9 +18,10 @@ This layer turns the exact objects of `order` into finite rings:
   structure tensor alone.  It exists as an independent check for the
   structural classification and is deliberately naive.
 * `FpView` linearizes a finite ring of prime characteristic over F_p, and
-  serves quotient rings and the matrix rings of `structure` alike.  Its bulk
-  kernels (products of digit batches, the encodings of a subspace) work on
-  integer arrays in bounded row blocks; every base-p digit row comes from
+  serves quotient rings and the matrix rings of `structure` alike; a ring
+  keeps one (`FpView.of`).  Its bulk kernels (products of digit batches, the
+  encodings of a subspace) work in bounded row blocks, each product mod p an
+  exact float BLAS product (`matmul_mod_p`); every base-p digit row comes from
   `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
   stacks of matrices at once; it backs the ideal spans (`ideal_elements`)
   and the rank, kernel and inverse helpers.
@@ -76,15 +77,13 @@ ENUM_LIMIT = 1 << 16
 IDEAL_BRUTE_LIMIT = 1 << 12
 # Largest commutative residue ring scanned for idempotents.
 IDEMPOTENT_SCAN_LIMIT = 1 << 20
-# Entries of the largest intermediate of one block (1 MB at 8 bytes): the
-# (rows, dim, dim) float64 products of `FpView.mul_digits`, whose blocks have
-# max(1, FP_BLOCK_ENTRIES // dim**2) rows, and the (elements, dim**2, dim)
-# sandwich stacks of `brute_force_ideals`.
+# Entries of the largest intermediate of one block (at most 1 MB: 8 bytes an
+# entry, 4 for float32): the (rows, dim, dim) float products of
+# `FpView.mul_digits`, whose blocks have max(1, FP_BLOCK_ENTRIES // dim**2)
+# rows, and the (elements, dim**2, dim) sandwich stacks of `brute_force_ideals`.
 FP_BLOCK_ENTRIES = 1 << 17
 # Rows per block when enumerating subspace members and checking product pairs.
 ROW_BLOCK = 1 << 12
-# float64 holds every integer below 2**53 exactly, so integer sums below it are exact.
-FLOAT_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ def residue_ring(ext: ExtensionSpec, modulus: BaseElement) -> ResidueRing:
 class QuotientRing(TwistedRing):
     """Lambda/I Lambda = sum_j S z^j with z s = sigma(s) z and z^n = ubar."""
 
-    __slots__ = ("algebra", "ideal", "S", "_crt")
+    __slots__ = ("algebra", "ideal", "S", "_crt", "_fp_view")
 
     def __init__(self, algebra: AlgebraSpec, ideal):
         if not isinstance(ideal, (IdealSpec, CompositeIdeal)):
@@ -320,7 +319,7 @@ class QuotientRing(TwistedRing):
         self.ideal = ideal
         self.S = self.coeffs = residue_ring(algebra.ext, ideal.modulus)
         self.ubar = self.S.from_base(algebra.u)
-        self._crt = None
+        self._crt = self._fp_view = None
 
     @property
     def cardinality(self) -> int:
@@ -590,7 +589,7 @@ class QuotientIdeal:
     @functools.cached_property
     def _basis(self):  # (view, `_ideal_rows`), or None without F_p structure
         try:
-            view = FpView(self.quotient)
+            view = FpView.of(self.quotient)
         except UnsupportedCase:
             return None
         return view, _ideal_rows(view, self.generators)
@@ -624,7 +623,7 @@ def ideal_elements(Q: QuotientRing, generators, limit: int = ENUM_LIMIT) -> froz
     Needs prime characteristic.  Raises TooLargeToEnumerate when the ideal
     has more than `limit` elements.
     """
-    view = FpView(Q)
+    view = FpView.of(Q)
     rows = _ideal_rows(view, generators)
     if view.p ** len(rows) > limit:
         raise TooLargeToEnumerate(f"ideal has {view.p ** len(rows)} elements (limit {limit})")
@@ -698,6 +697,23 @@ def fp_table_digits(table: ResidueTable):
     return p, k, digits, code_of
 
 
+def exact_float(bound: int):
+    """Float dtype exact on all integers below `bound`: float32 under 2**24, float64 under 2**53."""
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise UnsupportedCase(f"integer sums up to {bound} exceed the exact float64 range")
+
+
+def matmul_mod_p(A, B, p: int) -> np.ndarray:
+    """A @ B mod p as int64 for digits in [0, p), by one BLAS float product: each
+    partial sum is a nonnegative integer no larger than the full sum, below
+    inner * (p - 1)**2 + 1, so the `exact_float` product is exact in any order."""
+    f = exact_float(np.shape(A)[-1] * (p - 1) ** 2 + 1)
+    return (np.asarray(A, dtype=f) @ np.asarray(B, dtype=f)).astype(np.int64) % p
+
+
 class FpView:
     """F_p vector coordinates for a finite ring of prime characteristic.
 
@@ -708,7 +724,8 @@ class FpView:
     cubic structure tensor, so bulk products and additive-map ranks reduce to
     numpy arithmetic mod p.  The bulk kernels run over row blocks:
     `mul_digits` over `block_rows` rows, so that no intermediate exceeds
-    FP_BLOCK_ENTRIES float64 entries, and `span_encodings` over ROW_BLOCK rows.
+    FP_BLOCK_ENTRIES float entries, and `span_encodings` over ROW_BLOCK rows.
+    `FpView.of(ring)` is the view a ring keeps: one structure tensor a ring.
     """
 
     __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor",
@@ -720,6 +737,12 @@ class FpView:
         self.dim = len(ring.flat_codes(ring.zero)) * self.k
         self._tensor = None
         self._float_tensor = None
+
+    @classmethod
+    def of(cls, ring) -> "FpView":  # the view kept on `ring`, built on first use
+        if ring._fp_view is None:
+            ring._fp_view = cls(ring)
+        return ring._fp_view
 
     def digits(self, x) -> tuple[int, ...]:
         out = []
@@ -745,40 +768,33 @@ class FpView:
     def tensor(self) -> np.ndarray:
         """T[a, b, :] = digits(e_a * e_b), the structure tensor over F_p."""
         if self._tensor is None:
-            basis = self.basis_elements()
-            d = self.dim
-            T = np.zeros((d, d, d), dtype=np.int64)
-            for a in range(d):
-                for b in range(d):
-                    T[a, b, :] = self.digits(basis[a] * basis[b])
-            self._tensor = T
+            basis, d = self.basis_elements(), self.dim
+            self._tensor = np.array([self.digits(a * b) for a in basis for b in basis],
+                                    dtype=np.int64).reshape(d, d, d)
         return self._tensor
 
     def mul_digits(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise products of digit batches (shape (batch, dim)), mod p.
 
         Contracts each block of X with the flattened tensor, then each row
-        with the matching row of Y, as float64 BLAS products.  With
-        digits in [0, p) every partial sum is an integer of at most
-        dim**2 * (p - 1)**3, below FLOAT_EXACT for every view (checked once,
-        when the float tensor is built), so the result is the exact integer
-        contraction.  Blocks are converted one at a time: a float copy of
-        the whole batch would raise peak memory.
+        with the matching row of Y, as BLAS float products.  With digits in
+        [0, p) every partial sum is a nonnegative integer of at most
+        dim**2 * (p - 1)**3, so in the `exact_float` dtype of that bound
+        (float32 for every certify quotient, chosen when the float tensor is
+        built) the result is the exact integer contraction.  Blocks are
+        converted one at a time: a float copy of the whole batch would raise
+        peak memory.
         """
         d, step, p = self.dim, self.block_rows, self.p
         T = self._float_tensor
         if T is None:
-            if d * d * (p - 1) ** 3 >= FLOAT_EXACT:
-                raise UnsupportedCase(
-                    f"digit products of dimension {d} over F_{p} exceed the "
-                    "exact float64 range"
-                )
-            T = self._float_tensor = self.tensor().reshape(d, d * d).astype(np.float64)
+            f = exact_float(d * d * (p - 1) ** 3 + 1)
+            T = self._float_tensor = self.tensor().reshape(d, d * d).astype(f)
         out = np.empty((X.shape[0], d), dtype=np.int64)
         for lo in range(0, X.shape[0], step):
-            XT = (X[lo:lo + step].astype(np.float64) @ T).reshape(-1, d, d)
-            out[lo:lo + step] = (Y[lo:lo + step, None, :].astype(np.float64) @ XT)[:, 0]
-        out %= p  # on int64: a float64 remainder costs several times more
+            XT = (X[lo:lo + step].astype(T.dtype) @ T).reshape(-1, d, d)
+            out[lo:lo + step] = (Y[lo:lo + step, None, :].astype(T.dtype) @ XT)[:, 0]
+        out %= p  # on int64: a float remainder costs several times more
         return out
 
     def span_encodings(self, rows: np.ndarray) -> frozenset:
@@ -801,7 +817,7 @@ class FpView:
                            dtype=np.int64 if size ** slots < 1 << 63 else object)
         out: set = set()
         for lo in range(0, p ** r, ROW_BLOCK):
-            digs = digit_rows(p, r, lo, min(p ** r, lo + ROW_BLOCK)) @ rows % p
+            digs = matmul_mod_p(digit_rows(p, r, lo, min(p ** r, lo + ROW_BLOCK)), rows, p)
             codes = code_at[digs.reshape(-1, slots, k) @ place]
             out.update((codes @ weights).tolist())
         return frozenset(out)
@@ -874,11 +890,11 @@ def _sandwiches(view: FpView, X: np.ndarray) -> np.ndarray:
     Returns a (len(X), dim**2, dim) stack.  The e_a span the ring, so the
     rows of one matrix span the two-sided ideal generated by its x.  Two
     contractions with the structure tensor build them: e_a * x, then its
-    products with every e_b.
+    products with every e_b, each one `matmul_mod_p`.
     """
     T, d, p = view.tensor(), view.dim, view.p
-    left = np.einsum("nc,acf->naf", X, T) % p
-    return (left.reshape(-1, d) @ T.reshape(d, d * d) % p).reshape(len(X), d * d, d)
+    left = matmul_mod_p(X, T.transpose(1, 0, 2).reshape(d, d * d), p)
+    return matmul_mod_p(left.reshape(-1, d), T.reshape(d, d * d), p).reshape(len(X), d * d, d)
 
 
 def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
@@ -896,7 +912,7 @@ def brute_force_ideals(Q: QuotientRing) -> list[frozenset]:
         raise TooLargeToEnumerate(
             f"{Q.cardinality} elements exceed the brute-force limit {IDEAL_BRUTE_LIMIT}"
         )
-    view = FpView(Q)
+    view = FpView.of(Q)
     d, p = view.dim, view.p
     seen = {}
 

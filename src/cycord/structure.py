@@ -63,6 +63,7 @@ from .residue import (
     factor_prime,
     inverse_mod_p,
     kernel_vector_mod_p,
+    matmul_mod_p,
     quotient_ideal,
     quotient_of,
     rank_mod_p,
@@ -99,12 +100,13 @@ class QuotientCase(enum.Enum):
 class MatRing:
     """Square matrices over the residue ring O_F/(alpha^s), entries as table codes."""
 
-    __slots__ = ("table", "n", "label")
+    __slots__ = ("table", "n", "label", "_fp_view")
 
     def __init__(self, table: ResidueTable, n: int, label: str | None = None):
         self.table = table
         self.n = n
         self.label = label or f"M_{n}(R_{table.size})"
+        self._fp_view = None
 
     @property
     def cardinality(self) -> int:
@@ -331,29 +333,30 @@ class IsoCertificate:
         """sum c_ij * (basis_images[i] * z_image^j) over x = sum c_ij b_i z^j.
 
         The products are cached; scalar matrices are central, so scaling a
-        product scales its left factor.  The map is F_p-linear: the c_ij in
-        O_F/(alpha^s) are additive in x, scaling distributes over sums, and
-        F_p is the prime subring of O_F/(alpha^s).  So the images of an F_p
-        basis fix it, which is what `verify_isomorphism` linearizes.
+        product scales its left factor.  The sum runs on one flat list of
+        entry codes, through the table's `mul` and `add` rows.  The map is
+        F_p-linear: the c_ij in O_F/(alpha^s) are additive in x, scaling
+        distributes over sums, and F_p is the prime subring of O_F/(alpha^s).
+        So the images of an F_p basis fix it, which `verify_isomorphism`
+        linearizes.
         """
         if x.ring != self.source:
             raise IncompatibleAlgebras("element is not in the certificate's source")
-        zero = self.source.S.table.zero
-        acc = self.target.zero
+        zero, table = self.source.S.table.zero, self.target.table
+        add, acc = table.add, self.target.zero.codes
         for terms, s in zip(self._terms, x.zcoords):
             for term, code in zip(terms, s.codes):
                 if code != zero:
-                    acc = acc + term.scale(code)
-        return acc
+                    mul = table.mul[code]
+                    acc = [add[a][mul[b]] for a, b in zip(acc, term.codes)]
+        return MatElement(self.target, tuple(acc))
 
     def linearization(self) -> tuple[FpView, FpView, np.ndarray]:
         """(source view, target view, Phi): the F_p matrix of `forward`, whose
         column a holds the target digits of the image of source basis e_a."""
-        sview, tview = FpView(self.source), FpView(self.target)
-        Phi = np.zeros((tview.dim, sview.dim), dtype=np.int64)
-        for a, e in enumerate(sview.basis_elements()):
-            Phi[:, a] = tview.digits(self.forward(e))
-        return sview, tview, Phi
+        sview, tview = FpView.of(self.source), FpView.of(self.target)
+        images = [tview.digits(self.forward(e)) for e in sview.basis_elements()]
+        return sview, tview, np.array(images, dtype=np.int64).T
 
 
 def _mult_matrix(mat: MatRing, S: ResidueRing, s: ResidueElement) -> MatElement:
@@ -459,7 +462,7 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     ebar = {}
     for i in range(n):
         for j in range(n):
-            digs = (Phi_inv @ np.array(tview.digits(cert1.target.unit(i, j)))) % p
+            digs = matmul_mod_p(Phi_inv, tview.digits(cert1.target.unit(i, j)), p)
             ebar[(i, j)] = sview.element(digs)
 
     def up(x1: GcaElement) -> GcaElement:
@@ -716,7 +719,10 @@ def verify_isomorphism(
     the bulk pair check are defence in depth.  Only the N int64 image keys
     and the drawn pairs, as digits of the narrowest dtype that holds p - 1,
     are held at full size; image rows, int64 draws and products exist one
-    block of ROW_BLOCK rows at a time.
+    block of ROW_BLOCK rows at a time.  Every product mod p is a BLAS float
+    product (`matmul_mod_p`, `FpView.mul_digits`) in the `exact_float` dtype
+    of its largest integer sum, float32 for every certify quotient: sums of
+    nonnegative integers below 2**24 are exact in float32 in any order.
     Raises VerificationFailed carrying a counterexample pair, the lowest
     failing one for the product checks.
     """
@@ -741,8 +747,7 @@ def verify_isomorphism(
             _fail(f"additivity fails at x = {x}, y = {y}", (x, y))
         if cert.forward(x * y) != fx * fy:
             _fail(f"multiplicativity fails at x = {x}, y = {y}", (x, y))
-        lin = (Phi @ np.array(sview.digits(x))) % p
-        if tuple(int(v) for v in lin) != tview.digits(fx):
+        if tuple(matmul_mod_p(Phi, sview.digits(x), p).tolist()) != tview.digits(fx):
             _fail(f"linearization disagrees with the map at x = {x}", (x, x))
         spots += 1
 
@@ -763,8 +768,7 @@ def verify_isomorphism(
         place = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         keys = np.empty(N, dtype=np.int64)
         for lo in range(0, N, ROW_BLOCK):
-            imgs = digit_rows(p, dim, lo, min(N, lo + ROW_BLOCK)) @ Phi.T
-            imgs %= p
+            imgs = matmul_mod_p(digit_rows(p, dim, lo, min(N, lo + ROW_BLOCK)), Phi.T, p)
             keys[lo:lo + len(imgs)] = imgs @ place
         order = np.argsort(keys, kind="stable")
         dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
@@ -795,9 +799,9 @@ def verify_isomorphism(
         # only a block's mismatch mask outlives it, which lowers the peak memory
         for lo in range(0, X.shape[0], ROW_BLOCK):
             Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
-            lhs = (sview.mul_digits(Xb, Yb) @ Phi.T) % p
-            differs = lhs != tview.mul_digits((Xb @ Phi.T) % p, (Yb @ Phi.T) % p)
-            bad = np.nonzero(differs.any(axis=1))[0]
+            lhs = matmul_mod_p(sview.mul_digits(Xb, Yb), Phi.T, p)
+            rhs = tview.mul_digits(matmul_mod_p(Xb, Phi.T, p), matmul_mod_p(Yb, Phi.T, p))
+            bad = np.nonzero((lhs != rhs).any(axis=1))[0]
             if bad.size:
                 x = sview.element(Xb[bad[0]])
                 y = sview.element(Yb[bad[0]])
@@ -806,7 +810,7 @@ def verify_isomorphism(
     check_products(X, Y, "product check")
     eye = np.eye(dim, dtype=np.int64)
     check_products(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1)), "basis product check")
-    if tuple(int(v) for v in Phi @ sview.digits(Q.one) % p) != tview.digits(cert.target.one):
+    if tuple(matmul_mod_p(Phi, sview.digits(Q.one), p).tolist()) != tview.digits(cert.target.one):
         _fail("1 does not map to the identity", (Q.one, Q.one))
 
     cert.verified = True

@@ -26,12 +26,14 @@ from cycord.residue import (
     brute_force_ideals,
     crt_decompose,
     crt_recombine,
+    exact_float,
     factor_prime,
     fp_table_digits,
     ideal_elements,
     inverse_mod_p,
     invert_unipotent,
     kernel_vector_mod_p,
+    matmul_mod_p,
     quotient_ideal,
     quotient_of,
     rank_mod_p,
@@ -714,6 +716,72 @@ def test_mul_digits_blocks_stay_within_one_megabyte(fp_views):
     for view in fp_views.values():
         assert view.block_rows * view.dim ** 2 * 8 <= 1 << 20
         assert (view.block_rows + 1) * view.dim ** 2 * 8 > 1 << 20
+
+
+def test_exact_float_boundaries():
+    assert exact_float(1) is np.float32
+    assert exact_float((1 << 24) - 1) is np.float32
+    assert exact_float(1 << 24) is np.float64
+    assert exact_float((1 << 53) - 1) is np.float64
+    with pytest.raises(UnsupportedCase):
+        exact_float(1 << 53)
+
+
+# p, inner dimension, dtype: 16 * 1020**2 = 16,646,400 sits just below 2**24
+@pytest.mark.parametrize("p, inner, dtype", [(1021, 16, np.float32),
+                                             ((1 << 20) + 7, 16, np.float64)])
+def test_matmul_mod_p_matches_int64_reference(p, inner, dtype):
+    assert exact_float(inner * (p - 1) ** 2 + 1) is dtype
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(9, inner), dtype=np.int64)
+    B = rng.integers(0, p, size=(inner, 7), dtype=np.int64)
+    A[0], B[:, 0] = p - 1, p - 1  # the largest sums
+    got = matmul_mod_p(A, B, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, A @ B % p)
+    assert got[0, 0] == inner * (p - 1) ** 2 % p
+    assert np.array_equal(matmul_mod_p(A, B[:, 0], p), got[:, 0])  # matrix times vector
+    assert np.array_equal(matmul_mod_p(A.astype(np.uint16 if p < 1 << 16 else np.uint32), B, p), got)
+
+
+def test_mul_digits_takes_float64_beyond_float32(gauss):
+    # Q(i) mod 103 over F_103: dim 4, sums up to 16 * 102**3 = 16,979,328 > 2**24
+    view = FpView(quotient_of(gauss, IdealSpec(gauss.ext.base.element(103))))
+    rng = np.random.default_rng(103)
+    X = rng.integers(0, view.p, size=(40, view.dim), dtype=np.int64)
+    Y = rng.integers(0, view.p, size=(40, view.dim), dtype=np.int64)
+    X[:1], Y[:1] = view.p - 1, view.p - 1
+    assert np.array_equal(view.mul_digits(X, Y),
+                          np.einsum("na,nb,abd->nd", X, Y, view.tensor()) % view.p)
+    assert view._float_tensor.dtype == np.float64
+
+
+@pytest.mark.parametrize("name, modulus, dim", [("q15", (1, 1), 16), ("q7", (2, 0), 18)])
+def test_certify_views_take_float32_tensors(request, fp_views, name, modulus, dim):
+    algebra = request.getfixturevalue(name)
+    views = [FpView(quotient_of(algebra, IdealSpec(algebra.ext.base.element(*modulus)))),
+             *fp_views.values()]
+    assert (views[0].dim, views[0].p) == (dim, 2)
+    for view in views:
+        X = np.full((3, view.dim), view.p - 1, dtype=np.int64)
+        assert np.array_equal(view.mul_digits(X, X),
+                              np.einsum("na,nb,abd->nd", X, X, view.tensor()) % view.p)
+        assert view._float_tensor.dtype == np.float32
+
+
+@pytest.mark.parametrize("name", ["golden_1pi_sq", "gauss_5", "q7_2"])
+def test_sandwiches_match_int64_contractions(request, q7, name):
+    if name == "q7_2":
+        Q = quotient_of(q7, IdealSpec(q7.ext.base.element(2)))
+    else:
+        Q = five_quotient(request, name)
+    view = FpView(Q)
+    T, d, p = view.tensor(), view.dim, view.p
+    X = np.random.default_rng(d).integers(0, p, size=(5, d), dtype=np.int64)
+    X[0] = p - 1
+    left = np.einsum("nc,acf->naf", X, T) % p
+    expected = np.einsum("naf,fbg->nabg", left, T).reshape(len(X), d * d, d) % p
+    assert np.array_equal(residue._sandwiches(view, X), expected)
 
 
 def matrices_mod_p():

@@ -1,12 +1,13 @@
 """Tests for quotient classification, certificates, and ideal lattices."""
 
+import functools
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from cycord import structure
+from cycord import residue, structure
 from cycord.base_rings import GAUSSIAN, residue_table
 from cycord.errors import (
     UnsupportedCase,
@@ -29,6 +30,7 @@ from cycord.residue import (
 from cycord.structure import (
     ComponentField,
     IsoCertificate,
+    MatElement,
     MatRing,
     QuotientCase,
     VerifyMode,
@@ -283,6 +285,65 @@ def test_forward_is_the_fp_linear_certificate_map(request, name):
         assert cert.forward(x + y) == fx + cert.forward(y)
         c = rng.randrange(p)
         assert cert.forward(x * c) == fx * c
+
+
+def forward_by_object_sums(cert, x):
+    """Sum of term.scale(code) over the nonzero codes of x, each term
+    basis_images[i] * z_image^j, accumulated with `MatElement.__add__`."""
+    zero = cert.source.S.table.zero
+    acc, zj = cert.target.zero, cert.target.one
+    for s in x.zcoords:
+        for image, code in zip(cert.basis_images, s.codes):
+            if code != zero:
+                acc = acc + (image * zj).scale(code)
+        zj = zj * cert.z_image
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CERTIFICATES))
+def test_flat_code_forward_matches_object_sums(request, name):
+    cert = shipped_certificate(request, name)
+    rng = random.Random(f"{name} object sums")
+    for x in [cert.source.zero] + [cert.source.random_element(rng) for _ in range(50)]:
+        fx = cert.forward(x)
+        assert type(fx) is MatElement and fx.ring is cert.target
+        assert type(fx.codes) is tuple
+        assert fx == forward_by_object_sums(cert, x)
+
+
+def count_tensor_builds(monkeypatch):
+    """Rings whose `FpView` builds its structure tensor, one entry per build."""
+    built = []
+    tensor = FpView.tensor
+
+    def counting(self):
+        if self._tensor is None:
+            built.append(self.ring)
+        return tensor(self)
+
+    monkeypatch.setattr(FpView, "tensor", counting)
+    return built
+
+
+def test_each_ring_builds_its_structure_tensor_once(golden, gauss_u5, monkeypatch):
+    # fresh rings, so that no tensor is cached from an earlier test
+    fresh = functools.cache(residue.QuotientRing)
+    monkeypatch.setattr(structure, "quotient_of", fresh)
+    built = count_tensor_builds(monkeypatch)
+    rep = identify_quotient(gauss_u5, ideal_of(gauss_u5, 5))
+    sizes = [e["size"] for e in rep.to_dict()["ideal_lattice"]]
+    assert len(sizes) == 7 and sizes == [len(I.elements) for I in rep.ideal_lattice]
+    assert len(brute_force_ideals(rep.quotient)) >= 7
+    last = rep.ideal_lattice[-1]
+    assert ideal_elements(rep.quotient, last.generators) == last.elements
+    assert [id(ring) for ring in built] == [id(rep.quotient)]
+
+    built.clear()
+    rep = identify_quotient(golden, ideal_of(golden, 1, 1, s=2))
+    rep.to_dict()
+    verify_isomorphism(rep.certificate)
+    assert len(brute_force_ideals(rep.quotient)) == 3
+    assert sorted(map(id, built)) == sorted([id(rep.quotient), id(rep.certificate.target)])
 
 
 def test_basis_product_check_catches_swapped_basis_images(q7, monkeypatch):
