@@ -4,16 +4,18 @@ Elements are stored as integer pairs (a, b) meaning a + b*delta, where delta
 is 0 for Z, the imaginary unit i for the Gaussian integers, and the primitive
 cube root of unity w = (-1 + sqrt(-3))/2 for the Eisenstein integers.  One
 product rule serves all three: delta^2 = t0 + t1*delta, with (t0, t1) in
-`BaseRing.delta_square`.  All three rings are principal and carry a
-multiplicative Euclidean function (the squared complex modulus), so gcds,
-modular inverses, and canonical residues mod alpha^s are all computed
-exactly with integer arithmetic.
+`BaseRing.delta_square`; it also gives the conjugate and the norm, since
+delta + conj(delta) = t1 and delta*conj(delta) = -t0.  All three rings are
+principal and carry a multiplicative Euclidean function (the squared complex
+modulus), so gcds, modular inverses, and canonical residues mod alpha^s are
+all computed exactly with integer arithmetic.
 
 Each residue ring O_F/(m) is one `ResidueTable`, shared through
 `residue_table`: its modulus, sorted canonical representatives, `reduce`,
 and the lookup tables that let the quotient layers above run on
 small-integer indices instead of object arithmetic.  This bottom module
-also holds the package's only copies of five generic mechanisms:
+also holds the package's only copies of six generic mechanisms:
+`Keyed`, the value equality of every ring, table and spec on its `key`;
 `RingElement`, the base of every element class; `power`, the
 square-and-multiply; `cofactor_det`, the cofactor determinant;
 `radix_encode`/`radix_decode`, the integer codec of residue coordinates;
@@ -65,7 +67,19 @@ _DELTA_NAME = {
 }
 
 
-class BaseRing:
+class Keyed:
+    """A ring, table or spec: equal to another of its type with an equal `key`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self.key == other.key)
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class BaseRing(Keyed):
     """One of the rings Z, Z[i], Z[w]; a stateless element factory."""
 
     __slots__ = ("kind", "delta_square")
@@ -74,11 +88,7 @@ class BaseRing:
         self.kind = kind
         self.delta_square = _DELTA_SQUARE[kind]
 
-    def __eq__(self, other):
-        return isinstance(other, BaseRing) and self.kind is other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
+    key = property(operator.attrgetter("kind"))
 
     def __repr__(self):
         return f"BaseRing({self.kind.value})"
@@ -273,22 +283,14 @@ class BaseElement(RingElement):
         return BaseElement(self.ring, a * c + t0 * bd, a * d + b * c + t1 * bd)
 
     def conjugate(self) -> "BaseElement":
-        kind = self.ring.kind
-        if kind is RingKind.RATIONAL:
-            return self
-        if kind is RingKind.GAUSSIAN:
-            return BaseElement(self.ring, self.a, -self.b)
-        # conj(a + b*w) = a + b*w^2 = (a - b) - b*w
-        return BaseElement(self.ring, self.a - self.b, -self.b)
+        """a + b*conj(delta) = (a + t1*b) - b*delta, as delta + conj(delta) = t1."""
+        return BaseElement(self.ring, self.a + self.ring.delta_square[1] * self.b, -self.b)
 
     def norm(self) -> int:
-        """Squared complex modulus: a^2, a^2+b^2, or a^2-ab+b^2."""
-        kind = self.ring.kind
-        if kind is RingKind.RATIONAL:
-            return self.a * self.a
-        if kind is RingKind.GAUSSIAN:
-            return self.a * self.a + self.b * self.b
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        """Squared complex modulus a^2 + t1*ab - t0*b^2, as delta*conj(delta) = -t0."""
+        a, b = self.a, self.b
+        t0, t1 = self.ring.delta_square
+        return a * a + t1 * a * b - t0 * b * b
 
     def ideal_norm(self) -> int:
         """Number of residue classes mod self: |a| for Z, the norm otherwise."""
@@ -484,7 +486,7 @@ def is_prime_element(x: BaseElement) -> bool:
     return root % 3 == 2
 
 
-class ResidueTable:
+class ResidueTable(Keyed):
     """The finite ring O_F/(m) with canonical euclidean representatives.
 
     Elements are integers 0..size-1 indexing `reps`, the canonical
@@ -532,15 +534,7 @@ class ResidueTable:
             k += 1
         self.char = k
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueTable)
-            and self.base == other.base
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.modulus.a, self.modulus.b))
+    key = property(operator.attrgetter("base", "modulus"))
 
     def __repr__(self):
         return f"ResidueTable({self.base.kind.value} mod {self.modulus})"

@@ -12,6 +12,8 @@ import sys
 
 from .base_rings import one_hot
 from .coding import (
+    SEARCH_BUDGET,
+    SEARCH_SAMPLES,
     FirstCoefficientCode,
     LiftStrategy,
     MonomialOffsetStudy,
@@ -630,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deltamin", help="bound and search the minimum "
                                         "Gram determinant of a coset code")
     p.add_argument("--code-spec", required=True)
-    p.add_argument("--budget", type=int, default=10 ** 8)
-    p.add_argument("--samples", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
+    p.add_argument("--samples", type=int, default=SEARCH_SAMPLES)
     _add_common(p)
     p.set_defaults(func=_cmd_deltamin)
 

@@ -46,6 +46,8 @@ from .residue import (
 
 # determinant evaluations an exhaustive search may spend
 SEARCH_BUDGET = 10 ** 8
+# candidates a seeded search draws when the enumeration exceeds its budget
+SEARCH_SAMPLES = 10 ** 6
 # codewords an outer-code enumeration may visit
 CODE_ENUM_LIMIT = 1 << 20
 # indices a randomized search may draw, samples x (length - 1): 64 MB of int64
@@ -362,10 +364,6 @@ class FirstCoefficientCode:
         self.quotient = quotient
         self.inner = inner
         self.length = inner.length
-
-    @property
-    def design_distance(self) -> int:
-        return self.inner.hamming_distance()
 
     def _place(self, s, free_row):
         if not isinstance(s, ResidueElement) or s.ring is not self.quotient.S:
@@ -876,7 +874,7 @@ def _sample(length: int, msg: _BoxTable, off: _BoxTable, seed, samples):
 
 def delta_min_search(study, *, budget: int = SEARCH_BUDGET,
                      seed: int | None = None,
-                     samples: int = 10 ** 6) -> DeltaReport:
+                     samples: int = SEARCH_SAMPLES) -> DeltaReport:
     """Exhaustive (or, over budget with a seed, randomized) minimum of the
     Gram determinant over a study's code family, with its lower bound.
 

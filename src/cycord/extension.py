@@ -27,8 +27,8 @@ from .base_rings import (
     TABLE_LIMIT,
     BaseElement,
     BaseRing,
+    Keyed,
     RingElement,
-    divides,
     is_prime_element,
     one_hot,
     ring_by_name,
@@ -38,7 +38,7 @@ from .errors import IncompatibleRings, UnsupportedSize
 EMBED_TOL = 1e-9
 
 
-class ExtensionSpec:
+class ExtensionSpec(Keyed):
     """A cyclic extension O_K/O_F of degree n with generator sigma."""
 
     __slots__ = (
@@ -81,15 +81,9 @@ class ExtensionSpec:
         self._sigma_terms = tuple(
             tuple((j, c.a, c.b) for j, c in enumerate(row) if c)
             for row in self.sigma_matrix)
-        self._hash = hash((base, n, self.mult_table, self.sigma_matrix))
+        self._hash = hash(self.key)  # every cached factory hashes the spec
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ExtensionSpec)
-            and self.base == other.base
-            and self.mult_table == other.mult_table
-            and self.sigma_matrix == other.sigma_matrix
-        )
+    key = property(attrgetter("base", "mult_table", "sigma_matrix"))
 
     def __hash__(self):
         return self._hash
@@ -350,9 +344,6 @@ class IdealSpec:
     @property
     def modulus(self) -> BaseElement:
         return self.alpha ** self.s
-
-    def contains(self, x: BaseElement) -> bool:
-        return divides(self.alpha, x)
 
     def __str__(self):
         if self.s == 1:

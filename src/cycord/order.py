@@ -29,7 +29,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .base_rings import BaseElement, RingElement, cofactor_det, one_hot
+from .base_rings import BaseElement, Keyed, RingElement, cofactor_det, one_hot
 from .errors import IncompatibleAlgebras, NotInBaseRing
 from .extension import ExtensionSpec, OKElement, extension_from_dict, read_field
 
@@ -42,13 +42,13 @@ SHIPPED_ALGEBRAS = (
 )
 
 
-class TwistedRing:
+class TwistedRing(Keyed):
     """sum_j C z^j with z*c = sigma(c)*z and z^n = ubar, over a ring C.
 
     The natural order (C = O_K, ubar = u) and its quotients Lambda/I Lambda
     (C = O_K/mO_K, ubar = u mod m) are this one construction, with n the
     degree of C over its base ring.  `coeffs` supplies n, zero, one, mul and
-    sigma; subclasses supply the checked constructor `element`.
+    sigma; subclasses supply the checked constructor `element` and `key`.
     """
 
     __slots__ = ("coeffs", "ubar")
@@ -76,15 +76,16 @@ class TwistedRing:
 
     def mul(self, x, y):
         """x*y, each z-power's (x_i, sigma^i(y_j)) pairs summed by one `coeffs.dot`;
-        a wrapped pair (i + j >= n) has its second factor multiplied by ubar."""
+        a wrapped pair (i + j >= n) has its second factor multiplied by ubar.
+        Each nonzero y_j steps on from sigma^at to sigma^i: n - 1 steps in all."""
         n, C = self.n, self.coeffs
         pairs = [[] for _ in range(n)]
-        ys = [(j, yj) for j, yj in enumerate(y.zcoords) if yj]
+        ys, at = [(j, yj) for j, yj in enumerate(y.zcoords) if yj], 0
         for i, xi in enumerate(x.zcoords):
             if not xi:
                 continue
-            for j, yj in ys:
-                term = C.sigma(yj, i)
+            ys, at = [(j, C.sigma(yj, i - at)) for j, yj in ys], i
+            for j, term in ys:
                 k = i + j
                 if k >= n:
                     k -= n
@@ -163,15 +164,7 @@ class AlgebraSpec(TwistedRing):
         self.notes = notes
         self._positions = self.int_positions()  # read by every `from_draws`
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, AlgebraSpec)
-            and self.ext == other.ext
-            and self.u == other.u
-        )
-
-    def __hash__(self):
-        return hash((self.ext, self.u.a, self.u.b))
+    key = property(attrgetter("ext", "u"))
 
     def __repr__(self):
         return f"AlgebraSpec({self.name}, u={self.u})"
@@ -293,7 +286,7 @@ def _poly_mul(ext, p, q):
             for k in range(len(p) + len(q) - 1)]
 
 
-class OrderMatrix:
+class OrderMatrix(Keyed):
     """An n x n matrix over O_K (the image of the matrix embedding)."""
 
     __slots__ = ("ext", "entries")
@@ -302,15 +295,7 @@ class OrderMatrix:
         self.ext = ext
         self.entries = tuple(tuple(row) for row in entries)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderMatrix)
-            and self.ext == other.ext
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
+    key = property(attrgetter("ext", "entries"))
 
     def __mul__(self, other):
         if not isinstance(other, OrderMatrix) or other.ext != self.ext:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .base_rings import (
     BaseElement,
+    Keyed,
     ResidueTable,
     RingElement,
     _is_prime_int,
@@ -114,10 +115,10 @@ class CompositeIdeal:
         return " * ".join(str(f) for f in self.factors)
 
 
-class ResidueRing:
+class ResidueRing(Keyed):
     """S = O_K/mO_K: power-basis coordinates over the table of O_F/(m)."""
 
-    __slots__ = ("ext", "modulus", "table", "mult", "sig", "_size")
+    __slots__ = ("ext", "modulus", "table", "mult", "sig", "size")
 
     def __init__(self, ext: ExtensionSpec, modulus: BaseElement):
         self.ext = ext
@@ -134,25 +135,13 @@ class ResidueRing:
             tuple(enc(ext.sigma_matrix[r][j]) for r in range(n))
             for j in range(n)
         )
-        self._size = self.table.size ** n
+        self.size = self.table.size ** n
 
     @property
     def n(self) -> int:
         return self.ext.n
 
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueRing)
-            and self.ext == other.ext
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.ext, self.modulus.a, self.modulus.b))
+    key = property(attrgetter("ext", "modulus"))
 
     def __repr__(self):
         return f"ResidueRing(O_K({self.ext.name or 'anon'}) mod {self.modulus})"
@@ -232,9 +221,6 @@ class ResidueRing:
             )
         for codes in itertools.product(range(self.table.size), repeat=self.n):
             yield ResidueElement(self, codes)
-
-    def decode(self, code: int) -> "ResidueElement":
-        return ResidueElement(self, tuple(radix_decode(code, self.table.size, self.n)))
 
 
 class CodeElement(RingElement):
@@ -333,15 +319,7 @@ class QuotientRing(TwistedRing):
     def table(self) -> ResidueTable:
         return self.S.table
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientRing)
-            and self.algebra == other.algebra
-            and self.ideal == other.ideal
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, str(self.ideal)))
+    key = property(attrgetter("algebra", "ideal"))
 
     def __repr__(self):
         return f"QuotientRing({self.algebra.name} mod {self.ideal})"
@@ -379,9 +357,6 @@ class QuotientRing(TwistedRing):
         size = self.S.table.size
         for flat in itertools.product(range(size), repeat=self.n * self.S.n):
             yield self.from_flat_codes(flat)
-
-    def decode(self, code: int) -> "GcaElement":
-        return self.from_flat_codes(radix_decode(code, self.table.size, self.n * self.S.n))
 
     def flat_codes(self, g: "GcaElement") -> list[int]:
         """Residue-table codes of all coordinates, z-power major."""
@@ -445,9 +420,7 @@ def _crt_data(ring: QuotientRing):
         e_i = M_i * t_i
         glue.append(e_i)
     # the glue elements form a complete system mod M
-    total = base.zero
-    for e in glue:
-        total = total + e
+    total = sum(glue, base.zero)
     if not divides(M, total - base.one):
         raise VerificationFailed(f"CRT glue elements sum to {total}, not 1 mod {M}")
     ring._crt = (components, tuple(glue))
@@ -560,10 +533,7 @@ def factor_prime(ext: ExtensionSpec, alpha: BaseElement) -> Splitting:
         chain.append(chain[-1].sigma())
     if chain[-1].sigma() != v1 or len({c.encode() for c in chain}) != g:
         raise VerificationFailed("sigma does not cycle the idempotents")
-    total = S.zero
-    for v in chain:
-        total = total + v
-    if total != S.one:
+    if sum(chain, S.zero) != S.one:
         raise VerificationFailed("primitive idempotents do not sum to 1")
     return Splitting(g=g, f=ext.n // g, idempotents=tuple(chain))
 
@@ -972,7 +942,7 @@ def _poly_irreducible_p(coeffs, p) -> bool:
     return True
 
 
-class FiniteField:
+class FiniteField(Keyed):
     """F_{p^m} as F_p[t]/(modulus); elements encode as base-p integers.
 
     The default modulus is the lexicographically smallest monic irreducible
@@ -1007,15 +977,7 @@ class FiniteField:
             raise ValueError("modulus must be monic of degree m")
         self._gen = None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
+    key = property(attrgetter("p", "modulus"))
 
     def __repr__(self):
         return f"FiniteField(F_{self.size})"
@@ -1133,9 +1095,6 @@ class FFElement(RingElement):
         if e < 0:
             return FFElement(self.ring, self.ring.pow(self.ring.inv(self.val), -e))
         return FFElement(self.ring, self.ring.pow(self.val, e))
-
-    def inverse(self) -> "FFElement":
-        return FFElement(self.ring, self.ring.inv(self.val))
 
     def frobenius(self, k: int = 1) -> "FFElement":
         return FFElement(self.ring, self.ring.frobenius(self.val, k))

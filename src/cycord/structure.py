@@ -35,10 +35,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .base_rings import ResidueTable, divides, one_hot, power
+from .base_rings import Keyed, ResidueTable, divides, one_hot, power
 from .errors import (
     IncompatibleAlgebras,
     LiftDivergence,
@@ -97,7 +98,7 @@ class QuotientCase(enum.Enum):
 # -- matrix rings over a residue table ----------------------------------------------
 
 
-class MatRing:
+class MatRing(Keyed):
     """Square matrices over the residue ring O_F/(alpha^s), entries as table codes."""
 
     __slots__ = ("table", "n", "label", "_fp_view")
@@ -112,15 +113,7 @@ class MatRing:
     def cardinality(self) -> int:
         return self.table.size ** (self.n * self.n)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatRing)
-            and self.n == other.n
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.table))
+    key = property(attrgetter("n", "table"))
 
     def __repr__(self):
         return f"MatRing({self.label})"
@@ -508,10 +501,7 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
                 units[i][j] = units[i][0] * units[0][j]
 
     # exact matrix-unit relations
-    total = Qs.zero
-    for i in range(n):
-        total = total + units[i][i]
-    if total != Qs.one:
+    if sum((units[i][i] for i in range(n)), Qs.zero) != Qs.one:
         raise LiftDivergence("lifted diagonal units do not sum to 1")
     for i in range(n):
         for j in range(n):

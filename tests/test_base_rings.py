@@ -32,6 +32,27 @@ def elements(ring):
     return st.builds(lambda a, b: ring.element(a, b), coords, coords)
 
 
+# the per-kind formulas that the delta rule replaced: (conjugate, norm) of a + b*delta
+PER_KIND = {
+    RATIONAL: (lambda a, b: (a, b), lambda a, b: a * a),
+    GAUSSIAN: (lambda a, b: (a, -b), lambda a, b: a * a + b * b),
+    EISENSTEIN: (lambda a, b: (a - b, -b), lambda a, b: a * a - a * b + b * b),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_conjugate_and_norm_follow_the_delta_rule(ring):
+    for a in range(-4, 5):
+        for b in range(-4, 5) if ring is not RATIONAL else (0,):
+            x = ring.element(a, b)
+            conjugate, norm = PER_KIND[ring]
+            assert x.conjugate().key == conjugate(a, b)
+            assert x.norm() == norm(a, b)
+            assert x.conjugate().complex() == pytest.approx(x.complex().conjugate())
+            assert x.norm() == pytest.approx(abs(x.complex()) ** 2)
+            assert x * x.conjugate() == ring.element(x.norm())
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_ring_constants(ring):
     assert ring.zero + ring.one == ring.one

@@ -343,7 +343,7 @@ def test_first_coefficient_code(q_nilp):
     inner = ParityCode(S, 3)
     code = FirstCoefficientCode(q_nilp, inner)
     assert code.kind == "FirstCoefficientScheme"
-    assert code.design_distance == 2
+    assert inner.hamming_distance() == 2
     word = code.encode([S.one, S.one])
     assert len(word) == 3
     assert word[2].zcoords[0] == S.one + S.one

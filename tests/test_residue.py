@@ -101,8 +101,7 @@ def test_residue_lift_is_section(golden):
 
 def test_residue_encode_decode(golden):
     S = residue_ring(golden.ext, golden.ext.base.element(3))
-    for code in (0, 1, 37, 80):
-        assert S.decode(code).encode() == code
+    assert sorted(e.encode() for e in S.elements()) == list(range(S.size))
 
 
 # -- quotient ring Lambda/I ----------------------------------------------------
@@ -190,8 +189,7 @@ def test_quotient_z_relations(q_gold, q_nilp):
 
 
 def test_quotient_encode_decode(q_gold):
-    for code in (0, 1, 7, 15):
-        assert q_gold.decode(code).encode() == code
+    assert sorted(e.encode() for e in q_gold.elements()) == list(range(q_gold.cardinality))
 
 
 def test_quotient_enumeration_limit(golden):
@@ -840,7 +838,7 @@ def test_finite_field_laws(p, m):
                 assert (x * y) * w == x * (y * w)
                 assert x * (y + w) == x * y + x * w
         if not x.is_zero:
-            assert x * x.inverse() == ff.one
+            assert x * x ** -1 == ff.one
         assert x.frobenius() == x ** p
 
 

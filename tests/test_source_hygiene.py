@@ -2,7 +2,9 @@
 
 No linter ships with the project, so two of a linter's checks live here:
 every imported name is used by its module, and every module-level private
-function or class is used somewhere in the package.
+function or class is used somewhere in the package.  A third check keeps
+equality in one place: parent objects compare through `Keyed`, elements
+through `RingElement`.
 """
 
 import ast
@@ -71,3 +73,24 @@ def test_every_private_definition_is_used():
                 if used[node.name] == _references(node, True)[node.name]:
                     unused.append(f"{name}: {node.name}")
     assert unused == []
+
+
+# `ExtensionSpec` keeps a hash computed once, since every cached factory hashes it
+EQ_OWNERS = {"Keyed", "RingElement"}
+HASH_OWNERS = EQ_OWNERS | {"ExtensionSpec"}
+
+
+def test_equality_is_defined_once():
+    owners = {"__eq__": set(), "__hash__": set()}
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = {node.name}
+                else:  # an assignment such as `__hash__ = ...`
+                    names = {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+                for name in owners.keys() & names:
+                    owners[name].add(cls.name)
+    assert owners == {"__eq__": EQ_OWNERS, "__hash__": HASH_OWNERS}
