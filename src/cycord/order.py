@@ -12,8 +12,8 @@ entries above the diagonal multiplied by u:
 M(x) is the matrix of right multiplication by x on the module above, acting
 on column coordinate vectors.  Right actions compose in reverse, so the
 embedding satisfies M(x*y) == M(y)*M(x) exactly; the transposed map
-x -> M(x).transpose() is multiplicative in the familiar order.  Determinants
-do not see the difference.
+x -> M(x)^T, rows and columns swapped, is multiplicative in the familiar
+order.  Determinants do not see the difference.
 
 The determinant of M(x) is fixed by sigma, hence lies in O_F; it is computed
 exactly by cofactor expansion.
@@ -313,13 +313,6 @@ class OrderMatrix(Keyed):
             for ra, rb in zip(self.entries, other.entries)
         ]
         return OrderMatrix(self.ext, tuple(rows))
-
-    def transpose(self) -> "OrderMatrix":
-        n = len(self.entries)
-        return OrderMatrix(
-            self.ext,
-            tuple(tuple(self.entries[r][c] for r in range(n)) for c in range(n)),
-        )
 
     def det(self) -> OKElement:
         return cofactor_det(self.entries, self.ext.zero)

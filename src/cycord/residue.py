@@ -21,10 +21,11 @@ This layer turns the exact objects of `order` into finite rings:
   serves quotient rings and the matrix rings of `structure` alike; a ring
   keeps one (`FpView.of`).  Its bulk kernels (products of digit batches, the
   encodings of a subspace) work in bounded row blocks, each product mod p an
-  exact float BLAS product (`matmul_mod_p`); every base-p digit row comes from
+  exact float BLAS product (`matmul_mod_p`) that returns digits of the
+  narrowest dtype holding p - 1; every base-p digit row comes from
   `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
-  stacks of matrices at once; it backs the ideal spans (`ideal_elements`)
-  and the rank, kernel and inverse helpers.
+  stacks of matrices at once in a narrow signed dtype; it backs the ideal
+  spans (`ideal_elements`) and the rank, kernel and inverse helpers.
 * `quotient_ideal` builds every entry of an ideal lattice; an entry finds its
   size (from the rank) and its element set only when asked.  The
   `skew_poly_ideal_chain` of an inert nilpotent-u quotient is one such list.
@@ -78,10 +79,11 @@ ENUM_LIMIT = 1 << 16
 IDEAL_BRUTE_LIMIT = 1 << 12
 # Largest commutative residue ring scanned for idempotents.
 IDEMPOTENT_SCAN_LIMIT = 1 << 20
-# Entries of the largest intermediate of one block (at most 1 MB: 8 bytes an
-# entry, 4 for float32): the (rows, dim, dim) float products of
-# `FpView.mul_digits`, whose blocks have max(1, FP_BLOCK_ENTRIES // dim**2)
-# rows, and the (elements, dim**2, dim) sandwich stacks of `brute_force_ideals`.
+# Entries of the largest intermediate of one block (at most 1 MB: a float64
+# entry takes 8 bytes, float32 4, an F_2 digit 1): the (rows, dim, dim) float
+# products of `FpView.mul_digits`, whose blocks have max(1, FP_BLOCK_ENTRIES //
+# dim**2) rows, and the (elements, dim**2, dim) sandwich stacks of
+# `brute_force_ideals`, float products reduced to digits.
 FP_BLOCK_ENTRIES = 1 << 17
 # Rows per block when enumerating subspace members and checking product pairs.
 ROW_BLOCK = 1 << 12
@@ -676,12 +678,22 @@ def exact_float(bound: int):
     raise UnsupportedCase(f"integer sums up to {bound} exceed the exact float64 range")
 
 
+def _to_digits(F: np.ndarray, bound: int, p: int) -> np.ndarray:
+    """Exact float integers below `bound`, mod p, as `np.min_scalar_type(p - 1)`
+    digits: the remainder runs on the narrowest integer dtype that holds them."""
+    out = F.astype(np.min_scalar_type(max(bound, p)))
+    out -= out // p * p  # the remainder: numpy's `%` by a scalar is several times slower
+    return out.astype(np.min_scalar_type(p - 1), copy=False)
+
+
 def matmul_mod_p(A, B, p: int) -> np.ndarray:
-    """A @ B mod p as int64 for digits in [0, p), by one BLAS float product: each
-    partial sum is a nonnegative integer no larger than the full sum, below
-    inner * (p - 1)**2 + 1, so the `exact_float` product is exact in any order."""
-    f = exact_float(np.shape(A)[-1] * (p - 1) ** 2 + 1)
-    return (np.asarray(A, dtype=f) @ np.asarray(B, dtype=f)).astype(np.int64) % p
+    """A @ B mod p as narrow digits for digits in [0, p), by one BLAS float
+    product: each partial sum is a nonnegative integer no larger than the full
+    sum, below inner * (p - 1)**2 + 1, so the `exact_float` product is exact in
+    any order.  Digits are unsigned: widen them before subtracting."""
+    bound = np.shape(A)[-1] * (p - 1) ** 2 + 1
+    f = exact_float(bound)
+    return _to_digits(np.asarray(A, dtype=f) @ np.asarray(B, dtype=f), bound, p)
 
 
 class FpView:
@@ -744,7 +756,8 @@ class FpView:
         return self._tensor
 
     def mul_digits(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise products of digit batches (shape (batch, dim)), mod p.
+        """Row-wise products of digit batches (shape (batch, dim)), mod p, as
+        digits of dtype `np.min_scalar_type(p - 1)`, as `matmul_mod_p` returns.
 
         Contracts each block of X with the flattened tensor, then each row
         with the matching row of Y, as BLAS float products.  With digits in
@@ -752,19 +765,19 @@ class FpView:
         dim**2 * (p - 1)**3, so in the `exact_float` dtype of that bound
         (float32 for every certify quotient, chosen when the float tensor is
         built) the result is the exact integer contraction.  Blocks are
-        converted one at a time: a float copy of the whole batch would raise
-        peak memory.
+        converted and reduced one at a time: a float or int64 copy of the
+        whole batch would raise peak memory.
         """
         d, step, p = self.dim, self.block_rows, self.p
+        bound = d * d * (p - 1) ** 3 + 1
         T = self._float_tensor
         if T is None:
-            f = exact_float(d * d * (p - 1) ** 3 + 1)
-            T = self._float_tensor = self.tensor().reshape(d, d * d).astype(f)
-        out = np.empty((X.shape[0], d), dtype=np.int64)
+            T = self._float_tensor = self.tensor().reshape(d, d * d).astype(exact_float(bound))
+        out = np.empty((X.shape[0], d), dtype=np.min_scalar_type(p - 1))
         for lo in range(0, X.shape[0], step):
             XT = (X[lo:lo + step].astype(T.dtype) @ T).reshape(-1, d, d)
-            out[lo:lo + step] = (Y[lo:lo + step, None, :].astype(T.dtype) @ XT)[:, 0]
-        out %= p  # on int64: a float remainder costs several times more
+            YXT = (Y[lo:lo + step, None, :].astype(T.dtype) @ XT)[:, 0]
+            out[lo:lo + step] = _to_digits(YXT, bound, p)
         return out
 
     def span_encodings(self, rows: np.ndarray) -> frozenset:
@@ -802,11 +815,14 @@ def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     picks its first row at or below its rank with a nonzero entry there,
     moves it up to the rank, scales the pivot to 1 and clears the column in
     every other row.  The reduced form is unique, so R depends only on the
-    row space of each matrix.
+    row space of each matrix.  R has the signed dtype `np.min_scalar_type(-p * p)`,
+    which holds -(p - 1)**2, the least value of a clearing step before its
+    remainder: a stack of F_2 matrices is reduced in int8.
     """
-    R = np.mod(A, p, dtype=np.int64)
+    dt = np.min_scalar_type(-p * p)
+    R = np.mod(A, p).astype(dt)
     batch, rows, cols = R.shape
-    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=dt)
     rank = np.zeros(batch, dtype=np.int64)
     below = np.arange(rows)
     for c in range(cols):
@@ -1026,9 +1042,6 @@ class FiniteField(Keyed):
             raise ZeroDivisionError("zero has no inverse")
         return self.pow(x, self.size - 2)
 
-    def frobenius(self, x: int, k: int = 1) -> int:
-        return self.pow(x, self.p ** (k % self.m))
-
     def generator(self) -> "FFElement":
         """Smallest element (by encoding) generating the multiplicative group."""
         if self._gen is None:
@@ -1095,9 +1108,6 @@ class FFElement(RingElement):
         if e < 0:
             return FFElement(self.ring, self.ring.pow(self.ring.inv(self.val), -e))
         return FFElement(self.ring, self.ring.pow(self.val, e))
-
-    def frobenius(self, k: int = 1) -> "FFElement":
-        return FFElement(self.ring, self.ring.frobenius(self.val, k))
 
     def __str__(self):
         coeffs = radix_decode(self.val, self.ring.p, self.ring.m)

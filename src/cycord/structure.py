@@ -218,9 +218,6 @@ class ComponentField:
             self._elements = out
         return self._elements
 
-    def mul(self, x: ResidueElement, y: ResidueElement) -> ResidueElement:
-        return self.S.mul(x, y)
-
     def pow(self, x: ResidueElement, e: int) -> ResidueElement:
         return power(x, e, self.v, self.S.mul)
 
@@ -689,6 +686,29 @@ def _fail(message: str, pair=None):
     raise err
 
 
+def sampled_pair_blocks(p: int, dim: int, count: int, seed: int):
+    """`count` random digit pairs (X, Y) in ROW_BLOCK-row blocks of dtype
+    `np.min_scalar_type(p - 1)`: the stream of drawing X and then Y whole from
+    `np.random.default_rng(seed)`.  Y's own generator first skips X's draws in
+    the same int64 chunks, whose stream is the whole draw's (uint8 chunks' is not)."""
+    sizes = [min(ROW_BLOCK, count - lo) for lo in range(0, count, ROW_BLOCK)]
+    gx, gy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rows in sizes:
+        gy.integers(0, p, size=(rows, dim), dtype=np.int64)
+    narrow = np.min_scalar_type(p - 1)
+    for rows in sizes:
+        yield (gx.integers(0, p, size=(rows, dim), dtype=np.int64).astype(narrow),
+               gy.integers(0, p, size=(rows, dim), dtype=np.int64).astype(narrow))
+
+
+def exhaustive_pair_blocks(E: np.ndarray):
+    """Every pair (E[i // N], E[i % N]) of the N rows of E, ROW_BLOCK pairs a block."""
+    N = len(E)
+    for lo in range(0, N * N, ROW_BLOCK):
+        i = np.arange(lo, min(N * N, lo + ROW_BLOCK))
+        yield E[i // N], E[i % N]
+
+
 def verify_isomorphism(
     cert: IsoCertificate,
     mode: VerifyMode = VerifyMode.EXHAUSTIVE,
@@ -706,10 +726,11 @@ def verify_isomorphism(
     and Phi(1) = 1: as Phi is F_p-linear and both products are bilinear,
     they prove multiplicativity, so every mode proves a ring isomorphism.
     Behind that basis-pair proof and the rank check, the image check and
-    the bulk pair check are defence in depth.  Only the N int64 image keys
-    and the drawn pairs, as digits of the narrowest dtype that holds p - 1,
-    are held at full size; image rows, int64 draws and products exist one
-    block of ROW_BLOCK rows at a time.  Every product mod p is a BLAS float
+    the bulk pair check are defence in depth.  Only the N int64 image keys,
+    and one sorted copy of them, are held at full size; image rows, pairs
+    (`exhaustive_pair_blocks`, `sampled_pair_blocks`) and products exist one
+    block of ROW_BLOCK rows at a time, as digits of the narrowest dtype that
+    holds p - 1.  Every product mod p is a BLAS float
     product (`matmul_mod_p`, `FpView.mul_digits`) in the `exact_float` dtype
     of its largest integer sum, float32 for every certify quotient: sums of
     nonnegative integers below 2**24 are exact in float32 in any order.
@@ -760,35 +781,30 @@ def verify_isomorphism(
         for lo in range(0, N, ROW_BLOCK):
             imgs = matmul_mod_p(digit_rows(p, dim, lo, min(N, lo + ROW_BLOCK)), Phi.T, p)
             keys[lo:lo + len(imgs)] = imgs @ place
-        order = np.argsort(keys, kind="stable")
-        dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
-        if dup.size:
+        sorted_keys = np.sort(keys)
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            # the stable order names the same pair as a full scan would
+            order = np.argsort(keys, kind="stable")
+            dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
             x1, x2 = (sview.element(digit_rows(p, dim, j, j + 1)[0])
                       for j in order[dup[0]:dup[0] + 2])
             _fail(f"two elements share an image: {x1} and {x2}", (x1, x2))
-        del imgs, keys, order
+        del imgs, keys, sorted_keys
         elements_enumerated = N
 
-    # bulk product checks over the linearized tensors, digits stored narrow
-    narrow = np.min_scalar_type(p - 1)
+    # bulk product checks over the linearized tensors, pairs made one block at a time
     pairs_exhaustive = mode is VerifyMode.EXHAUSTIVE and N * N <= PAIR_EXHAUSTIVE_LIMIT
     if pairs_exhaustive:
-        E, idx = digit_rows(p, dim).astype(narrow), np.arange(N)
-        X = E[np.repeat(idx, N)]
-        Y = E[np.tile(idx, N)]
+        count = N * N
+        pairs = exhaustive_pair_blocks(digit_rows(p, dim).astype(np.min_scalar_type(p - 1)))
     else:
         count = PAIR_SAMPLE_EXHAUSTIVE if mode is VerifyMode.EXHAUSTIVE else PAIR_SAMPLE
-        nprng = np.random.default_rng(seed)
-        X, Y = np.empty((count, dim), dtype=narrow), np.empty((count, dim), dtype=narrow)
-        for A in (X, Y):  # int64 chunks draw one whole draw's stream; uint8 would not
-            for lo in range(0, count, ROW_BLOCK):
-                rows = min(ROW_BLOCK, count - lo)
-                A[lo:lo + rows] = nprng.integers(0, p, size=(rows, dim), dtype=np.int64)
-    def check_products(X, Y, what):
+        pairs = sampled_pair_blocks(p, dim, count, seed)
+
+    def check_products(blocks, what):
         # in index order, so the first failing block holds the lowest failing pair;
         # only a block's mismatch mask outlives it, which lowers the peak memory
-        for lo in range(0, X.shape[0], ROW_BLOCK):
-            Xb, Yb = X[lo:lo + ROW_BLOCK], Y[lo:lo + ROW_BLOCK]
+        for Xb, Yb in blocks:
             lhs = matmul_mod_p(sview.mul_digits(Xb, Yb), Phi.T, p)
             rhs = tview.mul_digits(matmul_mod_p(Xb, Phi.T, p), matmul_mod_p(Yb, Phi.T, p))
             bad = np.nonzero((lhs != rhs).any(axis=1))[0]
@@ -797,9 +813,9 @@ def verify_isomorphism(
                 y = sview.element(Yb[bad[0]])
                 _fail(f"{what} fails at x = {x}, y = {y}", (x, y))
 
-    check_products(X, Y, "product check")
+    check_products(pairs, "product check")
     eye = np.eye(dim, dtype=np.int64)
-    check_products(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1)), "basis product check")
+    check_products([(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1)))], "basis product check")
     if tuple(matmul_mod_p(Phi, sview.digits(Q.one), p).tolist()) != tview.digits(cert.target.one):
         _fail("1 does not map to the identity", (Q.one, Q.one))
 
@@ -811,7 +827,7 @@ def verify_isomorphism(
         rank=rank,
         dim=dim,
         elements_enumerated=elements_enumerated,
-        pairs_checked=int(X.shape[0]),
+        pairs_checked=count,
         pairs_exhaustive=pairs_exhaustive,
         exact_spot_checks=spots,
         passed=True,

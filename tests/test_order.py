@@ -67,8 +67,11 @@ def test_embedding_reverses_products(golden, data):
 def test_transposed_embedding_preserves_products(q7, data):
     x = data.draw(order_elements(q7))
     y = data.draw(order_elements(q7))
-    lhs = (x * y).matrix().transpose()
-    rhs = x.matrix().transpose() * y.matrix().transpose()
+    def transposed(M):  # entry (r, c) moves to (c, r)
+        return OrderMatrix(M.ext, tuple(zip(*M.entries)))
+
+    lhs = transposed((x * y).matrix())
+    rhs = transposed(x.matrix()) * transposed(y.matrix())
     assert lhs == rhs
 
 

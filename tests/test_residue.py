@@ -551,6 +551,22 @@ def test_rref_mod_p_matches_incremental_reference(case):
         assert not Ri[r:].any()
 
 
+def test_rref_mod_p_at_a_large_prime():
+    # p**2 > 2**31, so the stack is reduced in int64; all-(p - 1) rows make
+    # the clearing steps reach -(p - 1)**2 before their remainder
+    p = (1 << 20) + 7
+    stack = np.random.default_rng(p).integers(0, p, size=(3, 5, 6), dtype=np.int64)
+    stack[0, -1] = (2 * stack[0, 0] + 3 * stack[0, 1]) % p
+    stack[1] = p - 1
+    stack[2, :, 0] = p - 1
+    R, rank = rref_mod_p(stack, p)
+    assert R.dtype == np.int64 and rank.tolist() == [4, 1, 5]
+    for A, Ri, r in zip(stack, R, rank):
+        assert np.array_equal(Ri[:r], reference_rows(reference_row_basis(A, p), A.shape[1]))
+        assert not Ri[r:].any()
+    assert rref_mod_p(stack % 2, 2)[0].dtype == np.int8
+
+
 FIVE_QUOTIENTS = {  # name -> (algebra fixture, ideal generator, power)
     "golden_1pi": ("golden", (1, 1), 1),
     "golden_u_1pi_1pi": ("golden_1pi", (1, 1), 1),
@@ -696,7 +712,7 @@ def test_mul_digits_matches_three_operand_contraction(fp_views, which, blocks, e
     Y = rng.integers(0, view.p, size=(rows, view.dim), dtype=np.int64)
     X[:1], Y[:1] = view.p - 1, view.p - 1  # the largest float64 sums
     got = view.mul_digits(X, Y)
-    assert got.shape == (rows, view.dim) and got.dtype == np.int64
+    assert got.shape == (rows, view.dim) and got.dtype == np.min_scalar_type(view.p - 1)
     assert np.array_equal(got, np.einsum("na,nb,abd->nd", X, Y, view.tensor()) % view.p)
 
 
@@ -735,7 +751,7 @@ def test_matmul_mod_p_matches_int64_reference(p, inner, dtype):
     B = rng.integers(0, p, size=(inner, 7), dtype=np.int64)
     A[0], B[:, 0] = p - 1, p - 1  # the largest sums
     got = matmul_mod_p(A, B, p)
-    assert got.dtype == np.int64
+    assert got.dtype == np.min_scalar_type(p - 1)
     assert np.array_equal(got, A @ B % p)
     assert got[0, 0] == inner * (p - 1) ** 2 % p
     assert np.array_equal(matmul_mod_p(A, B[:, 0], p), got[:, 0])  # matrix times vector
@@ -834,12 +850,12 @@ def test_finite_field_laws(p, m):
         for y in picks:
             assert x + y == y + x
             assert x * y == y * x
+            assert (x + y) ** p == x ** p + y ** p  # the Frobenius map is additive
             for w in picks[:4]:
                 assert (x * y) * w == x * (y * w)
                 assert x * (y + w) == x * y + x * w
         if not x.is_zero:
             assert x * x ** -1 == ff.one
-        assert x.frobenius() == x ** p
 
 
 def test_finite_field_generator_order():

@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cycord import residue, structure
@@ -16,7 +17,7 @@ from cycord.errors import (
     ZeroTarget,
 )
 from cycord.extension import IdealSpec
-from cycord.order import load_algebra
+from cycord.order import digit_rows, load_algebra
 from cycord.residue import (
     ENUM_LIMIT,
     FiniteField,
@@ -443,15 +444,71 @@ def test_checks_do_not_depend_on_the_row_block(golden, q15_certificate, monkeypa
 
 def test_exhaustive_verify_holds_no_full_size_image_rows(q15_certificate):
     # numpy reports its buffers to tracemalloc; N x dim int64 image rows
-    # and int64 pair arrays put the peak near 40 MB, narrow pairs and
-    # per-block images near 10 MB
+    # and int64 pair arrays put the peak near 40 MB, full-size narrow pairs,
+    # int64 block products and a full-size argsort near 7 MB, and pairs
+    # drawn per block with narrow products near 1.6 MB
     tracemalloc.start()
     try:
         verify_isomorphism(q15_certificate, VerifyMode.EXHAUSTIVE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+    assert peak < 3 << 20
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_verify_draws_pairs_per_block(q7):
+    # 2 x 10,000 x 18 drawn digits and int64 block products put the warm
+    # peak near 4.2 MiB; pairs drawn per block near 1.6 MiB
+    cert = identify_quotient(q7, ideal_of(q7, 2)).certificate
+    verify_isomorphism(cert, VerifyMode.SAMPLED)
+    assert traced_peak(lambda: verify_isomorphism(cert, VerifyMode.SAMPLED)) < 3 << 20
+
+
+def test_brute_force_ideals_reduces_narrow_stacks(golden):
+    # int64 sandwich stacks and row reduction put the warm peak near
+    # 4.3 MiB; int8 reduction of narrow stacks near 0.7 MiB
+    Q = quotient_of(golden, ideal_of(golden, 1, 1, s=2))
+    brute_force_ideals(Q)  # fills the view's tensor
+    assert traced_peak(lambda: brute_force_ideals(Q)) < 3 << 19
+
+
+@pytest.mark.parametrize("block", [structure.ROW_BLOCK, 37])
+@pytest.mark.parametrize("p, dim, count", [(2, 16, 100_000), (5, 4, 10_000)])
+def test_pair_blocks_are_the_whole_draws(monkeypatch, p, dim, count, block):
+    # the pinned stream: X drawn whole, then Y whole, from one generator
+    monkeypatch.setattr(structure, "ROW_BLOCK", block)
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, p, size=(count, dim), dtype=np.int64)
+    Y = rng.integers(0, p, size=(count, dim), dtype=np.int64)
+    lo = 0
+    for Xb, Yb in structure.sampled_pair_blocks(p, dim, count, seed=7):
+        assert len(Xb) == len(Yb) == min(block, count - lo)
+        assert Xb.dtype == Yb.dtype == np.min_scalar_type(p - 1)
+        assert np.array_equal(Xb, X[lo:lo + block]) and np.array_equal(Yb, Y[lo:lo + block])
+        lo += len(Xb)
+    assert lo == count
+
+
+@pytest.mark.parametrize("block", [structure.ROW_BLOCK, 37])
+@pytest.mark.parametrize("p, dim", [(2, 4), (3, 3), (2, 7)])
+def test_exhaustive_pair_blocks_are_repeat_and_tile(monkeypatch, p, dim, block):
+    monkeypatch.setattr(structure, "ROW_BLOCK", block)
+    E = digit_rows(p, dim)
+    blocks = list(structure.exhaustive_pair_blocks(E))
+    assert all(len(Xb) <= block for Xb, _ in blocks)
+    idx = np.arange(len(E))
+    assert np.array_equal(np.concatenate([Xb for Xb, _ in blocks]), E[np.repeat(idx, len(E))])
+    assert np.array_equal(np.concatenate([Yb for _, Yb in blocks]), E[np.tile(idx, len(E))])
 
 
 def test_unsupported_nilpotent_power(golden_1pi):
@@ -580,7 +637,7 @@ def test_component_field_generator(gauss):
     seen = set()
     acc = comp.v
     for _ in range(comp.size - 1):
-        acc = comp.mul(acc, gen)
+        acc = comp.S.mul(acc, gen)
         seen.add(acc.encode())
     assert len(seen) == comp.size - 1
     assert comp.dlog(gen) == 1
