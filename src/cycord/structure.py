@@ -783,7 +783,8 @@ def verify_isomorphism(
             keys[lo:lo + len(imgs)] = imgs @ place
         sorted_keys = np.sort(keys)
         if (sorted_keys[1:] == sorted_keys[:-1]).any():
-            # the stable order names the same pair as a full scan would
+            # on failure only: the stable order names the two lowest indices
+            # that share the smallest shared key
             order = np.argsort(keys, kind="stable")
             dup = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
             x1, x2 = (sview.element(digit_rows(p, dim, j, j + 1)[0])

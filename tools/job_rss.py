@@ -58,7 +58,7 @@ def main(argv=None) -> int:
 
     import jobs
 
-    env = {**os.environ, **CHILD_ENV, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'perfbench'}"}
+    env = {**os.environ, **CHILD_ENV, "PYTHONPATH": str(root / "src")}
     print("| job | ok | setup_mb | peak_mb |\n|---|---|---|---|")
     for job in jobs.WORKLOADS[args.workload][1]:
         proc = subprocess.run(
