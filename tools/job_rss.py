@@ -9,7 +9,8 @@ the workload's algebras as a pass does, runs that one job and reports its
 `ru_maxrss` (of its largest child for the cli workload).  `DIR` defaults to
 the checkout that holds this script; point it at a second checkout to
 compare two trees on one machine.  The job table and the jobs themselves
-come from `DIR/perfbench/jobs.py`, which is imported and never modified.
+come from `DIR/perfbench/jobs.py`, and the child environment from its
+`run.py`; both are imported and never modified.
 
 Prints one Markdown table: the job, whether it matched its pinned values,
 the resident memory after set-up and the job's peak, both in MB.
@@ -24,10 +25,6 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
-
-# the thread and hashing settings of a benchmark worker
-CHILD_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1",
-             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def child(workload: str, job: str, seed: int) -> None:
@@ -57,8 +54,9 @@ def main(argv=None) -> int:
         return 0
 
     import jobs
+    import run  # its WORKER_ENV: the checkout's src, fixed hashing, one BLAS thread
 
-    env = {**os.environ, **CHILD_ENV, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, **run.WORKER_ENV}
     print("| job | ok | setup_mb | peak_mb |\n|---|---|---|---|")
     for job in jobs.WORKLOADS[args.workload][1]:
         proc = subprocess.run(
