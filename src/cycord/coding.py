@@ -56,6 +56,9 @@ SAMPLE_LIMIT = 1 << 23
 SINGULAR_TOL = 1e-12
 # slack allowed when comparing floating determinant scores
 SCORE_TOL = 1e-9
+# rows one vectorised step holds: lemma trials drawn together (the value fixes
+# their draw stream), box-table rows, search candidates and samples scored
+BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +106,6 @@ def det_inequality_check(mats) -> dict:
             raise ValueError(f"expected square {n}x{n} matrices, got {a.shape}")
     dets, gram_dets = _lemma_dets(np.stack(arrs)[None])
     return _lemma_report(dets[0].tolist(), gram_dets[0].item())
-
-
-# trials drawn and checked together by run_lemma_trials
-LEMMA_BLOCK = 1024
 
 
 def _lemma_trial(rng, n: int, k: int) -> tuple:
@@ -185,7 +184,7 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     side's exponent by eps |ln rhs|.  At n = 1, where the first term is only
     2 eps, these terms keep |x conj(x)| = |x|^2 from being flagged.
 
-    Trials run in blocks of LEMMA_BLOCK that draw their normals in one call
+    Trials run in blocks of BLOCK that draw their normals in one call
     (consecutive draws continue one stream) and are checked per (n, k) on
     stacked arrays; a block with a singular draw reruns trial by trial, so
     the redraws happen in order.  The scalar epilogue stays in Python
@@ -207,9 +206,9 @@ def run_lemma_trials(trials: int, n: int | None = None, k: int | None = None,
     k1_trials = 0
     k1_failures = 0
     min_margin = float("inf")
-    for lo in range(0, trials, LEMMA_BLOCK):
+    for lo in range(0, trials, BLOCK):
         shapes = [(sizes[t % len(sizes)], counts[(t // len(sizes)) % len(counts)])
-                  for t in range(lo, min(trials, lo + LEMMA_BLOCK))]
+                  for t in range(lo, min(trials, lo + BLOCK))]
         state = rng.bit_generator.state
         results = _lemma_block(rng, shapes)
         if results is None:
@@ -442,12 +441,13 @@ def lift_codeword(outer_word, strategy: LiftStrategy = LiftStrategy.CANONICAL_ZE
     outer_word = tuple(outer_word)
     if not outer_word:
         raise BadMessageLength("cannot lift an empty codeword")
-    if strategy is LiftStrategy.RANDOMIZED and box_bound >= 2 ** 63:
-        raise UnsupportedSize(f"box bound {box_bound} exceeds the int64 draws")
-    rng = np.random.default_rng(seed)
+    if strategy is LiftStrategy.RANDOMIZED:
+        if box_bound >= 2 ** 63:
+            raise UnsupportedSize(f"box bound {box_bound} exceeds the int64 draws")
+        rng = np.random.default_rng(seed)  # only here: it imports numpy.random
 
-    def draw():
-        return int(rng.integers(-box_bound, box_bound + 1))
+        def draw():
+            return int(rng.integers(-box_bound, box_bound + 1))
 
     comps = []
     for sym in outer_word:
@@ -600,9 +600,11 @@ class _BoxTable:
     algebra's `int_positions` of the slots, and `from_positions` builds
     their elements.
 
-    The matrix embedding is Z-linear, M(x) = sum_k x_k E_k, so the numeric
-    matrices come from one product with the unit-coordinate matrices E_k;
-    order elements are built only for the rows asked for.
+    The digits are `box_digits`' narrow ints.  The matrix embedding is
+    Z-linear, M(x) = sum_k x_k E_k, so the numeric matrices come from
+    products with the unit-coordinate matrices E_k, one BLOCK of rows at a
+    time: each product casts only its block of digits to complex.  `hmats`
+    holds M(x) M(x)^*.  Order elements are built only for the rows asked for.
     """
 
     def __init__(self, algebra: AlgebraSpec, bound: int, z_slots=None):
@@ -620,9 +622,12 @@ class _BoxTable:
         n = algebra.n
         E = np.array([algebra.from_positions(self.positions, u).matrix().numeric()
                       for u in np.eye(p, dtype=np.int64).tolist()], dtype=complex)
-        mats = (self.digits @ E.reshape(p, n * n)).reshape(count, n, n)
-        self.mats = mats
-        self.hmats = np.einsum("rij,rkj->rik", mats, mats.conj())
+        self.mats = np.empty((count, n, n), dtype=complex)
+        self.hmats = np.empty_like(self.mats)
+        for lo in range(0, count, BLOCK):
+            mats = (self.digits[lo:lo + BLOCK] @ E.reshape(p, n * n)).reshape(-1, n, n)
+            self.mats[lo:lo + BLOCK] = mats
+            self.hmats[lo:lo + BLOCK] = np.einsum("rij,rkj->rik", mats, mats.conj())
 
     def element(self, i: int) -> OrderElement:
         return self.algebra.from_positions(self.positions, self.digits[i].tolist())
@@ -758,8 +763,9 @@ def _first_min(vals: np.ndarray) -> int:
 
 def _tuple_sums(values: np.ndarray, count: int) -> np.ndarray:
     """values[q_1] + ... + values[q_count] for every index tuple, in
-    itertools.product order (q_1 slowest)."""
-    out = np.zeros(1, dtype=values.dtype)
+    itertools.product order (q_1 slowest).  Integer values are summed in
+    int64, so narrow box digits cannot overflow."""
+    out = np.zeros(1, dtype=np.promote_types(values.dtype, np.int64))
     for _ in range(count):
         out = np.add.outer(out, values).ravel()
     return out
@@ -781,7 +787,9 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
     sum-closed family is the case where `off` holds only zero.  Rows are
     (w, x_2, ..., x_{L-1}) with w outermost and the slow messages in
     itertools.product order, and each row scores its x_1 in ascending
-    order, keeping only those whose sum stays inside the box.
+    order, keeping only those whose sum stays inside the box.  The scores
+    are computed BLOCK candidates at a time into one array per row, so the
+    Gram stacks stay small whatever the row length.
 
     A row is skipped unscored when the Minkowski bound
     (sum_i |det X_i|^(2/n))^n rules it out: the slow messages add their
@@ -828,7 +836,7 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
             if floor[r] >= best - SCORE_TOL:
                 continue
             slow = tuple(int(q) for q in np.unravel_index(r, shape))
-            s = digits[list(slow)].sum(axis=0)
+            s = digits[list(slow)].sum(axis=0, dtype=np.int64)
             x1 = np.zeros(1, dtype=np.int64)
             for m in reversed(range(len(s))):
                 x1 = (x1[:, None] + fits[s[m] + reach] * d ** m).ravel()
@@ -838,10 +846,12 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
                 continue
             slow_mat = sum((msg.mats[q] for q in slow), zero_mat)
             slow_h = sum((msg.hmats[q] for q in slow), zero_mat)
-            last = msg.mats[x1] + slow_mat + off.mats[o]
-            gram = msg.hmats[x1] + slow_h + np.einsum(
-                "rij,rkj->rik", last, last.conj())
-            vals = _det_abs(gram)
+            vals = np.empty(len(x1))
+            for lo in range(0, len(x1), BLOCK):
+                ids = x1[lo:lo + BLOCK]
+                last = msg.mats[ids] + slow_mat + off.mats[o]
+                vals[lo:lo + BLOCK] = _det_abs(msg.hmats[ids] + slow_h + np.einsum(
+                    "rij,rkj->rik", last, last.conj()))
             local = _first_min(vals)
             if vals[local] < best - SCORE_TOL:
                 best = float(vals[local])
@@ -852,20 +862,30 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
 
 
 def _sample(length: int, msg: _BoxTable, off: _BoxTable, seed, samples):
+    """`_search` over seeded draws: message then offset indices are drawn
+    whole from one generator, and the inside-the-box mask and the Gram scores
+    of the kept draws are computed BLOCK rows at a time, so only the indices,
+    the mask and one score per kept draw are full size."""
     if samples * (length - 1) > SAMPLE_LIMIT:
         raise TooLargeToEnumerate(f"{samples} x {length - 1} draws exceed {SAMPLE_LIMIT}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(msg), size=(samples, length - 1))
     offs = rng.integers(0, len(off), size=samples)
-    inside = np.all(np.abs(msg.digits[idx].sum(axis=1)) <= msg.bound, axis=1)
-    inside &= ~((idx == 0).all(axis=1) & (offs == 0))
+    inside = np.empty(samples, dtype=bool)
+    for lo in range(0, samples, BLOCK):
+        ids = idx[lo:lo + BLOCK]
+        inside[lo:lo + BLOCK] = (
+            np.all(np.abs(msg.digits[ids].sum(axis=1, dtype=np.int64)) <= msg.bound, axis=1)
+            & ~((ids == 0).all(axis=1) & (offs[lo:lo + BLOCK] == 0)))
     keep = np.nonzero(inside)[0]
     if not len(keep):
         raise EmptyCode("no sampled codeword stayed inside the box")
-    last = msg.mats[idx[keep]].sum(axis=1) + off.mats[offs[keep]]
-    gram = msg.hmats[idx[keep]].sum(axis=1) + np.einsum(
-        "rij,rkj->rik", last, last.conj())
-    vals = _det_abs(gram)
+    vals = np.empty(len(keep))
+    for lo in range(0, len(keep), BLOCK):
+        ids = idx[keep[lo:lo + BLOCK]]
+        last = msg.mats[ids].sum(axis=1) + off.mats[offs[keep[lo:lo + BLOCK]]]
+        vals[lo:lo + BLOCK] = _det_abs(msg.hmats[ids].sum(axis=1) + np.einsum(
+            "rij,rkj->rik", last, last.conj()))
     local = _first_min(vals)
     pick = keep[local]
     return (float(vals[local]), _codeword(msg, off, idx[pick], int(offs[pick])),
@@ -886,8 +906,10 @@ def delta_min_search(study, *, budget: int = SEARCH_BUDGET,
     row of the enumeration is skipped when the Minkowski determinant
     inequality det(sum A_i)^(1/n) >= sum det(A_i)^(1/n), for the PSD
     summands A_i = X_i X_i^* of the Gram matrix, shows that none of its
-    codewords can beat the best score so far.  Raises InvalidCount when
-    `samples` is below 1.
+    codewords can beat the best score so far.  Candidates and samples are
+    scored BLOCK at a time, so memory does not grow with a row's length,
+    and for a randomized search it grows only by the indices, a mask and one
+    score per draw.  Raises InvalidCount when `samples` is below 1.
     """
     if samples < 1:
         raise InvalidCount(f"samples must be at least 1, got {samples}")

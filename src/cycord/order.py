@@ -401,9 +401,11 @@ def digit_rows(base: int, count: int, lo: int = 0, hi: int | None = None) -> np.
 
 
 def box_digits(bound: int, count: int) -> np.ndarray:
-    """Every point of [-bound, bound]^count as int64 rows, coordinate 0 fastest:
-    row i holds `box_values(bound)[(i // d^m) % d]` at coordinate m."""
-    values = np.array(box_values(bound), dtype=np.int64)
+    """Every point of [-bound, bound]^count, one row each, coordinate 0 fastest:
+    row i holds `box_values(bound)[(i // d^m) % d]` at coordinate m.  The rows
+    have the narrowest signed dtype that holds -bound - 1, and so +bound as
+    well (int8 at bound 1); widen them before summing."""
+    values = np.array(box_values(bound), dtype=np.min_scalar_type(-bound - 1))
     return values[digit_rows(len(values), count)]
 
 

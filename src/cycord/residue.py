@@ -813,8 +813,9 @@ def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     by increasing pivot column, and the rows below them are zero.  Each
     column takes one set of numpy steps over the whole stack: every matrix
     picks its first row at or below its rank with a nonzero entry there,
-    moves it up to the rank, scales the pivot to 1 and clears the column in
-    every other row.  The reduced form is unique, so R depends only on the
+    moves it up to the rank, scales the pivot to 1 (inverting only the
+    distinct pivot values of the column) and clears the column in every
+    other row.  The reduced form is unique, so R depends only on the
     row space of each matrix.  R has the signed dtype `np.min_scalar_type(-p * p)`,
     which holds -(p - 1)**2, the least value of a clearing step before its
     remainder: a stack of F_2 matrices is reduced in int8.
@@ -822,7 +823,6 @@ def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     dt = np.min_scalar_type(-p * p)
     R = np.mod(A, p).astype(dt)
     batch, rows, cols = R.shape
-    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=dt)
     rank = np.zeros(batch, dtype=np.int64)
     below = np.arange(rows)
     for c in range(cols):
@@ -833,7 +833,9 @@ def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         src, dst = cand[found].argmax(axis=1), rank[found]
         pivot = R[found, src]
         R[found, src] = R[found, dst]
-        pivot = pivot * inv[pivot[:, c]][:, None] % p
+        lead = pivot[:, c].tolist()
+        inv = {v: pow(v, -1, p) for v in set(lead)}
+        pivot = pivot * np.array([inv[v] for v in lead], dtype=dt)[:, None] % p
         R[found, dst] = pivot
         factor = R[found, :, c]
         factor[np.arange(found.size), dst] = 0

@@ -263,6 +263,31 @@ def test_encode_randomized_lift(capsys, tmp_path):
     assert payload2 == payload  # seed lives in the spec
 
 
+ENCODE_THEN_REPORT = """
+import sys
+import cycord.cli
+try:
+    cycord.cli.main(sys.argv[1:])
+finally:
+    print("numpy.random" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("strategy, imported", [
+    ("CanonicalZero", "False"), ("Randomized", "True")])
+def test_only_a_randomized_encode_imports_numpy_random(tmp_path, strategy, imported):
+    # numpy loads numpy.random on first use; only a Randomized lift draws
+    spec = write_spec(tmp_path, "code.json", {
+        "algebra_spec": "golden_u_1pi",
+        "ideal": {"alpha": "1+i", "s": 1, "monomial_power": 1},
+        "outer": {"kind": "ParityOverRing", "length": 3},
+        "lift_strategy": strategy, "box_bound": 1, "seed": 0})
+    proc = run_python(["-c", ENCODE_THEN_REPORT, "encode", "--code-spec", spec,
+                       "--message", '["1,0", "0,1"]'])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == imported
+
+
 # -- deltamin ----------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,8 +196,8 @@ def rerun_trials(monkeypatch):
 @pytest.mark.parametrize("trials, n, k, seed", [
     (1, None, None, 0),
     (100, None, None, 1),
-    (coding.LEMMA_BLOCK + 5, None, None, 2),
-    (2 * coding.LEMMA_BLOCK + 14, None, None, 3),
+    (coding.BLOCK + 5, None, None, 2),
+    (2 * coding.BLOCK + 14, None, None, 3),
     (203, 3, None, 4),
     (157, None, 2, 5),
     (311, 2, 1, 6),
@@ -210,7 +211,7 @@ def test_batched_lemma_trials_match_the_per_trial_loop(rerun_trials, trials, n, 
 
 
 @pytest.mark.parametrize("trials, n, k, seed", [
-    (coding.LEMMA_BLOCK + 7, None, None, 0), (130, 2, 2, 1)])
+    (coding.BLOCK + 7, None, None, 0), (130, 2, 2, 1)])
 def test_lemma_trials_redraw_singular_summands_in_order(
         monkeypatch, rerun_trials, trials, n, k, seed):
     # |det| <= 0.2 is common for these draws, so the first block holds a
@@ -218,7 +219,7 @@ def test_lemma_trials_redraw_singular_summands_in_order(
     # batched from where the reruns left the generator
     monkeypatch.setattr(coding, "SINGULAR_TOL", 0.2)
     got = run_lemma_trials(trials, n=n, k=k, seed=seed)
-    assert len(rerun_trials) >= min(trials, coding.LEMMA_BLOCK)
+    assert len(rerun_trials) >= min(trials, coding.BLOCK)
     assert repr(got) == repr(lemma_trials_one_by_one(trials, n=n, k=k, seed=seed))
 
 
@@ -558,9 +559,9 @@ def test_sum_closed_randomized_fallback(golden):
 
 
 def test_search_skips_rows_the_minkowski_bound_rules_out(golden, monkeypatch):
-    # every Gram score goes through _det_abs.  The first row finds (1, 0, 1)
-    # with score 4; every later row has a bound of at least (1 + 1)^2 = 4,
-    # so only the first row is scored
+    # every Gram score goes through _det_abs, one block of candidates at a
+    # time.  The first row finds (1, 0, 1) with score 4; every later row has
+    # a bound of at least (1 + 1)^2 = 4, so only the first row is scored
     scored = []
     det_abs = coding._det_abs
     monkeypatch.setattr(coding, "_det_abs",
@@ -569,7 +570,8 @@ def test_search_skips_rows_the_minkowski_bound_rules_out(golden, monkeypatch):
     report = delta_min_search(study)
     assert report.search_min == pytest.approx(4.0, abs=1e-6)
     assert report.evaluated == 6561 ** 2
-    assert scored == [6561 - 1]  # x_1 = 0 would be the all-zero codeword
+    assert sum(scored) == 6561 - 1  # x_1 = 0 would be the all-zero codeword
+    assert max(scored) <= coding.BLOCK
 
 
 def test_monomial_offset_study_short_code(golden_1pi):
@@ -671,6 +673,110 @@ def test_pruned_search_matches_unpruned(request, monkeypatch, name, study_kind, 
     assert report.evaluated == candidates
     found = re.search(r"(\d+) codewords inside the box", report.notes)
     assert int(found.group(1)) == codewords
+
+
+def test_tuple_sums_widen_narrow_digits():
+    values = np.array([0, 100, -100, 127], dtype=np.int8)
+    sums = coding._tuple_sums(values, 3)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [sum(t) for t in itertools.product(values.tolist(), repeat=3)]
+    roots = coding._tuple_sums(np.array([0.5, 1.25]), 2)
+    assert roots.dtype == np.float64 and roots.tolist() == [1.0, 1.75, 1.75, 2.5]
+
+
+def blocked_reports(monkeypatch, study, **kw):
+    """delta_min_search at the module's BLOCK and at 37 rows a block."""
+    whole = delta_min_search(study, **kw)
+    monkeypatch.setattr(coding, "BLOCK", 37)
+    return whole, delta_min_search(study, **kw)
+
+
+def assert_same_report(a, b):
+    assert a.search_min == b.search_min
+    assert a.argmin.components == b.argmin.components
+    assert a.evaluated == b.evaluated
+    assert a.notes == b.notes
+
+
+@pytest.mark.parametrize("name, study_kind, length", [
+    ("golden", "sum", 3),
+    ("golden_1pi", "monomial", 2),
+    ("golden_1pi", "monomial", 3),
+])
+def test_search_scores_rows_block_by_block(request, monkeypatch, name, study_kind, length):
+    algebra = request.getfixturevalue(name)
+    ideal = ideal_of(algebra, 1, 1)
+    if study_kind == "sum":
+        study = SumClosedStudy(algebra, ideal, length=length)
+        # _unpruned_search(study) takes about 20 s here; these are its values
+        best, comps, candidates, codewords = (
+            4.0, (algebra.one, algebra.zero, algebra.one), 6561 ** 2, 5764800)
+    else:
+        study = MonomialOffsetStudy(algebra, ideal, length=length)
+        best, comps, candidates, codewords = _unpruned_search(study)
+    whole, small = blocked_reports(monkeypatch, study)
+    assert_same_report(whole, small)
+    assert whole.search_min == best
+    assert whole.argmin.components == comps
+    assert whole.evaluated == candidates
+    assert whole.notes.endswith(f"; {codewords} codewords inside the box")
+
+
+def whole_array_sample(length, msg, off, seed, samples):
+    """The sampler as it scored every kept draw in one stack."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(msg), size=(samples, length - 1))
+    offs = rng.integers(0, len(off), size=samples)
+    inside = np.all(np.abs(msg.digits[idx].sum(axis=1)) <= msg.bound, axis=1)
+    inside &= ~((idx == 0).all(axis=1) & (offs == 0))
+    keep = np.nonzero(inside)[0]
+    last = msg.mats[idx[keep]].sum(axis=1) + off.mats[offs[keep]]
+    gram = msg.hmats[idx[keep]].sum(axis=1) + np.einsum(
+        "rij,rkj->rik", last, last.conj())
+    vals = coding._det_abs(gram)
+    local = coding._first_min(vals)
+    pick = keep[local]
+    return (float(vals[local]), coding._codeword(msg, off, idx[pick], int(offs[pick])),
+            samples, len(keep))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_search_scores_draws_block_by_block(golden, monkeypatch, seed):
+    study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=4)  # over budget
+    best, comps, evaluated, codewords = whole_array_sample(
+        4, _BoxTable(golden, 1), _BoxTable(golden, 1, []), seed, 10 ** 4)
+    whole, small = blocked_reports(monkeypatch, study, seed=seed, samples=10 ** 4)
+    assert_same_report(whole, small)
+    assert whole.search_min == best
+    assert whole.argmin.components == comps
+    assert whole.evaluated == evaluated
+    assert whole.notes.endswith(f"; {codewords} codewords inside the box")
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_holds_blocks_not_rows(golden):
+    # row-length Gram stacks put the warm peak near 3.1 MiB, blocks of
+    # BLOCK candidates and a table built block by block near 1.5 MiB
+    study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=3)
+    delta_min_search(study)
+    assert traced_peak(lambda: delta_min_search(study)) < 2.5 * 2 ** 20
+
+
+def test_sampled_search_holds_blocks_not_samples(golden):
+    # gathers of every kept draw put the peak near 28.7 MiB at 10^5
+    # samples; scoring BLOCK draws at a time, near 4.4 MiB
+    study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=4)
+    delta_min_search(study, seed=0, samples=10)
+    assert traced_peak(lambda: delta_min_search(study, seed=0, samples=10 ** 5)) < 10 << 20
 
 
 def test_coset_codeword_basics(golden, q_gold):

@@ -15,6 +15,7 @@ from cycord.extension import IdealSpec
 from cycord.order import (
     SHIPPED_ALGEBRAS,
     OrderMatrix,
+    box_digits,
     box_elements,
     box_values,
     digit_rows,
@@ -207,6 +208,19 @@ def test_positions_round_trip(shipped, name, data):
 
 def test_box_values_ordering():
     assert box_values(2) == [0, 1, -1, 2, -2]
+
+
+@pytest.mark.parametrize("bound, count, dtype", [
+    (0, 3, np.int8), (1, 1, np.int8), (1, 8, np.int8), (2, 3, np.int8),
+    (127, 1, np.int8), (128, 1, np.int16),  # +128 does not fit int8
+])
+def test_box_digits_are_narrow(bound, count, dtype):
+    rows = box_digits(bound, count)
+    assert rows.dtype == dtype
+    values = box_values(bound)
+    d = len(values)
+    assert rows.tolist() == [[values[i // d ** m % d] for m in range(count)]
+                             for i in range(d ** count)]
 
 
 def test_box_elements_count_and_order(golden):

@@ -567,6 +567,26 @@ def test_rref_mod_p_at_a_large_prime():
     assert rref_mod_p(stack % 2, 2)[0].dtype == np.int8
 
 
+def test_large_prime_solvers_invert_only_the_pivots(monkeypatch):
+    # one pow per distinct pivot value of a column, never a p-entry table
+    p = (1 << 20) + 7
+    calls = []
+    monkeypatch.setattr(residue, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(4, 4), dtype=np.int64)
+    inv = inverse_mod_p(A, p)
+    assert len(calls) <= 4
+    product = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*inv.tolist())]
+               for row in A.tolist()]
+    assert product == np.eye(4, dtype=int).tolist()
+    B = rng.integers(0, p, size=(3, 5), dtype=np.int64)
+    B[2] = (B[0] + 5 * B[1]) % p
+    assert rank_mod_p(B, p) == 2
+    v = kernel_vector_mod_p(B, p)
+    assert v.any() and not any(sum(a * b for a, b in zip(row, v.tolist())) % p
+                               for row in B.tolist())
+
+
 FIVE_QUOTIENTS = {  # name -> (algebra fixture, ideal generator, power)
     "golden_1pi": ("golden", (1, 1), 1),
     "golden_u_1pi_1pi": ("golden_1pi", (1, 1), 1),
