@@ -424,8 +424,6 @@ def _cmd_deltamin(args):
         raise CycordError("determinant searches support parity outer codes")
     length, box, power = spec["length"], spec["box_bound"], spec["monomial_power"]
     if power is not None:
-        if ideal.s != 1:
-            raise CycordError("monomial ideals live over a prime quotient")
         study = MonomialOffsetStudy(algebra, ideal, power=power,
                                     length=length, box_bound=box)
     else:

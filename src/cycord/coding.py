@@ -603,8 +603,8 @@ class _BoxTable:
     The digits are `box_digits`' narrow ints.  The matrix embedding is
     Z-linear, M(x) = sum_k x_k E_k, so the numeric matrices come from
     products with the unit-coordinate matrices E_k, one BLOCK of rows at a
-    time: each product casts only its block of digits to complex.  `hmats`
-    holds M(x) M(x)^*.  Order elements are built only for the rows asked for.
+    time: each product casts only its block of digits to complex.  Order
+    elements are built only for the rows asked for.
     """
 
     def __init__(self, algebra: AlgebraSpec, bound: int, z_slots=None):
@@ -623,11 +623,9 @@ class _BoxTable:
         E = np.array([algebra.from_positions(self.positions, u).matrix().numeric()
                       for u in np.eye(p, dtype=np.int64).tolist()], dtype=complex)
         self.mats = np.empty((count, n, n), dtype=complex)
-        self.hmats = np.empty_like(self.mats)
         for lo in range(0, count, BLOCK):
-            mats = (self.digits[lo:lo + BLOCK] @ E.reshape(p, n * n)).reshape(-1, n, n)
-            self.mats[lo:lo + BLOCK] = mats
-            self.hmats[lo:lo + BLOCK] = np.einsum("rij,rkj->rik", mats, mats.conj())
+            self.mats[lo:lo + BLOCK] = (
+                self.digits[lo:lo + BLOCK] @ E.reshape(p, n * n)).reshape(-1, n, n)
 
     def element(self, i: int) -> OrderElement:
         return self.algebra.from_positions(self.positions, self.digits[i].tolist())
@@ -740,6 +738,11 @@ class MonomialOffsetStudy:
                      for c in components)
 
 
+def _gram(mats: np.ndarray) -> np.ndarray:
+    """X X^* for each matrix X of a stack."""
+    return np.einsum("...ij,...kj->...ik", mats, mats.conj())
+
+
 def _det_abs(stack: np.ndarray) -> np.ndarray:
     """|det| over a stack of small complex matrices."""
     n = stack.shape[-1]
@@ -845,13 +848,12 @@ def _search(length: int, msg: _BoxTable, off: _BoxTable, min_root: float,
             if not len(x1):
                 continue
             slow_mat = sum((msg.mats[q] for q in slow), zero_mat)
-            slow_h = sum((msg.hmats[q] for q in slow), zero_mat)
+            slow_h = sum((_gram(msg.mats[q]) for q in slow), zero_mat)
             vals = np.empty(len(x1))
             for lo in range(0, len(x1), BLOCK):
                 ids = x1[lo:lo + BLOCK]
                 last = msg.mats[ids] + slow_mat + off.mats[o]
-                vals[lo:lo + BLOCK] = _det_abs(msg.hmats[ids] + slow_h + np.einsum(
-                    "rij,rkj->rik", last, last.conj()))
+                vals[lo:lo + BLOCK] = _det_abs(_gram(msg.mats[ids]) + slow_h + _gram(last))
             local = _first_min(vals)
             if vals[local] < best - SCORE_TOL:
                 best = float(vals[local])
@@ -884,8 +886,7 @@ def _sample(length: int, msg: _BoxTable, off: _BoxTable, seed, samples):
     for lo in range(0, len(keep), BLOCK):
         ids = idx[keep[lo:lo + BLOCK]]
         last = msg.mats[ids].sum(axis=1) + off.mats[offs[keep[lo:lo + BLOCK]]]
-        vals[lo:lo + BLOCK] = _det_abs(msg.hmats[ids].sum(axis=1) + np.einsum(
-            "rij,rkj->rik", last, last.conj()))
+        vals[lo:lo + BLOCK] = _det_abs(_gram(msg.mats[ids]).sum(axis=1) + _gram(last))
     local = _first_min(vals)
     pick = keep[local]
     return (float(vals[local]), _codeword(msg, off, idx[pick], int(offs[pick])),

@@ -334,6 +334,19 @@ def test_deltamin_rejects_non_parity(capsys, tmp_path):
     assert "error" in payload
 
 
+def test_deltamin_monomial_rejects_prime_power(capsys, tmp_path):
+    spec = write_spec(tmp_path, "dmz2.json", {
+        "algebra_spec": "golden_u_1pi",
+        "ideal": {"alpha": "1+i", "s": 2, "monomial_power": 1},
+        "outer": {"kind": "ParityOverRing", "length": 2},
+    })
+    code, payload = run_json(["deltamin", "--code-spec", spec], capsys)
+    assert code == 1
+    assert payload == {"error": "monomial ideals live over a prime quotient"}
+    assert run(["deltamin", "--code-spec", spec], capsys) == (
+        1, "", "error: monomial ideals live over a prime quotient\n")
+
+
 ZCODE = {"algebra_spec": "golden_u_1pi",
          "ideal": {"alpha": "1+i", "s": 1, "monomial_power": 1},
          "outer": {"kind": "ParityOverRing", "length": 3}}

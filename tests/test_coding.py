@@ -610,6 +610,7 @@ def _unpruned_search(study):
 
     Same enumeration order, tie rule and float operations as the search,
     but each row scores all of its x_1 and masks the ones outside the box.
+    Each X X^* is its own einsum over `msg.mats`, spelled per shape.
     Returns (minimum, witness components, candidates, codewords).
     """
     alg, bound = study.algebra, study.box_bound
@@ -620,13 +621,15 @@ def _unpruned_search(study):
         off = _BoxTable(alg, bound, range(study.power, alg.n))
     assert alg.n == 2
     zero = np.zeros_like(msg.mats[0])
+    grams = np.einsum("rij,rkj->rik", msg.mats, msg.mats.conj())
     best, best_ids, candidates, codewords = np.inf, None, 0, 0
     for o in range(len(off)):
         for slow in itertools.product(range(len(msg)), repeat=study.length - 2):
             slow_mat = sum((msg.mats[q] for q in slow), zero)
-            slow_h = sum((msg.hmats[q] for q in slow), zero)
+            slow_h = sum((np.einsum("ij,kj->ik", msg.mats[q], msg.mats[q].conj())
+                          for q in slow), zero)
             last = msg.mats + slow_mat + off.mats[o]
-            g = msg.hmats + slow_h + np.einsum("rij,rkj->rik", last, last.conj())
+            g = grams + slow_h + np.einsum("rij,rkj->rik", last, last.conj())
             vals = np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
             slow_c = sum((msg.digits[q] for q in slow), np.zeros_like(msg.digits[0]))
             inside = np.all(np.abs(msg.digits + slow_c) <= bound, axis=1)
@@ -655,7 +658,7 @@ def _unpruned_search(study):
     ("gauss_u5", "sum", 3),  # zero divisors: the least nonzero root is 0
     ("gauss_u5", "sum", 4),
 ])
-def test_pruned_search_matches_unpruned(request, monkeypatch, name, study_kind, length):
+def test_pruned_search_matches_unpruned(request, name, study_kind, length):
     algebra = request.getfixturevalue(name)
     if study_kind == "sum":
         ideal = ideal_of(algebra, 1, 1) if name.startswith("golden") else IdealSpec(
@@ -663,9 +666,6 @@ def test_pruned_search_matches_unpruned(request, monkeypatch, name, study_kind, 
         study = SumClosedStudy(algebra, ideal, length=length)
     else:
         study = MonomialOffsetStudy(algebra, ideal_of(algebra, 1, 1), length=length)
-    # parity codes have distance 2; confirming it over 81^3 gauss messages
-    # takes most of a minute and is not what this test checks
-    monkeypatch.setattr(type(study), "outer_distance", lambda self: 2)
     report = delta_min_search(study)
     best, comps, candidates, codewords = _unpruned_search(study)
     assert report.search_min == best
@@ -730,8 +730,9 @@ def whole_array_sample(length, msg, off, seed, samples):
     inside = np.all(np.abs(msg.digits[idx].sum(axis=1)) <= msg.bound, axis=1)
     inside &= ~((idx == 0).all(axis=1) & (offs == 0))
     keep = np.nonzero(inside)[0]
-    last = msg.mats[idx[keep]].sum(axis=1) + off.mats[offs[keep]]
-    gram = msg.hmats[idx[keep]].sum(axis=1) + np.einsum(
+    mats = msg.mats[idx[keep]]
+    last = mats.sum(axis=1) + off.mats[offs[keep]]
+    gram = np.einsum("rlij,rlkj->rlik", mats, mats.conj()).sum(axis=1) + np.einsum(
         "rij,rkj->rik", last, last.conj())
     vals = coding._det_abs(gram)
     local = coding._first_min(vals)
@@ -765,10 +766,20 @@ def traced_peak(run):
 
 def test_search_holds_blocks_not_rows(golden):
     # row-length Gram stacks put the warm peak near 3.1 MiB, blocks of
-    # BLOCK candidates and a table built block by block near 1.5 MiB
+    # BLOCK candidates and a table built block by block near 1.47 MiB, and
+    # tables that hold no Gram parts near 1.07 MiB
     study = SumClosedStudy(golden, ideal_of(golden, 1, 1), length=3)
     delta_min_search(study)
     assert traced_peak(lambda: delta_min_search(study)) < 2.5 * 2 ** 20
+
+
+def test_monomial_search_holds_no_gram_tables(golden_1pi):
+    # tables that precomputed X X^* for every row put the warm peak near
+    # 1.11 MiB, though this search reads Gram parts of its message table
+    # only; Gram parts formed from `mats` where they are scored, near 0.64 MiB
+    study = MonomialOffsetStudy(golden_1pi, ideal_of(golden_1pi, 1, 1), length=3)
+    delta_min_search(study)
+    assert traced_peak(lambda: delta_min_search(study)) < 0.9 * 2 ** 20
 
 
 def test_sampled_search_holds_blocks_not_samples(golden):

@@ -4,7 +4,7 @@ No linter ships with the project, so two of a linter's checks live here:
 every imported name is used by its module, and every module-level private
 function or class is used somewhere in the package.  A third check keeps
 equality in one place: parent objects compare through `Keyed`, elements
-through `RingElement`.
+through `RingElement`.  A fourth finds stored state that nothing reads.
 """
 
 import ast
@@ -94,3 +94,34 @@ def test_equality_is_defined_once():
                 for name in owners.keys() & names:
                     owners[name].add(cls.name)
     assert owners == {"__eq__": EQ_OWNERS, "__hash__": HASH_OWNERS}
+
+
+def _self_stores(tree):
+    """(class, attribute) for each attribute a class's methods assign on `self`."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for sub in ast.walk(cls):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    yield cls.name, sub.attr
+
+
+def _attribute_reads(tree):
+    """Attribute names loaded under `tree`, and the names given to `attrgetter`."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.Call) and "attrgetter" in (
+                getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+            yield from (arg.value for arg in sub.args if isinstance(arg, ast.Constant))
+
+
+def test_every_stored_attribute_is_read():
+    """Each attribute that a class assigns on `self` is read somewhere in the
+    package.  This catches stored state that no package code reads; state
+    that is read, though not where it is needed, passes."""
+    trees = {path.name: _tree(path) for path in PACKAGE.glob("*.py")}
+    read = {name for tree in trees.values() for name in _attribute_reads(tree)}
+    unread = sorted({f"{name}: {cls}.{attr}" for name, tree in trees.items()
+                     for cls, attr in _self_stores(tree) if attr not in read})
+    assert unread == []
