@@ -610,7 +610,8 @@ def _unpruned_search(study):
 
     Same enumeration order, tie rule and float operations as the search,
     but each row scores all of its x_1 and masks the ones outside the box.
-    Each X X^* is its own einsum over `msg.mats`, spelled per shape.
+    It forms each X X^* from `msg.mats` with an einsum per stack shape, not
+    through `coding._gram`.
     Returns (minimum, witness components, candidates, codewords).
     """
     alg, bound = study.algebra, study.box_bound
