@@ -158,26 +158,26 @@ def power(x, e: int, one, mul=operator.mul):
     return result
 
 
-def cofactor_det(rows, zero, add=operator.add, mul=operator.mul, neg=operator.neg):
+def cofactor_det(rows, dot, neg=operator.neg):
     """Determinant of a square matrix over a commutative ring, by cofactor expansion.
 
-    Expands along the first row and skips falsy (zero) pivots; `add`, `mul`
-    and `neg` default to the operators, so ring elements need no arguments.
+    Expands along the first row and skips falsy (zero) pivots.  Each level
+    is one sum of products: `dot` takes the (+-pivot, minor determinant)
+    pairs and returns their sum (the ring's zero for no pairs), so a ring
+    with a fused kernel such as `ExtensionSpec.dot` applies its table once
+    per level.  `neg` gives the odd columns' sign and defaults to unary minus.
     """
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = zero
+    pairs = []
     for c in range(n):
         pivot = rows[0][c]
         if not pivot:
             continue
         minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = mul(pivot, cofactor_det(minor, zero, add, mul, neg))
-        if c % 2:
-            term = neg(term)
-        acc = add(acc, term)
-    return acc
+        pairs.append((neg(pivot) if c % 2 else pivot, cofactor_det(minor, dot, neg)))
+    return dot(pairs)
 
 
 def one_hot(n: int, i: int, value, zero) -> tuple:

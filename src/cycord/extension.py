@@ -9,9 +9,9 @@ listed along the sigma-orbit so that emb_j = emb_0 . sigma^j.
 Everything algebraic here is exact integer arithmetic; the embeddings are the
 only floating-point surface and feed the numeric determinant layer.
 
-The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`) run on plain ints: each
-spec keeps the nonzero entries of its multiplication table and sigma matrix
-as integer terms, and a base-ring product is the one rule
+The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`, `sigma_orbit`) run on
+plain ints: each spec keeps the nonzero entries of its multiplication table
+and sigma matrix as integer terms, and a base-ring product is the one rule
 delta^2 = t0 + t1*delta of `BaseRing.delta_square`.  `BaseElement`s are built
 only for the output coordinates, so the object classes stay the exact API
 while the inner loops create and type-check no objects.
@@ -73,11 +73,11 @@ class ExtensionSpec(Keyed):
         tables = (self.mult_table, self.sigma_matrix, self.embeddings, *self.mult_table)
         if any(len(t) != n or any(len(v) != n for v in t) for t in tables):
             raise ValueError(f"structure tables must be {n} x {n} (x {n})")
-        # _mul_terms[i][j]: the (r, a, b) with b_i*b_j = sum (a + b*delta) b_r;
+        # _mul_terms[i*n + j]: the (r, a, b) with b_i*b_j = sum (a + b*delta) b_r;
         # _sigma_terms[r]: the (j, a, b) with sigma(x)_r = sum (a + b*delta) x_j
         self._mul_terms = tuple(
-            tuple(tuple((r, c.a, c.b) for r, c in enumerate(cell) if c) for cell in row)
-            for row in self.mult_table)
+            tuple((r, c.a, c.b) for r, c in enumerate(cell) if c)
+            for row in self.mult_table for cell in row)
         self._sigma_terms = tuple(
             tuple((j, c.a, c.b) for j, c in enumerate(row) if c)
             for row in self.sigma_matrix)
@@ -141,30 +141,38 @@ class ExtensionSpec(Keyed):
     def dot(self, pairs) -> "OKElement":
         """Sum of x*y over the (x, y) pairs, accumulated in plain ints.
 
-        With x_i = a + b*delta, y_j = c + d*delta and a table term
-        (r, ta, tb), coordinate r gains (x_i*y_j)*(ta + tb*delta), each product
-        taken by delta^2 = t0 + t1*delta.  One `BaseElement` is built per
-        output coordinate, none per term, so a matrix entry sum_k A_rk*B_kc
-        costs one call and n objects.
+        Two phases.  First the base-ring products x_i*y_j of every pair are
+        summed into one (a, b) cell per basis pair (i, j), each product taken
+        by delta^2 = t0 + t1*delta.  Then each nonzero cell's table terms
+        (r, ta, tb) add cell*(ta + tb*delta) to coordinate r.  The
+        multiplication table is applied once per call, not once per pair, so
+        a matrix entry sum_k A_rk*B_kc or a cofactor level costs one table
+        pass; one `BaseElement` is built per output coordinate, none per term.
         """
         n = self.n
         t0, t1 = self.base.delta_square
-        acc_a = [0] * n
-        acc_b = [0] * n
+        cell_a = [0] * (n * n)
+        cell_b = [0] * (n * n)
         for x, y in pairs:
             ys = [(j, c.a, c.b) for j, c in enumerate(y.coords) if c.a or c.b]
-            for row, xc in zip(self._mul_terms, x.coords):
+            for i, xc in enumerate(x.coords):
                 a, b = xc.a, xc.b
                 if not (a or b):
                     continue
                 for j, c, d in ys:
+                    k = i * n + j
                     bd = b * d
-                    sa = a * c + t0 * bd
-                    sb = a * d + b * c + t1 * bd
-                    for r, ta, tb in row[j]:
-                        sbtb = sb * tb
-                        acc_a[r] += sa * ta + t0 * sbtb
-                        acc_b[r] += sa * tb + sb * ta + t1 * sbtb
+                    cell_a[k] += a * c + t0 * bd
+                    cell_b[k] += a * d + b * c + t1 * bd
+        acc_a = [0] * n
+        acc_b = [0] * n
+        for sa, sb, terms in zip(cell_a, cell_b, self._mul_terms):
+            if not (sa or sb):
+                continue
+            for r, ta, tb in terms:
+                sbtb = sb * tb
+                acc_a[r] += sa * ta + t0 * sbtb
+                acc_b[r] += sa * tb + sb * ta + t1 * sbtb
         return self._from_ints(zip(acc_a, acc_b))
 
     def _from_ints(self, pairs) -> "OKElement":
@@ -172,13 +180,21 @@ class ExtensionSpec(Keyed):
         return OKElement(self, tuple(BaseElement(base, a, b) for a, b in pairs))
 
     def sigma(self, x: "OKElement", power: int = 1) -> "OKElement":
-        power %= self.n
-        if not power:
-            return OKElement(self, x.coords)
+        return self.sigma_orbit(x, power % self.n + 1)[-1]
+
+    def sigma_orbit(self, x: "OKElement", count: int | None = None) -> list["OKElement"]:
+        """[x, sigma(x), ..., sigma^(count-1)(x)], count = n by default.
+
+        sigma is stepped once per entry on int pairs, never raised from
+        sigma^0 for each power; a count past n steps on, so entry n is
+        sigma^n computed, not reduced to x.
+        """
         v = [(c.a, c.b) for c in x.coords]
-        for _ in range(power):
+        orbit = [OKElement(self, x.coords)]
+        for _ in range(1, self.n if count is None else count):
             v = self._sigma_once(v)
-        return self._from_ints(v)
+            orbit.append(self._from_ints(v))
+        return orbit
 
     def _sigma_once(self, v):
         """sigma on a list of (a, b) int pairs, through the sigma-matrix terms."""
@@ -201,10 +217,8 @@ class ExtensionSpec(Keyed):
     def field_norm(self, x: "OKElement") -> "OKElement":
         """Product of all n automorphism conjugates; lands in O_F * b_0."""
         acc = self.one
-        y = x
-        for _ in range(self.n):
+        for y in self.sigma_orbit(x):
             acc = self.mul(acc, y)
-            y = self.sigma(y)
         return acc
 
     # -- validation -----------------------------------------------------------
@@ -228,16 +242,18 @@ class ExtensionSpec(Keyed):
                     right = self.mul(b[i], self.mul(b[j], b[k]))
                     if left != right:
                         raise ValueError(f"multiplication not associative at ({i},{j},{k})")
-        # sigma is a ring homomorphism of order exactly n
+        # sigma is a ring homomorphism of order exactly n; orbits[i][d] is
+        # sigma^d(b_i), each orbit walked once out to the stepped sigma^n
+        orbits = [self.sigma_orbit(bi, n + 1) for bi in b]
         for i in range(n):
             for j in range(n):
-                if self.sigma(self.mul(b[i], b[j])) != self.mul(self.sigma(b[i]), self.sigma(b[j])):
+                if self.sigma(self.mul(b[i], b[j])) != self.mul(orbits[i][1], orbits[j][1]):
                     raise ValueError(f"sigma is not multiplicative at ({i},{j})")
         for d in range(1, n):
-            if all(self.sigma(b[i], d) == b[i] for i in range(n)):
+            if all(orbit[d] == orbit[0] for orbit in orbits):
                 raise ValueError(f"sigma has order {d} < n")
-        for i in range(n):
-            if self.sigma(self.sigma(b[i], n - 1)) != b[i]:  # sigma(b, n) reduces to power 0
+        for orbit in orbits:
+            if orbit[n] != orbit[0]:
                 raise ValueError("sigma^n is not the identity")
         # numeric embeddings: multiplicative, and listed along the sigma orbit
         for e in range(n):
@@ -250,7 +266,7 @@ class ExtensionSpec(Keyed):
         for j in range(n):
             for i in range(n):
                 lhs = self.embed(b[i], j)
-                rhs = self.embed(self.sigma(b[i], j), 0)
+                rhs = self.embed(orbits[i][j], 0)
                 if abs(lhs - rhs) > EMBED_TOL:
                     raise ValueError("embeddings are not in sigma-orbit order")
         # the designated generator satisfies the stated minimal polynomial

@@ -215,19 +215,21 @@ class AlgebraSpec(TwistedRing):
     # -- matrix embedding -------------------------------------------------------
 
     def matrix(self, x: "OrderElement") -> "OrderMatrix":
-        """Matrix of right multiplication by x; M(x*y) == M(y)*M(x)."""
-        n = self.n
-        ext = self.ext
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                entry = ext.sigma(x.zcoords[(r - c) % n], c)
-                if r < c:
-                    entry = entry * self.ubar
-                row.append(entry)
-            rows.append(tuple(row))
-        return OrderMatrix(ext, tuple(rows))
+        """Matrix of right multiplication by x; M(x*y) == M(y)*M(x).
+
+        Column c holds sigma^c of the z-coordinates, so each coordinate's
+        orbit is walked once by `ExtensionSpec.sigma_orbit`, not raised from
+        sigma^0 per entry.  The wrapped entries above the diagonal take u as
+        a base-ring scalar, coordinate by coordinate: ubar = u*b_0 and
+        b_0 = 1, which `ExtensionSpec.validate` checks, so no O_K product.
+        """
+        n, u = self.n, self.u
+        rows = [[None] * n for _ in range(n)]
+        for k, xk in enumerate(x.zcoords):
+            for c, entry in enumerate(self.ext.sigma_orbit(xk)):
+                r = (k + c) % n
+                rows[r][c] = entry * u if r < c else entry
+        return OrderMatrix(self.ext, rows)
 
     def reduced_det(self, x: "OrderElement") -> BaseElement:
         """Exact determinant of the matrix embedding, as an element of O_F."""
@@ -254,13 +256,8 @@ class AlgebraSpec(TwistedRing):
              for c in range(n)]
             for r in range(n)
         ]
-        poly = cofactor_det(
-            entries,
-            [ext.zero],
-            add=_poly_add,
-            mul=functools.partial(_poly_mul, ext),
-            neg=lambda p: [-t for t in p],
-        )
+        poly = cofactor_det(entries, functools.partial(_poly_dot, ext),
+                            neg=lambda p: [-t for t in p])
         coeffs = []
         for c in poly:
             scalar = c.scalar_part()
@@ -270,20 +267,12 @@ class AlgebraSpec(TwistedRing):
         return tuple(coeffs)
 
 
-def _poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return out
-
-
-def _poly_mul(ext, p, q):
-    """Product of polynomials over O_K, each coefficient one `ext.dot`."""
-    return [ext.dot((p[i], q[k - i])
+def _poly_dot(ext, pairs):
+    """Sum of p*q over pairs of polynomials over O_K, low degree first:
+    each coefficient is one `ext.dot` over every pair."""
+    return [ext.dot((p[i], q[k - i]) for p, q in pairs
                     for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1))
-            for k in range(len(p) + len(q) - 1)]
+            for k in range(max((len(p) + len(q) - 1 for p, q in pairs), default=0))]
 
 
 class OrderMatrix(Keyed):
@@ -315,7 +304,7 @@ class OrderMatrix(Keyed):
         return OrderMatrix(self.ext, tuple(rows))
 
     def det(self) -> OKElement:
-        return cofactor_det(self.entries, self.ext.zero)
+        return cofactor_det(self.entries, self.ext.dot)
 
     def numeric(self) -> list[list[complex]]:
         """Entrywise image under the fixed embedding."""

@@ -486,20 +486,19 @@ class Splitting:
 def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
     """det(Tr(b_i b_j)): the discriminant of the power basis over O_F."""
     n = ext.n
+    zero = ext.base.zero
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             prod = ext.mul(ext.basis_element(i), ext.basis_element(j))
-            tr = ext.zero
-            for k in range(n):
-                tr = tr + ext.sigma(prod, k)
+            tr = sum(ext.sigma_orbit(prod), ext.zero)
             scalar = tr.scalar_part()
             if scalar is None:
                 raise NotInBaseRing(f"trace {tr} left the base ring")
             row.append(scalar)
         rows.append(row)
-    return cofactor_det(rows, ext.base.zero)
+    return cofactor_det(rows, lambda pairs: sum((a * b for a, b in pairs), zero))
 
 
 @functools.cache

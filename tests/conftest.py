@@ -79,8 +79,9 @@ def _ref_matmul(ext, A, B):
         for r in range(n))
 
 
-def _ref_reduced_det(algebra, x):
-    """det M(x) by cofactor expansion over coordinate tuples; coordinates of O_K."""
+def _ref_matrix(algebra, x):
+    """M(x) over coordinate tuples, entry by entry: sigma^c of the coordinate
+    raised from sigma^0, and the wrapped entries times ubar as O_K products."""
     ext, n = algebra.ext, algebra.n
     ubar = algebra.ubar.coords
     M = []
@@ -89,10 +90,19 @@ def _ref_reduced_det(algebra, x):
         for c in range(n):
             entry = _ref_sigma(ext, x.zcoords[(r - c) % n].coords, c)
             row.append(_ref_mul(ext, entry, ubar) if r < c else entry)
-        M.append(row)
-    return cofactor_det(M, (ext.base.zero,) * ext.n, add=_ref_add,
-                        mul=functools.partial(_ref_mul, ext),
-                        neg=lambda x: tuple(-a for a in x))
+        M.append(tuple(row))
+    return tuple(M)
+
+
+def _ref_reduced_det(algebra, x):
+    """det M(x) by cofactor expansion over coordinate tuples; coordinates of O_K."""
+    ext = algebra.ext
+    zero = (ext.base.zero,) * ext.n
+
+    def dot(pairs):
+        return functools.reduce(_ref_add, (_ref_mul(ext, a, b) for a, b in pairs), zero)
+
+    return cofactor_det(_ref_matrix(algebra, x), dot, neg=lambda x: tuple(-a for a in x))
 
 
 def _ref_divmod(x, m):
@@ -146,5 +156,6 @@ def objloop():
     """O_K arithmetic by BaseElement object loops, on coordinate tuples, and
     object-level references for the base-ring divmod and twisted products."""
     return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
-                                 matmul=_ref_matmul, reduced_det=_ref_reduced_det,
+                                 matmul=_ref_matmul, matrix=_ref_matrix,
+                                 reduced_det=_ref_reduced_det,
                                  divmod=_ref_divmod, twisted_mul=_ref_twisted_mul)

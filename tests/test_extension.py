@@ -253,6 +253,15 @@ def test_kernels_match_object_loop(shipped, objloop, name, data):
     assert ext.dot([(x, y), (w, x)]).coords == objloop.add(
         objloop.mul(ext, x.coords, y.coords), objloop.mul(ext, w.coords, x.coords))
     assert ext.dot([]) == ext.zero
+    # many pairs; a pair next to its negation cancels in every (i, j) cell
+    pairs = data.draw(st.lists(st.tuples(ok_elements(ext), ok_elements(ext)), max_size=5))
+    if pairs and data.draw(st.booleans()):
+        a, b = pairs[0]
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (-a, b))
+    expected = (ext.base.zero,) * ext.n
+    for a, b in pairs:
+        expected = objloop.add(expected, objloop.mul(ext, a.coords, b.coords))
+    assert ext.dot(pairs).coords == expected
     for power in range(-1, ext.n + 1):
         assert x.sigma(power).coords == objloop.sigma(ext, x.coords, power % ext.n)
 

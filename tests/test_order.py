@@ -286,6 +286,7 @@ def test_matrix_product_and_det_match_object_loop(shipped, objloop, name, data):
     x = data.draw(drawn_elements(algebra))
     y = data.draw(drawn_elements(algebra))
     A, B = x.matrix(), y.matrix()
+    assert _coords(A) == objloop.matrix(algebra, x)
     assert _coords(A * B) == objloop.matmul(ext, _coords(A), _coords(B))
     det = objloop.reduced_det(algebra, x)
     assert all(c.is_zero for c in det[1:])
