@@ -486,7 +486,6 @@ class Splitting:
 def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
     """det(Tr(b_i b_j)): the discriminant of the power basis over O_F."""
     n = ext.n
-    zero = ext.base.zero
     rows = []
     for i in range(n):
         row = []
@@ -498,7 +497,7 @@ def trace_form_discriminant(ext: ExtensionSpec) -> BaseElement:
                 raise NotInBaseRing(f"trace {tr} left the base ring")
             row.append(scalar)
         rows.append(row)
-    return cofactor_det(rows, lambda pairs: sum((a * b for a, b in pairs), zero))
+    return cofactor_det(rows, lambda pairs: sum((a * b for a, b in pairs), ext.base.zero))
 
 
 @functools.cache
