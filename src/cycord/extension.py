@@ -9,18 +9,21 @@ listed along the sigma-orbit so that emb_j = emb_0 . sigma^j.
 Everything algebraic here is exact integer arithmetic; the embeddings are the
 only floating-point surface and feed the numeric determinant layer.
 
-The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`, `sigma_orbit`) run on
-plain ints: each spec keeps the nonzero entries of its multiplication table
-and sigma matrix as integer terms, and a base-ring product is the one rule
-delta^2 = t0 + t1*delta of `BaseRing.delta_square`.  `BaseElement`s are built
-only for the output coordinates, so the object classes stay the exact API
-while the inner loops create and type-check no objects.
+The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`, `sigma_orbit`) are
+compiled per spec: `_compile_kernels` writes the multiplication table and
+the sigma matrix out as two straight-line functions, with delta^2 = t0 +
+t1*delta of `BaseRing.delta_square` and every table entry folded into
+integer literals, and caches them on the table.  The kernels run on the
+coordinates' plain ints and build one `BaseElement` per output coordinate,
+so the object classes stay the exact API while the products create and
+type-check no objects.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 from .base_rings import (
@@ -29,6 +32,7 @@ from .base_rings import (
     BaseRing,
     Keyed,
     RingElement,
+    RingKind,
     is_prime_element,
     one_hot,
     ring_by_name,
@@ -44,7 +48,7 @@ class ExtensionSpec(Keyed):
     __slots__ = (
         "base", "n", "basis_names", "mult_table", "sigma_matrix",
         "embeddings", "min_poly", "name", "notes",
-        "_mul_terms", "_sigma_terms", "_hash",
+        "_dot", "_sigma_step", "_hash",
     )
 
     def __init__(
@@ -73,14 +77,8 @@ class ExtensionSpec(Keyed):
         tables = (self.mult_table, self.sigma_matrix, self.embeddings, *self.mult_table)
         if any(len(t) != n or any(len(v) != n for v in t) for t in tables):
             raise ValueError(f"structure tables must be {n} x {n} (x {n})")
-        # _mul_terms[i*n + j]: the (r, a, b) with b_i*b_j = sum (a + b*delta) b_r;
-        # _sigma_terms[r]: the (j, a, b) with sigma(x)_r = sum (a + b*delta) x_j
-        self._mul_terms = tuple(
-            tuple((r, c.a, c.b) for r, c in enumerate(cell) if c)
-            for row in self.mult_table for cell in row)
-        self._sigma_terms = tuple(
-            tuple((j, c.a, c.b) for j, c in enumerate(row) if c)
-            for row in self.sigma_matrix)
+        self._dot, self._sigma_step = _compile_kernels(base, self.mult_table,
+                                                       self.sigma_matrix)
         self._hash = hash(self.key)  # every cached factory hashes the spec
 
     key = property(attrgetter("base", "mult_table", "sigma_matrix"))
@@ -130,54 +128,20 @@ class ExtensionSpec(Keyed):
     # -- arithmetic -----------------------------------------------------------
 
     def mul(self, x: "OKElement", y: "OKElement") -> "OKElement":
-        """x*y by the int kernel in `dot`.
-
-        Only the n output coordinates become `BaseElement`s: building and
-        type-checking one object per term, not the integer products, was
-        the cost of O_K arithmetic.
-        """
+        """x*y, the one-pair `dot`."""
         return self.dot(((x, y),))
 
     def dot(self, pairs) -> "OKElement":
-        """Sum of x*y over the (x, y) pairs, accumulated in plain ints.
+        """Sum of x*y over the (x, y) pairs, by the spec's compiled kernel.
 
-        Two phases.  First the base-ring products x_i*y_j of every pair are
-        summed into one (a, b) cell per basis pair (i, j), each product taken
-        by delta^2 = t0 + t1*delta.  Then each nonzero cell's table terms
-        (r, ta, tb) add cell*(ta + tb*delta) to coordinate r.  The
-        multiplication table is applied once per call, not once per pair, so
-        a matrix entry sum_k A_rk*B_kc or a cofactor level costs one table
-        pass; one `BaseElement` is built per output coordinate, none per term.
+        The kernel sums the base-ring products x_i*y_j of every pair into
+        one (a, b) cell per basis pair (i, j), in locals, and applies the
+        multiplication table once after the last pair, so a matrix entry
+        sum_k A_rk*B_kc or a cofactor level costs one table pass.  The two
+        cells of (i, j) and (j, i) are one when their table entries agree.
+        One `BaseElement` is built per output coordinate, none per term.
         """
-        n = self.n
-        t0, t1 = self.base.delta_square
-        cell_a = [0] * (n * n)
-        cell_b = [0] * (n * n)
-        for x, y in pairs:
-            ys = [(j, c.a, c.b) for j, c in enumerate(y.coords) if c.a or c.b]
-            for i, xc in enumerate(x.coords):
-                a, b = xc.a, xc.b
-                if not (a or b):
-                    continue
-                for j, c, d in ys:
-                    k = i * n + j
-                    bd = b * d
-                    cell_a[k] += a * c + t0 * bd
-                    cell_b[k] += a * d + b * c + t1 * bd
-        acc_a = [0] * n
-        acc_b = [0] * n
-        for sa, sb, terms in zip(cell_a, cell_b, self._mul_terms):
-            if not (sa or sb):
-                continue
-            for r, ta, tb in terms:
-                sbtb = sb * tb
-                acc_a[r] += sa * ta + t0 * sbtb
-                acc_b[r] += sa * tb + sb * ta + t1 * sbtb
-        return self._from_ints(zip(acc_a, acc_b))
-
-    def _from_ints(self, pairs) -> "OKElement":
-        base = self.base
-        return OKElement(self, tuple(BaseElement(base, a, b) for a, b in pairs))
+        return self._dot(self, pairs)
 
     def sigma(self, x: "OKElement", power: int = 1) -> "OKElement":
         return self.sigma_orbit(x, power % self.n + 1)[-1]
@@ -185,30 +149,15 @@ class ExtensionSpec(Keyed):
     def sigma_orbit(self, x: "OKElement", count: int | None = None) -> list["OKElement"]:
         """[x, sigma(x), ..., sigma^(count-1)(x)], count = n by default.
 
-        sigma is stepped once per entry on int pairs, never raised from
-        sigma^0 for each power; a count past n steps on, so entry n is
-        sigma^n computed, not reduced to x.
+        Each entry is one step of the compiled sigma kernel from the entry
+        before, never raised from sigma^0 for each power; a count past n
+        steps on, so entry n is sigma^n computed, not reduced to x.
         """
-        v = [(c.a, c.b) for c in x.coords]
+        step = self._sigma_step
         orbit = [OKElement(self, x.coords)]
         for _ in range(1, self.n if count is None else count):
-            v = self._sigma_once(v)
-            orbit.append(self._from_ints(v))
+            orbit.append(step(self, orbit[-1]))
         return orbit
-
-    def _sigma_once(self, v):
-        """sigma on a list of (a, b) int pairs, through the sigma-matrix terms."""
-        t0, t1 = self.base.delta_square
-        out = []
-        for row in self._sigma_terms:
-            ra = rb = 0
-            for j, sa, sb in row:
-                a, b = v[j]
-                bd = sb * b
-                ra += sa * a + t0 * bd
-                rb += sa * b + sb * a + t1 * bd
-            out.append((ra, rb))
-        return out
 
     def embed(self, x: "OKElement", which: int = 0) -> complex:
         row = self.embeddings[which]
@@ -305,8 +254,17 @@ class OKElement(RingElement):
         return OKElement(self.ring, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, (int, BaseElement)):
+        if isinstance(other, int):
             return OKElement(self.ring, tuple(c * other for c in self.coords))
+        if isinstance(other, BaseElement):  # one ring check, then ints
+            base = self.ring.base
+            if other.ring is not base and other.ring != base:
+                raise IncompatibleRings(f"cannot scale {self!r} by {other!r}")
+            c, d = other.a, other.b
+            t0, t1 = base.delta_square
+            return OKElement(self.ring, tuple(
+                BaseElement(base, x.a * c + t0 * x.b * d, x.a * d + x.b * c + t1 * x.b * d)
+                for x in self.coords))
         if not isinstance(other, OKElement):
             return NotImplemented  # let order elements handle k * x
         self._check(other)
@@ -339,6 +297,77 @@ class OKElement(RingElement):
 
     def __repr__(self):
         return f"<{self} in O_K({self.ring.name or 'anon'})>"
+
+
+def _add_product(acc, p, q, t0, t1) -> None:
+    """acc += p*q by delta^2 = t0 + t1*delta, on (a, b) pairs of forms: a form
+    maps a monomial, a tuple of local names, to its int coefficient."""
+    (pa, pb), (qa, qb) = p, q
+    for part, f, g, k in ((0, pa, qa, 1), (0, pb, qb, t0), (1, pa, qb, 1),
+                          (1, pb, qa, 1), (1, pb, qb, t1)):
+        for m, c in f.items():
+            for m2, c2 in g.items():
+                acc[part][m + m2] = acc[part].get(m + m2, 0) + k * c * c2
+
+
+def _source(form) -> str:
+    """A form as Python source: zero terms left out, +-1 ones added or subtracted."""
+    text = "".join(("-" if c < 0 else "+") + "*".join((str(abs(c)),) * (abs(c) != 1) + m)
+                   for m, c in form.items() if c)
+    return text.lstrip("+") or "0"
+
+
+@lru_cache(maxsize=None)
+def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
+    """The `dot(ext, pairs)` and sigma-step `(ext, x)` kernels of one table.
+
+    Each is one straight-line function: the coordinates and the cells of
+    `dot` are locals, and the table and sigma entries, multiplied out with
+    delta^2 = t0 + t1*delta, are int literals, so a zero term is left out
+    and a +-1 term is an add or a subtract.  Over Z the delta parts of the
+    coordinates are read as zero.  Only those literals and fixed names
+    enter the source.  Cached on the tables, so equal specs share kernels.
+    """
+    n = len(sigma_matrix)
+    t0, t1 = base.delta_square
+    parts = "a" if base.kind is RingKind.RATIONAL else "ab"
+
+    def read(v):  # lines loading the coordinates of local v, and their (a, b) forms
+        lines = [f"{v}{f', {v}'.join(map(str, range(n)))}, = {v}.coords"]
+        lines += [f"{v}{p}{i} = {v}{i}.{p}" for i in range(n) for p in parts]
+        return lines, [tuple({(f"{v}{p}{i}",): 1} if p in parts else {} for p in "ab")
+                       for i in range(n)]
+
+    def apply(table, cells):  # output r is the sum over k of table[k][r] * cells[k]
+        outs = [({}, {}) for _ in range(n)]
+        for row, cell in zip(table, cells):
+            for r, t in enumerate(row):
+                _add_product(outs[r], ({(): int(t.a)}, {(): int(t.b)}), cell, t0, t1)
+        return ["base = ext.base", "return OKElement(ext, (" + "".join(
+            f"BaseElement(base, {_source(a)}, {_source(b)}), " for a, b in outs) + "))"]
+
+    xs, x = read("x")
+    ys, y = read("y")
+    cells = {}  # (i, j) -> the (a, b) forms of its cell, (j, i) folded in
+    for i in range(n):
+        for j in range(n):
+            if any(mult_table[i][j]):
+                k = (j, i) if j < i and mult_table[j][i] == mult_table[i][j] else (i, j)
+                _add_product(cells.setdefault(k, ({}, {})), x[i], y[j], t0, t1)
+    sums, cell_forms = [], []
+    for (i, j), forms in cells.items():
+        names = [f"c{p}{i * n + j}" if form else None for p, form in zip("ab", forms)]
+        sums += [f"{name} += {_source(form)}" for name, form in zip(names, forms) if name]
+        cell_forms.append(tuple({(name,): 1} if name else {} for name in names))
+    dot = [" = ".join([line.split()[0] for line in sums] + ["0"]), "for x, y in pairs:",
+           *(f"    {line}" for line in xs + ys + sums),
+           *apply([mult_table[i][j] for i, j in cells], cell_forms)]
+    step = xs + apply(zip(*sigma_matrix), x)
+    source = "".join(f"def {name}(ext, {args}):\n" + "".join(f"    {line}\n" for line in body)
+                     for name, args, body in (("dot", "pairs", dot), ("sigma_step", "x", step)))
+    namespace = {"BaseElement": BaseElement, "OKElement": OKElement}
+    exec(compile(source, "<O_K kernels>", "exec"), namespace)
+    return namespace["dot"], namespace["sigma_step"]
 
 
 @dataclass(frozen=True)

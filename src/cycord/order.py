@@ -22,14 +22,13 @@ exactly by cofactor expansion.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from importlib import resources
 from operator import attrgetter
 
 import numpy as np
 
-from .base_rings import BaseElement, Keyed, RingElement, cofactor_det, one_hot
+from .base_rings import BaseElement, Keyed, RingElement, RingKind, cofactor_det, one_hot
 from .errors import IncompatibleAlgebras, NotInBaseRing
 from .extension import ExtensionSpec, OKElement, extension_from_dict, read_field
 
@@ -184,18 +183,21 @@ class AlgebraSpec(TwistedRing):
 
     def from_flat_ints(self, flat) -> "OrderElement":
         """Inverse of `OrderElement.flat_ints`: (z-power, basis, a, b) order."""
-        ext, base = self.ext, self.ext.base
-        pairs = iter(zip(flat[0::2], flat[1::2]))
-        return self.element([
-            ext.element([base.element(a, b)
-                         for a, b in itertools.islice(pairs, ext.n)])
-            for _ in range(self.n)])
+        ext, base, m = self.ext, self.ext.base, self.ext.n
+        flat = list(map(int, flat))
+        if len(flat) != 2 * self.n * m:
+            raise ValueError(f"expected {2 * self.n * m} integer coordinates")
+        if base.kind is RingKind.RATIONAL and any(flat[1::2]):
+            raise ValueError("rational ring elements have no delta part")
+        coords = [BaseElement(base, a, b) for a, b in zip(flat[0::2], flat[1::2])]
+        return OrderElement(self, tuple(OKElement(ext, coords[k:k + m])
+                                        for k in range(0, self.n * m, m)))
 
     def int_positions(self, z_slots=None) -> list[int]:
         """Indices into `flat_ints` of the integer coordinates of the given
         z-slots (all by default): (z-power, basis, a, b) order, no b over Z."""
         m = self.ext.n
-        width = 1 if self.ext.base.kind.name == "RATIONAL" else 2
+        width = 1 if self.ext.base.kind is RingKind.RATIONAL else 2
         slots = range(self.n) if z_slots is None else z_slots
         return [(zp * m + bi) * 2 + w
                 for zp in slots for bi in range(m) for w in range(width)]

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycord.base_rings import GAUSSIAN, RATIONAL
+from cycord.base_rings import EISENSTEIN, GAUSSIAN, RATIONAL
 from cycord.errors import IncompatibleRings
 from cycord.extension import ExtensionSpec, IdealSpec, extension_from_dict
 from cycord.order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
@@ -264,6 +264,74 @@ def test_kernels_match_object_loop(shipped, objloop, name, data):
     assert ext.dot(pairs).coords == expected
     for power in range(-1, ext.n + 1):
         assert x.sigma(power).coords == objloop.sigma(ext, x.coords, power % ext.n)
+
+
+@st.composite
+def random_specs(draw):
+    """An unvalidated spec of degree 1-8 over Z, Z[i] or Z[w] whose table and
+    sigma entries are drawn, delta parts included: neither need be
+    commutative, associative or an automorphism, only a kernel's input."""
+    base = draw(st.sampled_from([RATIONAL, GAUSSIAN, EISENSTEIN]))
+    n = draw(st.integers(1, 8))
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    entry = st.builds(base.element, part, st.just(0) if base == RATIONAL else part)
+
+    def rows():
+        return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+    table = [rows() for _ in range(n)]
+    return ExtensionSpec(base, n, table, rows(), [[0] * n] * n)
+
+
+def _drawn_elements(ext, data, count):
+    b = st.just(0) if ext.base == RATIONAL else coords
+    return [ext.from_ints(*data.draw(st.lists(st.tuples(coords, b),
+                                              min_size=ext.n, max_size=ext.n)))
+            for _ in range(count)]
+
+
+@given(ext=random_specs(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernels_of_drawn_tables_match_object_loop(objloop, ext, data):
+    count = data.draw(st.integers(0, 5))
+    xs = _drawn_elements(ext, data, 2 * count + 1)
+    pairs = list(zip(xs[:count], xs[count:2 * count]))
+    expected = (ext.base.zero,) * ext.n
+    for a, b in pairs:
+        expected = objloop.add(expected, objloop.mul(ext, a.coords, b.coords))
+    assert ext.dot(iter(pairs)).coords == expected
+    x = xs[-1]
+    orbit = ext.sigma_orbit(x, ext.n + 1)
+    assert [y.coords for y in orbit] == [
+        objloop.sigma(ext, x.coords, k) for k in range(ext.n + 1)]
+    assert all(y.ring is ext for y in orbit)
+
+
+def test_spec_text_never_reaches_the_kernels(golden):
+    # name, notes and basis names with quotes, backslashes and newlines
+    hostile = ['"""\\n', "x'); raise SystemExit('", "\\\\\n\"\"\"\n#"]
+    data = dict(_golden_dict(), name=hostile[0], notes="".join(hostile), basis=hostile[1:])
+    ext = extension_from_dict(data)
+    theta = ext.basis_element(1)
+    assert theta * theta == theta + ext.one
+    assert theta.sigma() == ext.one - theta
+    assert ext.name == hostile[0] and ext.basis_names == tuple(hostile[1:])
+    # the kernels are cached on the tables: the golden spec's are reused
+    assert (ext._dot, ext._sigma_step) == (golden.ext._dot, golden.ext._sigma_step)
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_base_scalar_matches_ok_product(shipped, objloop, name, data):
+    ext = shipped[name].ext
+    x, = _drawn_elements(ext, data, 1)
+    c = data.draw(ok_elements(ext)).coords[0]
+    assert (x * c).coords == objloop.mul(ext, x.coords, ext.from_base(c).coords)
+    assert c * x == x * c
+    foreign = EISENSTEIN if ext.base != EISENSTEIN else GAUSSIAN
+    with pytest.raises(IncompatibleRings):
+        x * foreign.element(1, 1)
 
 
 def test_product_across_extensions_raises(golden, q7):

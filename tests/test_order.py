@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycord
-from cycord.base_rings import EISENSTEIN, GAUSSIAN, RingElement, radix_decode, residue_table
+from cycord.base_rings import (
+    EISENSTEIN,
+    GAUSSIAN,
+    RingElement,
+    cofactor_det,
+    radix_decode,
+    residue_table,
+)
 from cycord.errors import IncompatibleAlgebras, IncompatibleRings
 from cycord.extension import IdealSpec
 from cycord.order import (
@@ -291,6 +298,33 @@ def test_matrix_product_and_det_match_object_loop(shipped, objloop, name, data):
     det = objloop.reduced_det(algebra, x)
     assert all(c.is_zero for c in det[1:])
     assert x.reduced_det() == det[0]
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_cofactor_det_expands_each_minor_once(q15, objloop, data):
+    # nonzero z-coordinates make every entry of M(x) a nonzero pivot
+    x = data.draw(drawn_elements(q15).filter(lambda x: all(x.zcoords)))
+    calls = []
+
+    def dot(pairs):
+        calls.append(pairs)
+        return q15.ext.dot(pairs)
+
+    det = cofactor_det(x.matrix().entries, dot)
+    # one 4 x 4 level, four 3 x 3 minors, six distinct 2 x 2 minors
+    assert len(calls) == 1 + 4 + 6
+    assert det.coords == objloop.reduced_det(q15, x)
+
+
+def test_from_flat_ints_checks_its_input(gauss, golden):
+    flat = [1, 0] * (gauss.n * gauss.ext.n)
+    assert gauss.from_flat_ints(flat) == gauss.from_flat_ints(np.array(flat))
+    assert all(type(v) is int for v in gauss.from_flat_ints(np.array(flat)).flat_ints())
+    with pytest.raises(ValueError, match="no delta part"):
+        gauss.from_flat_ints([1, 1] + flat[2:])
+    with pytest.raises(ValueError, match="integer coordinates"):
+        golden.from_flat_ints(flat[:-1])
 
 
 @pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)

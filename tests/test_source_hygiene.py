@@ -5,6 +5,7 @@ every imported name is used by its module, and every module-level private
 function or class is used somewhere in the package.  A third check keeps
 equality in one place: parent objects compare through `Keyed`, elements
 through `RingElement`.  A fourth finds stored state that nothing reads.
+A fifth keeps code generation in the one kernel builder.
 """
 
 import ast
@@ -125,3 +126,18 @@ def test_every_stored_attribute_is_read():
     unread = sorted({f"{name}: {cls}.{attr}" for name, tree in trees.items()
                      for cls, attr in _self_stores(tree) if attr not in read})
     assert unread == []
+
+
+
+def test_code_is_compiled_only_by_the_kernel_builder():
+    """`exec`, `eval` and `compile` are called only by `_compile_kernels`,
+    which compiles each O_K multiplication table and sigma matrix."""
+    callers = set()
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            for sub in ast.walk(stmt):
+                if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                        and sub.func.id in ("exec", "eval", "compile")):
+                    callers.add((path.name, getattr(stmt, "name", None), sub.func.id))
+    assert callers == {("extension.py", "_compile_kernels", "exec"),
+                       ("extension.py", "_compile_kernels", "compile")}
