@@ -363,10 +363,10 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
            *(f"    {line}" for line in xs + ys + sums),
            *apply([mult_table[i][j] for i, j in cells], cell_forms)]
     step = xs + apply(zip(*sigma_matrix), x)
-    source = "".join(f"def {name}(ext, {args}):\n" + "".join(f"    {line}\n" for line in body)
-                     for name, args, body in (("dot", "pairs", dot), ("sigma_step", "x", step)))
     namespace = {"BaseElement": BaseElement, "OKElement": OKElement}
-    exec(compile(source, "<O_K kernels>", "exec"), namespace)
+    for name, args, body in (("dot", "pairs", dot), ("sigma_step", "x", step)):
+        source = f"def {name}(ext, {args}):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, f"<O_K {name} kernel>", "exec"), namespace)
     return namespace["dot"], namespace["sigma_step"]
 
 

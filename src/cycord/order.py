@@ -197,7 +197,7 @@ class AlgebraSpec(TwistedRing):
         """Indices into `flat_ints` of the integer coordinates of the given
         z-slots (all by default): (z-power, basis, a, b) order, no b over Z."""
         m = self.ext.n
-        width = 1 if self.ext.base.kind is RingKind.RATIONAL else 2
+        width = 1 if self.ext.base.kind.name == "RATIONAL" else 2
         slots = range(self.n) if z_slots is None else z_slots
         return [(zp * m + bi) * 2 + w
                 for zp in slots for bi in range(m) for w in range(width)]
