@@ -7,13 +7,16 @@ product rule serves all three: delta^2 = t0 + t1*delta, with (t0, t1) in
 `BaseRing.delta_square`; it also gives the conjugate and the norm, since
 delta + conj(delta) = t1 and delta*conj(delta) = -t0.  All three rings are
 principal and carry a multiplicative Euclidean function (the squared complex
-modulus), so gcds, modular inverses, and canonical residues mod alpha^s are
-all computed exactly with integer arithmetic.
+modulus), so gcds and canonical residues mod alpha^s are computed exactly
+with integer arithmetic.
 
 Each residue ring O_F/(m) is one `ResidueTable`, shared through
 `residue_table`: its modulus, sorted canonical representatives, `reduce`,
-and the lookup tables that let the quotient layers above run on
-small-integer indices instead of object arithmetic.  This bottom module
+and the lookup tables (inverses included) that let the quotient layers
+above run on small-integer indices instead of object arithmetic.  A residue
+gets its code by floor arithmetic into the Hermite box of (m) and one
+lookup, so a table divides once per residue, for its representatives, and
+`reduce` divides not at all.  This bottom module
 also holds the package's only copies of six generic mechanisms:
 `Keyed`, the value equality of every ring, table and spec on its `key`;
 `RingElement`, the base of every element class; `power`, the
@@ -435,17 +438,6 @@ def xgcd(x: BaseElement, y: BaseElement) -> tuple[BaseElement, BaseElement, Base
     return r0, s0, t0
 
 
-def invert_mod(x: BaseElement, m: BaseElement) -> BaseElement:
-    """Inverse of x modulo m; raises DivisionByZero when gcd(x, m) is not a unit."""
-    g, s, _ = xgcd(x, m)
-    if not g.is_unit():
-        raise DivisionByZero(f"{x} is not invertible mod {m}")
-    for unit in x.ring.units():
-        if g * unit == x.ring.one:
-            return euclidean_divmod(s * unit, m)[1]
-    raise DivisionByZero(f"gcd {g} is not a unit")  # pragma: no cover
-
-
 def _is_prime_int(n: int) -> bool:
     if n < 2:
         return False
@@ -497,11 +489,17 @@ class ResidueTable(Keyed):
 
     Elements are integers 0..size-1 indexing `reps`, the canonical
     representatives sorted by (a, b); addition and multiplication become
-    list lookups, which keeps the quotient layers fast and hashable.  Tables
-    compare by value, on (base, modulus).
+    list lookups, which keeps the quotient layers fast and hashable.  A
+    residue gets its code with no division: on (a, b) coordinates the
+    ideal (m) has the Hermite basis (d0, 0), (c, d1), so integer floor
+    arithmetic moves x into the box [0, d0) x [0, d1), and `_box` holds the
+    code of each box point.  The table divides once per residue, for the
+    canonical representative of each box point; every other entry, and
+    every `encode`, is that box lookup.  Tables compare by value, on
+    (base, modulus).
     """
 
-    __slots__ = ("base", "modulus", "reps", "index", "add", "mul", "neg", "inv",
+    __slots__ = ("base", "modulus", "reps", "_hermite", "_box", "add", "mul", "neg", "inv",
                  "zero", "one", "char", "size")
 
     def __init__(self, base: BaseRing, modulus: BaseElement):
@@ -516,22 +514,25 @@ class ResidueTable(Keyed):
             )
         self.base = base
         self.modulus = modulus
-        red = self.reduce
-        reps = {red(pt) for pt in self._transversal()}
-        if len(reps) != size:
-            raise VerificationFailed(
-                f"transversal reduces to {len(reps)} residues, not {size}")
-        self.reps = reps = tuple(sorted(reps, key=lambda e: (e.a, e.b)))
-        self.index = idx = {(e.a, e.b): i for i, e in enumerate(reps)}
-
-        def code(e: BaseElement) -> int:
-            return idx[(e.a, e.b)]
-
-        self.add = [[code(red(x + y)) for y in reps] for x in reps]
-        self.mul = [[code(red(x * y)) for y in reps] for x in reps]
-        self.neg = [code(red(-x)) for x in reps]
-        self.zero = code(red(base.zero))
-        self.one = code(red(base.one))
+        self._hermite = d0, _, d1 = _hermite_basis(modulus)
+        if d0 * d1 != size:
+            raise VerificationFailed(f"Hermite box {d0} x {d1} does not have {size} points")
+        box = [euclidean_divmod(BaseElement(base, a, b), modulus)[1].key
+               for b in range(d1) for a in range(d0)]
+        keys = sorted(set(box))
+        if len(keys) != size:
+            raise VerificationFailed(f"Hermite box reduces to {len(keys)} residues, not {size}")
+        self.reps = tuple(BaseElement(base, a, b) for a, b in keys)
+        codes = {key: i for i, key in enumerate(keys)}
+        self._box = [codes[key] for key in box]
+        # sums and products of representatives on int pairs, by the delta rule
+        code, (t0, t1) = self._code, base.delta_square
+        self.add = [[code(a + c, b + d) for c, d in keys] for a, b in keys]
+        self.mul = [[code(a * c + t0 * b * d, a * d + b * c + t1 * b * d) for c, d in keys]
+                    for a, b in keys]
+        self.neg = [code(-a, -b) for a, b in keys]
+        self.zero = code(0, 0)
+        self.one = code(1, 0)
         self.inv = [row.index(self.one) if self.one in row else None for row in self.mul]
         # additive order of 1
         k, acc = 1, self.one
@@ -545,45 +546,39 @@ class ResidueTable(Keyed):
     def __repr__(self):
         return f"ResidueTable({self.base.kind.value} mod {self.modulus})"
 
-    def reduce(self, x: BaseElement) -> BaseElement:
-        _, r = euclidean_divmod(x, self.modulus)
-        return r
-
-    def _transversal(self):
-        m = self.modulus
-        if self.base.kind is RingKind.RATIONAL:
-            return [self.base.element(a) for a in range(abs(m.a))]
-        # Hermite form of the lattice spanned by m and m*delta gives an exact
-        # box transversal {(a, b): 0 <= a < d0, 0 <= b < d1}.
-        delta = self.base.element(0, 1)
-        c1 = [m.a, m.b]
-        c2v = m * delta
-        c2 = [c2v.a, c2v.b]
-        while c2[1] != 0:
-            if c1[1] == 0 or (c2[1] != 0 and abs(c2[1]) < abs(c1[1])):
-                c1, c2 = c2, c1
-            if c1[1] != 0 and c2[1] != 0:
-                q = c2[1] // c1[1]
-                c2 = [c2[0] - q * c1[0], c2[1] - q * c1[1]]
-        d0 = abs(c2[0])
-        d1 = abs(c1[1])
-        if d0 * d1 != self.size:
-            raise VerificationFailed(f"Hermite box {d0} x {d1} does not have {self.size} points")
-        return [
-            self.base.element(a, b) for b in range(d1) for a in range(d0)
-        ]
-
     def encode(self, x: BaseElement) -> int:
-        """Index of x mod m; a canonical residue is looked up, not divided."""
-        if x.ring == self.base:
-            i = self.index.get((x.a, x.b))
-            if i is not None:
-                return i
-        r = self.reduce(x)
-        return self.index[(r.a, r.b)]
+        """Code of x mod m: x moved into the Hermite box, then looked up."""
+        if x.ring is not self.base and x.ring != self.base:
+            raise IncompatibleRings(f"{x!r} is not in {self.base!r}")
+        return self._code(x.a, x.b)
+
+    def _code(self, a: int, b: int) -> int:
+        """Code of a + b*delta: subtract k(c, d1) to bring b into [0, d1),
+        then a multiple of (d0, 0) to bring a into [0, d0)."""
+        d0, c, d1 = self._hermite
+        k, b = divmod(b, d1)
+        return self._box[(a - k * c) % d0 + b * d0]
+
+    def reduce(self, x: BaseElement) -> BaseElement:
+        return self.reps[self.encode(x)]
 
     def decode(self, i: int) -> BaseElement:
         return self.reps[i]
+
+
+def _hermite_basis(m: BaseElement) -> tuple[int, int, int]:
+    """(d0, c, d1) with d0, d1 > 0 and (m) = <(d0, 0), (c, d1)> on (a, b)
+    coordinates.  Over Z the b coordinate is always 0, so d1 = 1."""
+    if m.ring.kind is RingKind.RATIONAL:
+        return abs(m.a), 0, 1
+    t0, t1 = m.ring.delta_square
+    # the rows m and m*delta, brought to (c, f), (e, 0) by Euclid on b
+    u, v = (m.a, m.b), (t0 * m.b, m.a + t1 * m.b)
+    while v[1]:
+        q = u[1] // v[1]
+        u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
+    sign = 1 if u[1] > 0 else -1
+    return abs(v[0]), sign * u[0], sign * u[1]
 
 
 @lru_cache(maxsize=None)

@@ -52,7 +52,6 @@ from .base_rings import (
     _is_prime_int,
     cofactor_det,
     divides,
-    invert_mod,
     one_hot,
     power,
     radix_decode,
@@ -412,15 +411,14 @@ def _crt_data(ring: QuotientRing):
     M = ideal.modulus
     components = tuple(quotient_of(ring.algebra, f) for f in factors)
     glue = []
-    for f in factors:
-        m_i = f.modulus
+    for f, comp in zip(factors, components):
         M_i = base.one
         for gf in factors:
             if gf is not f:
                 M_i = M_i * gf.modulus
-        t_i = invert_mod(M_i, m_i)
-        e_i = M_i * t_i
-        glue.append(e_i)
+        # the factors are distinct primes, so M_i is a unit mod m_i
+        table = comp.table
+        glue.append(M_i * table.reps[table.inv[table.encode(M_i)]])
     # the glue elements form a complete system mod M
     total = sum(glue, base.zero)
     if not divides(M, total - base.one):

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycord.cli as cli
+from cycord.base_rings import GAUSSIAN
 from cycord.errors import VerificationFailed
-from cycord.order import SHIPPED_ALGEBRAS
+from cycord.order import SHIPPED_ALGEBRAS, load_algebra
+from cycord.residue import quotient_of
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -101,6 +103,27 @@ def test_reduce_composite(capsys):
     assert code == 0
     assert payload["crt_round_trip"] is True
     assert [c["ideal"] for c in payload["components"]] == ["(1+i)", "(3)"]
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_reduce_prime_powers_up_to_1024_residues(capsys, s):
+    ideal = f"(1+i)^{s}"
+    code, payload = run_json(
+        ["reduce", "--algebra", "golden_u_i", "--ideal", ideal,
+         "--element", "37+5i, -11; 4-9i, 1000+77i"], capsys)
+    assert code == 0
+    assert payload["ideal"] == ("(1+i)" if s == 1 else ideal)
+    Q = quotient_of(load_algebra("golden_u_i"), cli.parse_ideal(GAUSSIAN, ideal))
+    lift = Q.algebra.from_flat_ints(payload["canonical_lift_coordinates"])
+    assert str(Q.reduce(lift)) == payload["residue"]
+
+
+def test_reduce_past_the_table_limit_exits_1(capsys):
+    code, payload = run_json(
+        ["reduce", "--algebra", "golden_u_i", "--ideal", "(1+i)^13",
+         "--element", "1, 0; 0, 1"], capsys)
+    assert code == 1
+    assert payload == {"error": "O_F/(1+i)^13 exceeds the table limit 4096"}
 
 
 def test_reduce_bad_element_exits_1(capsys):

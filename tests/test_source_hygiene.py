@@ -5,7 +5,8 @@ every imported name is used by its module, and every module-level private
 function or class is used somewhere in the package.  A third check keeps
 equality in one place: parent objects compare through `Keyed`, elements
 through `RingElement`.  A fourth finds stored state that nothing reads.
-A fifth keeps code generation in the one kernel builder.
+A fifth keeps code generation in the one kernel builder, and a sixth keeps
+euclidean division behind the residue tables.
 """
 
 import ast
@@ -128,7 +129,6 @@ def test_every_stored_attribute_is_read():
     assert unread == []
 
 
-
 def test_code_is_compiled_only_by_the_kernel_builder():
     """`exec`, `eval` and `compile` are called only by `_compile_kernels`,
     which compiles each O_K multiplication table and sigma matrix."""
@@ -141,3 +141,18 @@ def test_code_is_compiled_only_by_the_kernel_builder():
                     callers.add((path.name, getattr(stmt, "name", None), sub.func.id))
     assert callers == {("extension.py", "_compile_kernels", "exec"),
                        ("extension.py", "_compile_kernels", "compile")}
+
+
+def test_euclidean_division_stays_behind_the_residue_tables():
+    """`euclidean_divmod` is called only by `divides`, `xgcd` and
+    `ResidueTable`, which reduces every residue into a table code, so
+    nothing else reduces mod m on its own."""
+    callers = set()
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) and "euclidean_divmod" in (
+                        getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                    callers.add((path.name, getattr(stmt, "name", None)))
+    assert callers == {("base_rings.py", "divides"), ("base_rings.py", "xgcd"),
+                       ("base_rings.py", "ResidueTable")}
