@@ -1,8 +1,8 @@
 """The residue tables of O_F/(m) against the tables built entry by entry.
 
 `ResidueTable` divides once per residue and reduces everything else in its
-Hermite box; the reference here keeps the earlier build, one
-`euclidean_divmod` per table entry.
+Hermite box; the reference here builds each table with one
+`euclidean_divmod` per entry.
 """
 
 from math import isqrt

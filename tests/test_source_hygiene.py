@@ -129,6 +129,7 @@ def test_every_stored_attribute_is_read():
     assert unread == []
 
 
+
 def test_code_is_compiled_only_by_the_kernel_builder():
     """`exec`, `eval` and `compile` are called only by `_compile_kernels`,
     which compiles each O_K multiplication table and sigma matrix."""
