@@ -307,9 +307,6 @@ class BaseElement(RingElement):
             return abs(self.a)
         return self.norm()
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def complex(self) -> complex:
         try:
             return self.a + self.b * self.ring.delta_complex
@@ -534,12 +531,8 @@ class ResidueTable(Keyed):
         self.zero = code(0, 0)
         self.one = code(1, 0)
         self.inv = [row.index(self.one) if self.one in row else None for row in self.mul]
-        # additive order of 1
-        k, acc = 1, self.one
-        while acc != self.zero:
-            acc = self.add[acc][self.one]
-            k += 1
-        self.char = k
+        # the lattice points with b = 0 are the multiples of (d0, 0): 1 has additive order d0
+        self.char = d0
 
     key = property(operator.attrgetter("base", "modulus"))
 

@@ -506,14 +506,10 @@ def _suite_section(rng) -> int:
 
 def _suite_unipotent_inverse(rng) -> int:
     """(1 + c z) is invertible in every shipped quotient with nilpotent u."""
-    cases = [
-        (load_algebra("golden_u_1pi"), IdealSpec(
-            load_algebra("golden_u_1pi").ext.base.parse("1+i"))),
-        (load_algebra("golden_u_1pi"), IdealSpec(
-            load_algebra("golden_u_1pi").ext.base.parse("1+i"), 2)),
-        (load_algebra("gauss_over_Q", u="5"), IdealSpec(
-            load_algebra("gauss_over_Q").ext.base.parse("5"))),
-    ]
+    golden, gauss = load_algebra("golden_u_1pi"), load_algebra("gauss_over_Q", u="5")
+    alpha = golden.ext.base.parse("1+i")
+    cases = [(golden, IdealSpec(alpha)), (golden, IdealSpec(alpha, 2)),
+             (gauss, IdealSpec(gauss.ext.base.parse("5")))]
     checks = 0
     for algebra, ideal in cases:
         Q = quotient_of(algebra, ideal)

@@ -53,7 +53,6 @@ from .base_rings import (
     cofactor_det,
     divides,
     one_hot,
-    power,
     radix_decode,
     radix_encode,
     residue_table,
@@ -1012,39 +1011,11 @@ class FiniteField(Keyed):
     def elements(self):
         return (FFElement(self, v) for v in range(self.size))
 
-    # -- arithmetic -------------------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        a, b = radix_decode(x, self.p, self.m), radix_decode(y, self.p, self.m)
-        return radix_encode([(u + v) % self.p for u, v in zip(a, b)], self.p)
-
-    def neg(self, x: int) -> int:
-        return radix_encode([-c % self.p for c in radix_decode(x, self.p, self.m)], self.p)
-
-    def mul(self, x: int, y: int) -> int:
-        a, b = radix_decode(x, self.p, self.m), radix_decode(y, self.p, self.m)
-        prod = [0] * (2 * self.m - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    prod[i + j] = (prod[i + j] + u * v) % self.p
-        _, rem = _poly_divmod_p(prod + [0], list(self.modulus), self.p)
-        rem += [0] * (self.m - len(rem))
-        return radix_encode(rem, self.p)
-
-    def pow(self, x: int, e: int) -> int:
-        return power(x, e, 1, self.mul)
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(x, self.size - 2)
-
     def generator(self) -> "FFElement":
         """Smallest element (by encoding) generating the multiplicative group."""
         if self._gen is None:
-            self._gen = FFElement(self, smallest_generator(
-                range(1, self.size), self.size - 1, self.pow, 1))
+            self._gen = smallest_generator(
+                list(self.elements())[1:], self.size - 1, pow, self.one)
         return self._gen
 
 
@@ -1091,21 +1062,36 @@ class FFElement(RingElement):
 
     def __add__(self, other):
         self._check(other)
-        return FFElement(self.ring, self.ring.add(self.val, other.val))
+        F = self.ring
+        a, b = radix_decode(self.val, F.p, F.m), radix_decode(other.val, F.p, F.m)
+        return FFElement(F, radix_encode([(u + v) % F.p for u, v in zip(a, b)], F.p))
 
     def __neg__(self):
-        return FFElement(self.ring, self.ring.neg(self.val))
+        F = self.ring
+        return FFElement(F, radix_encode([-c % F.p for c in radix_decode(self.val, F.p, F.m)], F.p))
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = FFElement(self.ring, other % self.ring.p)
         self._check(other)
-        return FFElement(self.ring, self.ring.mul(self.val, other.val))
+        F = self.ring
+        a, b = radix_decode(self.val, F.p, F.m), radix_decode(other.val, F.p, F.m)
+        prod = [0] * (2 * F.m - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    prod[i + j] = (prod[i + j] + u * v) % F.p
+        _, rem = _poly_divmod_p(prod + [0], list(F.modulus), F.p)
+        rem += [0] * (F.m - len(rem))
+        return FFElement(F, radix_encode(rem, F.p))
 
     def __pow__(self, e: int):
+        """x^e; a negative exponent inverts through x^(q-2)."""
         if e < 0:
-            return FFElement(self.ring, self.ring.pow(self.ring.inv(self.val), -e))
-        return FFElement(self.ring, self.ring.pow(self.val, e))
+            if self.is_zero:
+                raise ZeroDivisionError("zero has no inverse")
+            return super().__pow__(self.ring.size - 2) ** -e
+        return super().__pow__(e)
 
     def __str__(self):
         coeffs = radix_decode(self.val, self.ring.p, self.ring.m)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from operator import attrgetter
@@ -189,34 +188,30 @@ class ComponentField:
     residue field F_P, so the component is a field with P^f elements.
     """
 
-    __slots__ = ("S", "v", "f", "step", "_elements", "_gen")
+    __slots__ = ("S", "v", "f", "step")
 
     def __init__(self, S: ResidueRing, v: ResidueElement, f: int, step: int):
         self.S = S
         self.v = v
         self.f = f
         self.step = step
-        self._elements = None
-        self._gen = None
 
     @property
     def size(self) -> int:
         return self.S.table.size ** self.f
 
     def elements(self) -> list[ResidueElement]:
-        if self._elements is None:
-            if self.S.size > NORM_SCAN_LIMIT:
-                raise TooLargeToEnumerate(
-                    f"component of a ring with {self.S.size} elements"
-                )
-            seen = {}
-            for s in self.S.elements(limit=NORM_SCAN_LIMIT):
-                x = self.S.mul(self.v, s)
-                seen.setdefault(x.encode(), x)
-            out = [seen[k] for k in sorted(seen)]
-            _require(len(out) == self.size, "component has unexpected cardinality")
-            self._elements = out
-        return self._elements
+        if self.S.size > NORM_SCAN_LIMIT:
+            raise TooLargeToEnumerate(
+                f"component of a ring with {self.S.size} elements"
+            )
+        seen = {}
+        for s in self.S.elements(limit=NORM_SCAN_LIMIT):
+            x = self.S.mul(self.v, s)
+            seen.setdefault(x.encode(), x)
+        out = [seen[k] for k in sorted(seen)]
+        _require(len(out) == self.size, "component has unexpected cardinality")
+        return out
 
     def pow(self, x: ResidueElement, e: int) -> ResidueElement:
         return power(x, e, self.v, self.S.mul)
@@ -237,59 +232,28 @@ class ComponentField:
 
     def generator(self) -> ResidueElement:
         """Smallest multiplicative generator of the component, by encoding."""
-        if self._gen is None:
-            self._gen = smallest_generator(
-                (x for x in self.elements() if not x.is_zero),
-                self.size - 1, self.pow, self.v)
-        return self._gen
-
-    def dlog(self, x: ResidueElement):
-        """Discrete log of x base generator(), baby-step giant-step; None if absent."""
-        if x.is_zero:
-            return None
-        g = self.generator()
-        order = self.size - 1
-        if order == 1:
-            return 0 if x == self.v else None
-        m = math.isqrt(order) + 1
-        baby = {}
-        cur = self.v
-        for j in range(m):
-            baby.setdefault(cur.encode(), j)
-            cur = self.S.mul(cur, g)
-        giant = self.inv(self.pow(g, m))
-        cur = x
-        for i in range(m + 1):
-            j = baby.get(cur.encode())
-            if j is not None:
-                return (i * m + j) % order
-            cur = self.S.mul(cur, giant)
-        return None
+        return smallest_generator(
+            (x for x in self.elements() if not x.is_zero), self.size - 1, self.pow, self.v)
 
 
 def solve_norm_equation(component: ComponentField, target: ResidueElement) -> ResidueElement:
     """Find k in the component field whose norm to F_P equals target.
 
-    On the cyclic unit group the norm is the power map e -> e * (Q-1)/(P-1),
-    so the equation reduces to a linear congruence in discrete logs.  The
-    target lies in F_P^*, which is generated by g^M, so M divides its log and
-    the congruence is solvable.  The solution is still re-checked against the
-    actual product of conjugates, and WrongCase is raised if that disagrees.
+    Walks k = g^e for e = 0, 1, ... over the powers of the generator g and
+    returns the first k whose product of conjugates is target.  On the
+    cyclic unit group the norm is the power map x -> x^M with
+    M = (Q-1)/(P-1), so N(g^e) = g^(M e) depends only on e mod P-1, and
+    g^0, ..., g^(M (P-2)) are the P-1 distinct units of F_P.  A unit target
+    in F_P is therefore met with e < P-1.  WrongCase is raised once all Q-1
+    units are walked, which happens only for a target outside F_P.
     """
     if target.is_zero:
         raise ZeroTarget("norm equations are only posed for unit targets")
-    Q = component.size
-    P = component.S.table.size
-    M = (Q - 1) // (P - 1)
-    t = component.dlog(target)
-    if t is not None:
-        d = math.gcd(M, Q - 1)
-        if t % d == 0:
-            mod = (Q - 1) // d
-            e = (t // d) * pow(M // d, -1, mod) % mod
-            k = component.pow(component.generator(), e)
-            if component.norm(k) == target:
-                return k
+    g, k = component.generator(), component.v
+    for _ in range(component.size - 1):
+        if component.norm(k) == target:
+            return k
+        k = component.S.mul(k, g)
     raise WrongCase("target is outside the image of the component norm")
 
 

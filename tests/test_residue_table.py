@@ -107,3 +107,16 @@ def test_residue_table_divides_once_per_residue(monkeypatch, ring, modulus):
     monkeypatch.setattr(base_rings, "euclidean_divmod", counted)
     t = ResidueTable(ring, ring.parse(modulus))
     assert len(calls) == t.size
+
+
+def test_a_wrong_code_map_still_builds_a_table(monkeypatch):
+    # codes of x + 1: in Z/6 the sums of ones run 2, 5, 2, ... and never meet
+    # the shifted zero, so a walk over the add table for the order of 1 would
+    # not end; the characteristic is read off the Hermite box instead
+    code = ResidueTable._code
+    monkeypatch.setattr(ResidueTable, "_code", lambda self, a, b: code(self, a + 1, b))
+    m = RATIONAL.element(6)
+    t, ref = ResidueTable(RATIONAL, m), _reference_table(RATIONAL, m)
+    assert (t.zero, t.one) != (ref["zero"], ref["one"])
+    assert t.add != ref["add"]
+    assert t.char == ref["char"] == 6

@@ -224,7 +224,6 @@ def test_certificate_relations(golden):
         lambda: Q.z ** -1,  # GcaElement
         lambda: cert.z_image ** -1,  # MatElement
         lambda: comp.pow(comp.v, -1),
-        lambda: ff.pow(ff.one.val, -1),
     ]
     for attempt in negative_powers:
         with pytest.raises(ValueError):
@@ -640,8 +639,6 @@ def test_component_field_generator(gauss):
         acc = comp.S.mul(acc, gen)
         seen.add(acc.encode())
     assert len(seen) == comp.size - 1
-    assert comp.dlog(gen) == 1
-    assert comp.dlog(comp.v) == 0
 
 
 def test_matrix_ring_zero_test(golden):
