@@ -28,8 +28,9 @@ SOLVED = {"golden_u_i": 41, "golden_u_1pi": 41, "q7_cubic": 77, "q15_quartic": 2
 def _primes(base):
     """One prime per associate class with norm at most NORM_BOUND."""
     r = range(-NORM_BOUND, NORM_BOUND + 1)
+    rb = (0,) if base.kind.name == "RATIONAL" else r
     keys = {min((u * x).key for u in base.units())
-            for x in (base.element(a, b) for a in r for b in (r if base.kind.name != "RATIONAL" else (0,)))
+            for x in (base.element(a, b) for a in r for b in rb)
             if not x.is_zero and x.ideal_norm() <= NORM_BOUND and is_prime_element(x)}
     return [base.element(a, b) for a, b in sorted(keys)]
 
