@@ -16,7 +16,10 @@ t1*delta of `BaseRing.delta_square` and every table entry folded into
 integer literals, and caches them on the table.  The kernels run on the
 coordinates' plain ints and build one `BaseElement` per output coordinate,
 so the object classes stay the exact API while the products create and
-type-check no objects.
+type-check no objects.  The same builder writes a second flavour for the
+residue rings O_K/mO_K of `residue`: it reads coordinates as residue-table
+codes and returns the codes of the output coordinates, so the package has
+one O_K product formula.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _source(form) -> str:
 
 
 @lru_cache(maxsize=None)
-def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
+def _compile_kernels(base: BaseRing, mult_table, sigma_matrix, codes: bool = False):
     """The `dot(ext, pairs)` and sigma-step `(ext, x)` kernels of one table.
 
     Each is one straight-line function: the coordinates and the cells of
@@ -327,14 +330,25 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
     and a +-1 term is an add or a subtract.  Over Z the delta parts of the
     coordinates are read as zero.  Only those literals and fixed names
     enter the source.  Cached on the tables, so equal specs share kernels.
+
+    With `codes` the kernels serve O_K/mO_K: they take a `ResidueTable` of
+    O_F/(m) in place of `ext`, read each coordinate as a table code lifted
+    to its representative in `table.reps`, and return the tuple of the
+    output coordinates' codes, each reduced by `table._code`.
     """
     n = len(sigma_matrix)
     t0, t1 = base.delta_square
     parts = "a" if base.kind is RingKind.RATIONAL else "ab"
+    if codes:
+        owner, attr, lift = "table", "codes", "reps[{}]"
+        head, out, coord = "reps, code = table.reps, table._code", "({})", "code({}, {}), "
+    else:
+        owner, attr, lift = "ext", "coords", "{}"
+        head, out, coord = "base = ext.base", "OKElement(ext, ({}))", "BaseElement(base, {}, {}), "
 
     def read(v):  # lines loading the coordinates of local v, and their (a, b) forms
-        lines = [f"{v}{f', {v}'.join(map(str, range(n)))}, = {v}.coords"]
-        lines += [f"{v}{p}{i} = {v}{i}.{p}" for i in range(n) for p in parts]
+        lines = [f"{v}{f', {v}'.join(map(str, range(n)))}, = {v}.{attr}"]
+        lines += [f"{v}{p}{i} = {lift.format(f'{v}{i}')}.{p}" for i in range(n) for p in parts]
         return lines, [tuple({(f"{v}{p}{i}",): 1} if p in parts else {} for p in "ab")
                        for i in range(n)]
 
@@ -343,8 +357,8 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
         for row, cell in zip(table, cells):
             for r, t in enumerate(row):
                 _add_product(outs[r], ({(): int(t.a)}, {(): int(t.b)}), cell, t0, t1)
-        return ["base = ext.base", "return OKElement(ext, (" + "".join(
-            f"BaseElement(base, {_source(a)}, {_source(b)}), " for a, b in outs) + "))"]
+        return ["return " + out.format("".join(
+            coord.format(_source(a), _source(b)) for a, b in outs))]
 
     xs, x = read("x")
     ys, y = read("y")
@@ -359,13 +373,13 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix):
         names = [f"c{p}{i * n + j}" if form else None for p, form in zip("ab", forms)]
         sums += [f"{name} += {_source(form)}" for name, form in zip(names, forms) if name]
         cell_forms.append(tuple({(name,): 1} if name else {} for name in names))
-    dot = [" = ".join([line.split()[0] for line in sums] + ["0"]), "for x, y in pairs:",
+    dot = [head, " = ".join([line.split()[0] for line in sums] + ["0"]), "for x, y in pairs:",
            *(f"    {line}" for line in xs + ys + sums),
            *apply([mult_table[i][j] for i, j in cells], cell_forms)]
-    step = xs + apply(zip(*sigma_matrix), x)
+    step = [head, *xs, *apply(zip(*sigma_matrix), x)]
     namespace = {"BaseElement": BaseElement, "OKElement": OKElement}
     for name, args, body in (("dot", "pairs", dot), ("sigma_step", "x", step)):
-        source = f"def {name}(ext, {args}):\n" + "".join(f"    {line}\n" for line in body)
+        source = f"def {name}({owner}, {args}):\n" + "".join(f"    {line}\n" for line in body)
         exec(compile(source, f"<O_K {name} kernel>", "exec"), namespace)
     return namespace["dot"], namespace["sigma_step"]
 

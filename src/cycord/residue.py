@@ -3,9 +3,9 @@
 This layer turns the exact objects of `order` into finite rings:
 
 * `ResidueRing` is S = O_K/mO_K on the shipped power basis, with coordinates
-  living in the residue table of O_F/(m).  Multiplication and sigma come from
-  the extension's tables reduced mod m, so every operation is a few integer
-  lookups.
+  living in the residue table of O_F/(m).  Multiplication and sigma run the
+  spec's compiled O_K kernels in their code flavour: each code is lifted to
+  its representative, and each output coordinate is reduced to its code.
 * `QuotientRing` is the generalized cyclic algebra Lambda/I Lambda =
   sum_j S z^j with z*s = sigma(s)*z and z^n = ubar, together with the
   reduction map from the order and its canonical section.
@@ -68,7 +68,7 @@ from .errors import (
     VerificationFailed,
     WrongCase,
 )
-from .extension import ExtensionSpec, IdealSpec, OKElement
+from .extension import ExtensionSpec, IdealSpec, OKElement, _compile_kernels
 from .order import AlgebraSpec, OrderElement, TwistedElement, TwistedRing, digit_rows
 
 # Largest quotient ring we will stream element-by-element.
@@ -118,24 +118,15 @@ class CompositeIdeal:
 class ResidueRing(Keyed):
     """S = O_K/mO_K: power-basis coordinates over the table of O_F/(m)."""
 
-    __slots__ = ("ext", "modulus", "table", "mult", "sig", "size")
+    __slots__ = ("ext", "modulus", "table", "size", "_dot", "_sigma_step")
 
     def __init__(self, ext: ExtensionSpec, modulus: BaseElement):
         self.ext = ext
         self.modulus = modulus
         self.table = residue_table(ext.base, modulus)
-        enc = self.table.encode
-        n = ext.n
-        self.mult = tuple(
-            tuple(tuple(enc(c) for c in ext.mult_table[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        # column j of sigma_matrix holds the coordinates of sigma(b_j)
-        self.sig = tuple(
-            tuple(enc(ext.sigma_matrix[r][j]) for r in range(n))
-            for j in range(n)
-        )
-        self.size = self.table.size ** n
+        self.size = self.table.size ** ext.n
+        self._dot, self._sigma_step = _compile_kernels(ext.base, ext.mult_table,
+                                                       ext.sigma_matrix, True)
 
     @property
     def n(self) -> int:
@@ -160,7 +151,7 @@ class ResidueRing(Keyed):
         return ResidueElement(self, tuple(self.table.encode(c) for c in x.coords))
 
     def from_base(self, c: BaseElement) -> "ResidueElement":
-        return self.one * c
+        return ResidueElement(self, one_hot(self.n, 0, self.table.encode(c), self.table.zero))
 
     @property
     def zero(self) -> "ResidueElement":
@@ -179,38 +170,13 @@ class ResidueRing(Keyed):
         return self.dot(((x, y),))
 
     def dot(self, pairs) -> "ResidueElement":
-        """Sum of x*y over the (x, y) pairs, accumulated in table codes."""
-        tm, ta, zero = self.table.mul, self.table.add, self.table.zero
-        out = [zero] * self.n
-        for x, y in pairs:
-            ys = [(j, yj) for j, yj in enumerate(y.codes) if yj != zero]
-            for row, xi in zip(self.mult, x.codes):
-                if xi == zero:
-                    continue
-                for j, yj in ys:
-                    scale = tm[xi][yj]
-                    if scale == zero:
-                        continue
-                    for r, c in enumerate(row[j]):
-                        if c != zero:
-                            out[r] = ta[out[r]][tm[scale][c]]
-        return ResidueElement(self, tuple(out))
+        """Sum of x*y over the (x, y) pairs, by the spec's compiled code kernel."""
+        return ResidueElement(self, self._dot(self.table, pairs))
 
     def sigma(self, x: "ResidueElement", power: int = 1) -> "ResidueElement":
-        t = self.table
-        codes = x.codes
         for _ in range(power % self.n):
-            out = [t.zero] * self.n
-            for j in range(self.n):
-                xj = codes[j]
-                if xj == t.zero:
-                    continue
-                col = self.sig[j]
-                for r in range(self.n):
-                    if col[r] != t.zero:
-                        out[r] = t.add[out[r]][t.mul[xj][col[r]]]
-            codes = tuple(out)
-        return ResidueElement(self, codes)
+            x = ResidueElement(self, self._sigma_step(self.table, x))
+        return x
 
     # -- enumeration and encoding -------------------------------------------------
 

@@ -354,7 +354,7 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
     _require(y ** n == Q.one, "y = w z does not have y^n = 1")
 
     mat = MatRing(table, n, label=f"M_{n}(F_{table.size})")
-    T = mat.element(zip(*S.sig))
+    T = mat.element(zip(*(S.basis(j).sigma().codes for j in range(n))))
     basis_images = tuple(_mult_matrix(mat, S, S.basis(i)) for i in range(n))
     z_image = _mult_matrix(mat, S, w_inv) * T
 

@@ -151,11 +151,51 @@ def _ref_twisted_mul(ring, x, y):
     return type(x)(ring, tuple(out))
 
 
+def _ref_residue_dot(S, pairs):
+    """`ResidueRing.dot` as a loop over table codes: the multiplication table
+    encoded mod m, every product and sum a residue-table lookup."""
+    t = S.table
+    mult = [[[t.encode(c) for c in cell] for cell in row] for row in S.ext.mult_table]
+    out = [t.zero] * S.n
+    for x, y in pairs:
+        ys = [(j, yj) for j, yj in enumerate(y.codes) if yj != t.zero]
+        for row, xi in zip(mult, x.codes):
+            if xi == t.zero:
+                continue
+            for j, yj in ys:
+                scale = t.mul[xi][yj]
+                if scale == t.zero:
+                    continue
+                for r, c in enumerate(row[j]):
+                    if c != t.zero:
+                        out[r] = t.add[out[r]][t.mul[scale][c]]
+    return tuple(out)
+
+
+def _ref_residue_sigma(S, codes, power):
+    """sigma^power on table codes, column j of the sigma matrix encoded mod m
+    as the codes of sigma(b_j)."""
+    t, n = S.table, S.n
+    sig = [[t.encode(S.ext.sigma_matrix[r][j]) for r in range(n)] for j in range(n)]
+    for _ in range(power):
+        out = [t.zero] * n
+        for xj, col in zip(codes, sig):
+            if xj == t.zero:
+                continue
+            for r in range(n):
+                if col[r] != t.zero:
+                    out[r] = t.add[out[r]][t.mul[xj][col[r]]]
+        codes = tuple(out)
+    return codes
+
+
 @pytest.fixture(scope="session")
 def objloop():
-    """O_K arithmetic by BaseElement object loops, on coordinate tuples, and
-    object-level references for the base-ring divmod and twisted products."""
+    """O_K arithmetic by BaseElement object loops, on coordinate tuples, the
+    residue-ring products and sigma by code loops over the residue tables,
+    and object-level references for the base-ring divmod and twisted products."""
     return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
                                  matmul=_ref_matmul, matrix=_ref_matrix,
                                  reduced_det=_ref_reduced_det,
+                                 residue_dot=_ref_residue_dot, residue_sigma=_ref_residue_sigma,
                                  divmod=_ref_divmod, twisted_mul=_ref_twisted_mul)

@@ -9,6 +9,7 @@ from cycord.base_rings import EISENSTEIN, GAUSSIAN, RATIONAL
 from cycord.errors import IncompatibleRings
 from cycord.extension import ExtensionSpec, IdealSpec, extension_from_dict
 from cycord.order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
+from cycord.residue import ResidueRing
 
 EMBED_TOL = 1e-9
 
@@ -318,6 +319,13 @@ def test_spec_text_never_reaches_the_kernels(golden):
     assert ext.name == hostile[0] and ext.basis_names == tuple(hostile[1:])
     # the kernels are cached on the tables: the golden spec's are reused
     assert (ext._dot, ext._sigma_step) == (golden.ext._dot, golden.ext._sigma_step)
+    # and so are the code kernels of its residue rings, built apart from the ring cache
+    three = ext.base.element(3)
+    S, G = ResidueRing(ext, three), ResidueRing(golden.ext, three)
+    t = S.basis(1)
+    assert t * t == t + S.one and t.sigma() == S.one - t
+    assert S.dot([(t, t), (-t, S.one)]) == S.one
+    assert (S._dot, S._sigma_step) == (G._dot, G._sigma_step) != (ext._dot, ext._sigma_step)
 
 
 @pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)

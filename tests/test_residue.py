@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cycord import residue
-from cycord.base_rings import RATIONAL, ResidueTable
+from cycord.base_rings import RATIONAL, ResidueTable, is_prime_element
 from cycord.errors import (
     DivisionByZero,
     RamifiedPrime,
@@ -18,7 +18,7 @@ from cycord.errors import (
     UnsupportedCase,
 )
 from cycord.extension import IdealSpec
-from cycord.order import load_algebra
+from cycord.order import SHIPPED_ALGEBRAS, load_algebra
 from cycord.residue import (
     CompositeIdeal,
     FiniteField,
@@ -167,6 +167,62 @@ def test_residue_dot_is_sum_of_products(product_quotients, name, data):
     assert S.dot(pairs) == expect
 
 
+def _prime_powers(base, bound=25):
+    """q^s for one prime q per associate class, each power of norm at most bound."""
+    r = range(-bound, bound + 1)
+    keys = {min((u * x).key for u in base.units())
+            for x in (base.element(a, b) for a in r for b in ((0,) if base == RATIONAL else r))
+            if not x.is_zero and x.ideal_norm() <= bound and is_prime_element(x)}
+    primes = [base.element(a, b) for a, b in sorted(keys)]
+    return [q ** s for q in primes for s in range(1, bound)
+            if q.ideal_norm() ** s <= bound]
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+def test_residue_kernels_match_code_loop(shipped, objloop, name):
+    """The compiled code kernels against the code loops they replaced, mod
+    every prime and prime power of norm at most 25: dot over 0-5 drawn pairs,
+    with a zero factor and a pair cancelling its negation among them, and
+    sigma at every power 0..n."""
+    ext = shipped[name].ext
+    for m in _prime_powers(ext.base):
+        S = residue_ring(ext, m)
+        rng = random.Random(f"{name} {m}")
+
+        def draw():
+            return S.element([rng.randrange(S.table.size) for _ in range(S.n)])
+
+        for count in range(6):
+            for _ in range(3):
+                pairs = [(draw(), draw()) for _ in range(count)]
+                if count > 1:
+                    a, b = pairs[0]
+                    pairs[rng.randrange(1, count)] = rng.choice([(-a, b), (a, -b)])
+                if count:
+                    a, b = pairs[-1]
+                    pairs[-1] = rng.choice([(S.zero, b), (a, S.zero)])
+                rng.shuffle(pairs)
+                assert S.dot(iter(pairs)).codes == objloop.residue_dot(S, pairs), (m, pairs)
+        for _ in range(4):
+            x = draw()
+            for power in range(S.n + 1):
+                assert S.sigma(x, power).codes == objloop.residue_sigma(S, x.codes, power), m
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+def test_from_base_is_the_scaled_one(shipped, name):
+    algebra = shipped[name]
+    base = algebra.ext.base
+    rng = random.Random(name)
+    scalars = [algebra.u, base.zero, base.one] + [
+        base.element(rng.randint(-40, 40), 0 if base == RATIONAL else rng.randint(-40, 40))
+        for _ in range(6)]
+    for m in _prime_powers(base):
+        S = residue_ring(algebra.ext, m)
+        for c in scalars:
+            assert S.from_base(c) == S.one * c, (m, c)
+
+
 def test_quotient_canonical_section(q_gold):
     for q in q_gold.elements():
         lifted = q_gold.lift(q)
@@ -289,7 +345,7 @@ def test_trace_form_discriminant(golden, gauss):
     ],
 )
 def test_factor_prime(algebra_name, alpha, g, f):
-    from cycord.order import load_algebra
+    from cycord.order import SHIPPED_ALGEBRAS, load_algebra
 
     ext = load_algebra(algebra_name).ext
     sp = factor_prime(ext, ext.base.element(*alpha))

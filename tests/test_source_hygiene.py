@@ -2,16 +2,19 @@
 
 No linter ships with the project, so two of a linter's checks live here:
 every imported name is used by its module, and every module-level private
-function or class is used somewhere in the package.  A third check keeps
-equality in one place: parent objects compare through `Keyed`, elements
-through `RingElement`.  A fourth finds stored state that nothing reads.
-A fifth keeps code generation in the one kernel builder, and a sixth keeps
-euclidean division behind the residue tables.
+function or class is used somewhere in the package.  Both resolve names by
+scope, so a parameter or local that shares a name uses neither.  A third
+check keeps equality in one place: parent objects compare through `Keyed`,
+elements through `RingElement`.  A fourth finds stored state that nothing
+reads.  A fifth keeps code generation in the one kernel builder, and a
+sixth keeps euclidean division behind the residue tables.
 """
 
 import ast
-from collections import Counter
+import symtable
 from pathlib import Path
+
+import pytest
 
 import cycord
 
@@ -24,19 +27,48 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _references(node, attributes=False) -> Counter:
-    """Names read under `node`: bare names, the names inside string
-    annotations and, with `attributes`, attribute names."""
-    found = Counter()
-    for sub in ast.walk(node):
+def _annotation_names(note) -> set:
+    """Names read by an annotation, the names inside its strings included."""
+    names = set()
+    for sub in ast.walk(note) if note else ():
         if isinstance(sub, ast.Name):
-            found[sub.id] += 1
-        elif attributes and isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-        for note in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
-            if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                found.update(_references(ast.parse(note.value, mode="eval")))
-    return found
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def _module_reads(source, attributes=False) -> set:
+    """(name, owner) for each read of a module-level name in `source`.
+
+    Names resolve by scope (`symtable`): a read at module level, or a read
+    of a global in a function, class or comprehension.  A parameter or local
+    is a symbol of its own scope, so reading it reads no module-level name
+    of the same spelling.  `owner` is the top-level definition that holds
+    the read, None at module level.  The names inside annotations come from
+    the syntax tree, as `symtable` skips annotations under `from __future__
+    import annotations`; with `attributes`, so do attribute names, through
+    which another module reaches a private name of its module.
+    """
+    top = symtable.symtable(source, "<module>", "exec")
+    reads = {(s.get_name(), None) for s in top.get_symbols() if s.is_referenced()}
+
+    def walk(scope, owner):
+        reads.update((s.get_name(), owner) for s in scope.get_symbols()
+                     if s.is_global() and s.is_referenced())
+        for child in scope.get_children():
+            walk(child, owner)
+
+    for child in top.get_children():
+        walk(child, child.get_name())
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for sub in ast.walk(stmt):
+            for note in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+                reads.update((name, owner) for name in _annotation_names(note))
+            if attributes and isinstance(sub, ast.Attribute):
+                reads.add((sub.attr, owner))
+    return reads
 
 
 def _imported_names(tree):
@@ -48,33 +80,64 @@ def _imported_names(tree):
                 yield (alias.asname or alias.name).split(".")[0]
 
 
+def _unused_imports(source) -> list:
+    read = {name for name, _ in _module_reads(source)}
+    return [name for name in _imported_names(ast.parse(source)) if name not in read]
+
+
+def _unused_private_definitions(sources: dict) -> list:
+    """`module: name` for each module-level private function or class that
+    no code reads outside its own definition."""
+    reads = set().union(*(_module_reads(source, True) for source in sources.values()))
+    return [f"{module}: {node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(name == node.name and owner != node.name for name, owner in reads)]
+
+
 def test_modules_are_found():
     assert {p.stem for p in MODULES} >= {"base_rings", "residue", "structure", "cli"}
 
 
 def test_every_imported_name_is_used():
-    unused = []
-    for path in MODULES:
-        tree = _tree(path)
-        used = _references(tree)
-        unused += [f"{path.name}: {name}" for name in _imported_names(tree)
-                   if not used[name]]
+    unused = [f"{path.name}: {name}" for path in MODULES
+              for name in _unused_imports(path.read_text())]
     assert unused == []
 
 
 def test_every_private_definition_is_used():
-    trees = {path.name: _tree(path) for path in MODULES}
-    # another module may reach a private name as an attribute of its module
-    used = sum((_references(tree, True) for tree in trees.values()), Counter())
-    unused = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                # a definition's references to itself do not count
-                if used[node.name] == _references(node, True)[node.name]:
-                    unused.append(f"{name}: {node.name}")
-    assert unused == []
+    assert _unused_private_definitions({path.name: path.read_text() for path in MODULES}) == []
+
+
+FUTURE = "from __future__ import annotations\n"
+
+
+@pytest.mark.parametrize("source, unused", [
+    # a parameter or a local of the import's name is no use of the import
+    ("from math import pow\ndef f(x, pow=2):\n    return x ** pow\n", ["pow"]),
+    ("from math import pow\ndef f(x):\n    pow = 2\n    return [x ** pow]\n", ["pow"]),
+    # reads in a nested function, a class body, a comprehension and annotations
+    ("from math import pow\ndef f(x):\n    def g():\n        return pow(x, 2)\n    return g\n", []),
+    ("from math import pow\nclass C:\n    square = staticmethod(pow)\n", []),
+    ("from math import pow\nsquares = [pow(x, 2) for x in range(3)]\n", []),
+    (FUTURE + "from typing import Any\ndef f(x: Any) -> 'list[Any]':\n    return [x]\n", []),
+])
+def test_import_check_resolves_names_by_scope(source, unused):
+    assert _unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("source, unused", [
+    # the only reference is a same-named local or parameter, or the definition itself
+    ("def _helper():\n    return 1\ndef f():\n    _helper = 2\n    return _helper\n",
+     ["m.py: _helper"]),
+    ("def _helper():\n    return 1\ndef f(_helper):\n    return _helper\n", ["m.py: _helper"]),
+    ("def _helper(n):\n    return _helper(n - 1) if n else 0\n", ["m.py: _helper"]),
+    ("def _helper():\n    return 1\ndef f():\n    return _helper()\n", []),
+    (FUTURE + "class _Row:\n    pass\ndef f(x: '_Row'):\n    return x\n", []),
+])
+def test_private_definition_check_resolves_names_by_scope(source, unused):
+    assert _unused_private_definitions({"m.py": source}) == unused
 
 
 # `ExtensionSpec` keeps a hash computed once, since every cached factory hashes it
