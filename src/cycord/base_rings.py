@@ -492,7 +492,9 @@ class ResidueTable(Keyed):
     arithmetic moves x into the box [0, d0) x [0, d1), and `_box` holds the
     code of each box point.  The table divides once per residue, for the
     canonical representative of each box point; every other entry, and
-    every `encode`, is that box lookup.  Tables compare by value, on
+    every `encode`, is that box lookup.  When the characteristic d0 is
+    prime, the box coordinates are also F_p coordinates of the additive
+    group (`residue.fp_table_digits`).  Tables compare by value, on
     (base, modulus).
     """
 

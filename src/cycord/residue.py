@@ -19,13 +19,15 @@ This layer turns the exact objects of `order` into finite rings:
   structural classification and is deliberately naive.
 * `FpView` linearizes a finite ring of prime characteristic over F_p, and
   serves quotient rings and the matrix rings of `structure` alike; a ring
-  keeps one (`FpView.of`).  Its bulk kernels (products of digit batches, the
-  encodings of a subspace) work in bounded row blocks, each product mod p an
-  exact float BLAS product (`matmul_mod_p`) that returns digits of the
-  narrowest dtype holding p - 1; every base-p digit row comes from
-  `order.digit_rows`.  One mod-p row reduction, `rref_mod_p`, reduces whole
-  stacks of matrices at once in a narrow signed dtype; it backs the ideal
-  spans (`ideal_elements`) and the rank, kernel and inverse helpers.
+  keeps one (`FpView.of`).  The F_p digits of a residue-table code are its
+  coordinates in the table's Hermite box (`fp_table_digits`).  The bulk
+  kernels (products of digit batches, the encodings of a subspace) work in
+  bounded row blocks, each product mod p an exact float BLAS product
+  (`matmul_mod_p`) that returns digits of the narrowest dtype holding
+  p - 1; every base-p digit row comes from `order.digit_rows`.  One mod-p
+  row reduction, `rref_mod_p`, reduces whole stacks of matrices at once in
+  a narrow signed dtype; it backs the ideal spans (`ideal_elements`) and
+  the rank, kernel and inverse helpers.
 * `quotient_ideal` builds every entry of an ideal lattice; an entry finds its
   size (from the rank) and its element set only when asked.  The
   `skew_poly_ideal_chain` of an inert nilpotent-u quotient is one such list.
@@ -591,43 +593,30 @@ def skew_poly_ideal_chain(Q: QuotientRing) -> list[QuotientIdeal]:
 # -- F_p linearization -------------------------------------------------------------
 
 
-@functools.cache
 def fp_table_digits(table: ResidueTable):
-    """F_p coordinates for the additive group of a residue table.
+    """F_p coordinates of a residue table's additive group: its Hermite box.
 
-    Returns (p, k, digit_of, code_of) where digit_of[i] is the length-k digit
-    tuple of table index i and code_of inverts it.  Requires the ring
-    characteristic to be prime (then the additive group is an F_p space).
+    Returns (p, k, digits, codes): digits[x] is the length-k digit tuple of
+    table code x, and codes (the table's `_box`) inverts it on base-p
+    integers, codes[radix_encode(digits[x], p)] == x.  Needs the
+    characteristic p = d0 prime.  Then (0, p) lies in (m), so d1 is 1 or p,
+    and if d1 = p then c = 0 mod p: box coordinates add coordinatewise mod p.
     """
     p = table.char
     if not _is_prime_int(p):
         raise UnsupportedCase(
             f"characteristic {p} is not prime; no F_p structure available"
         )
-    digit_of = {table.zero: ()}
-    basis = []
-    for cand in range(table.size):
-        if cand in digit_of:
-            continue
-        basis.append(cand)
-        for code, dv in list(digit_of.items()):
-            digit_of[code] = dv + (0,)
-        acc = table.zero
-        snapshot = list(digit_of.items())
-        for m in range(1, p):
-            acc = table.add[acc][cand]
-            for code, dv in snapshot:
-                target = table.add[code][acc]
-                if target not in digit_of:
-                    digit_of[target] = dv[:-1] + (m,)
-    k = len(basis)
-    if not len(digit_of) == table.size == p ** k:
+    _, c, d1 = table._hermite
+    k = 1 if d1 == 1 else 2
+    if not (table.size == p ** k and (d1 == 1 or c % p == 0)):
         raise VerificationFailed(
             f"additive group of {table.size} elements is not F_{p}^{k}"
         )
-    digits = [digit_of[i] for i in range(table.size)]
-    code_of = {dv: i for i, dv in enumerate(digits)}
-    return p, k, digits, code_of
+    digits = [()] * table.size
+    for i, code in enumerate(table._box):
+        digits[code] = tuple(radix_decode(i, p, k))
+    return p, k, digits, table._box
 
 
 def exact_float(bound: int):
@@ -671,12 +660,11 @@ class FpView:
     `FpView.of(ring)` is the view a ring keeps: one structure tensor a ring.
     """
 
-    __slots__ = ("ring", "p", "k", "dim", "_digits", "_code_of", "_tensor",
-                 "_float_tensor")
+    __slots__ = ("ring", "p", "k", "dim", "_digits", "_codes", "_tensor", "_float_tensor")
 
     def __init__(self, ring):
         self.ring = ring
-        self.p, self.k, self._digits, self._code_of = fp_table_digits(ring.table)
+        self.p, self.k, self._digits, self._codes = fp_table_digits(ring.table)
         self.dim = len(ring.flat_codes(ring.zero)) * self.k
         self._tensor = None
         self._float_tensor = None
@@ -694,10 +682,10 @@ class FpView:
         return tuple(out)
 
     def element(self, digs):
-        digs = tuple(int(d) % self.p for d in digs)
-        k = self.k
+        p, k = self.p, self.k
+        digs = [int(d) % p for d in digs]
         return self.ring.from_flat_codes(
-            [self._code_of[digs[pos:pos + k]] for pos in range(0, self.dim, k)]
+            [self._codes[radix_encode(digs[pos:pos + k], p)] for pos in range(0, self.dim, k)]
         )
 
     def basis_elements(self) -> list:
@@ -745,17 +733,16 @@ class FpView:
         """Element encodings of the span of independent digit rows (small spaces only).
 
         Member i of the span has coefficient digits i in base p (`digit_rows`).
-        Each k-digit slot maps to its table code through one p^k lookup array,
-        and slot j weighs table.size**j, which is `encode` in `flat_codes`
-        order.  An empty set of rows spans the zero element, whose table code
-        need not be 0.
+        Each k-digit slot, read as a base-p integer, indexes the table codes
+        of `fp_table_digits`, and slot j weighs table.size**j, which is
+        `encode` in `flat_codes` order.  An empty set of rows spans the zero
+        element, whose table code need not be 0.
         """
         p, k, d, r = self.p, self.k, self.dim, len(rows)
         size, slots = self.ring.table.size, d // k
         rows = np.asarray(rows, dtype=np.int64).reshape(r, d)
         place = p ** np.arange(k, dtype=np.int64)
-        code_at = np.empty(p ** k, dtype=np.int64)
-        code_at[np.array(self._digits, dtype=np.int64) @ place] = np.arange(size)
+        code_at = np.array(self._codes, dtype=np.int64)
         # encodings exceed int64 only for rings of 2**63 elements or more
         weights = np.array([size ** j for j in range(slots)],
                            dtype=np.int64 if size ** slots < 1 << 63 else object)
@@ -924,14 +911,14 @@ def _poly_irreducible_p(coeffs, p) -> bool:
 class FiniteField(Keyed):
     """F_{p^m} as F_p[t]/(modulus); elements encode as base-p integers.
 
-    The default modulus is the lexicographically smallest monic irreducible
-    of degree m (coefficients compared low degree first), so fields are
+    The modulus is the lexicographically smallest monic irreducible of
+    degree m (coefficients compared low degree first), so fields are
     reproducible across runs.
     """
 
     __slots__ = ("p", "m", "size", "modulus", "_gen")
 
-    def __init__(self, p: int, m: int, modulus=None):
+    def __init__(self, p: int, m: int):
         if m < 1:
             raise ValueError("extension degree must be positive")
         # size first, as a prime test of a huge p is slow; p >= 2 bounds m unbuilt
@@ -942,18 +929,13 @@ class FiniteField(Keyed):
         self.p = p
         self.m = m
         self.size = p ** m
-        if modulus is None:
-            for tail in itertools.product(range(p), repeat=m):
-                # candidate coefficients, low degree first, monic
-                cand = list(tail) + [1]
-                if _poly_irreducible_p(cand, p):
-                    modulus = tuple(cand)
-                    break
-            else:  # pragma: no cover
-                raise ValueError("no irreducible polynomial found")
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
+        for tail in itertools.product(range(p), repeat=m):
+            # candidate coefficients, low degree first, monic
+            if _poly_irreducible_p(list(tail) + [1], p):
+                self.modulus = tail + (1,)
+                break
+        else:  # pragma: no cover
+            raise ValueError("no irreducible polynomial found")
         self._gen = None
 
     key = property(attrgetter("p", "modulus"))

@@ -50,7 +50,7 @@ CASES = {
     ResidueRing: (lambda: ResidueRing(_ext(), GAUSSIAN.element(3)),
                   lambda: ResidueRing(_ext(), GAUSSIAN.element(1, 1))),
     QuotientRing: (lambda: _quotient("3"), lambda: _quotient("1+i")),
-    FiniteField: (lambda: FiniteField(3, 2), lambda: FiniteField(3, 2, modulus=(2, 1, 1))),
+    FiniteField: (lambda: FiniteField(3, 2), lambda: FiniteField(3, 1)),
     MatRing: (lambda: MatRing(_table(), 2), lambda: MatRing(_table(), 3)),
 }
 

@@ -5,6 +5,7 @@ Hermite box; the reference here builds each table with one
 `euclidean_divmod` per entry.
 """
 
+import itertools
 from math import isqrt
 
 import pytest
@@ -18,8 +19,13 @@ from cycord.base_rings import (
     RATIONAL,
     ResidueTable,
     euclidean_divmod,
+    radix_encode,
     residue_table,
 )
+from cycord.errors import UnsupportedCase, VerificationFailed
+from cycord.extension import IdealSpec
+from cycord.residue import FpView, fp_table_digits
+from cycord.structure import identify_quotient
 
 RINGS = [RATIONAL, GAUSSIAN, EISENSTEIN]
 
@@ -120,3 +126,54 @@ def test_a_wrong_code_map_still_builds_a_table(monkeypatch):
     assert (t.zero, t.one) != (ref["zero"], ref["one"])
     assert t.add != ref["add"]
     assert t.char == ref["char"] == 6
+
+
+def test_box_digits_are_f_p_coordinates():
+    # in prime characteristic p the box coordinates of a code are its F_p
+    # digits: a bijection onto F_p^k that adds like the table
+    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+    checked = {1: 0, 2: 0}
+    for ring, m in MODULI:
+        t = residue_table(ring, m)
+        if t.char not in primes:
+            with pytest.raises(UnsupportedCase):
+                fp_table_digits(t)
+            continue
+        p, k, digits, codes = fp_table_digits(t)
+        assert p == t.char and t.size == p ** k, (ring, m)
+        assert sorted(digits) == list(itertools.product(range(p), repeat=k))
+        assert digits[t.zero] == (0,) * k
+        assert [codes[radix_encode(digits[x], p)] for x in range(t.size)] == list(range(t.size))
+        for a, row in enumerate(t.add):
+            for b, total in enumerate(row):
+                assert digits[total] == tuple((u + v) % p for u, v in zip(digits[a], digits[b]))
+        checked[k] += 1
+    # k = 1: the primes of norm p in Z, Z[i] and Z[w]; k = 2: (p) for p = 2, 3, 5, 7 in Z[i], Z[w]
+    assert checked == {1: 15 + 13 + 13, 2: 4 + 4}
+
+
+def test_a_box_that_is_no_f_p_basis_is_refused(monkeypatch):
+    # Z[i]/(2) has the box (2, 0, 2); with c odd the box coordinates would
+    # not add mod 2, so the table's digits are refused
+    hermite = base_rings._hermite_basis
+
+    def odd_c(m):
+        d0, c, d1 = hermite(m)
+        return d0, c + 1, d1
+
+    monkeypatch.setattr(base_rings, "_hermite_basis", odd_c)
+    with pytest.raises(VerificationFailed, match=r"4 elements is not F_2\^2"):
+        fp_table_digits(ResidueTable(GAUSSIAN, GAUSSIAN.element(2)))
+
+
+def test_fp_view_round_trip_on_every_element(golden):
+    # golden mod (1+i)^2 and its matrix target M_2(Z[i]/(2)), where k = 2
+    cert = identify_quotient(golden, IdealSpec(GAUSSIAN.parse("1+i"), 2)).certificate
+    for ring in (cert.source, cert.target):
+        view, count = FpView(ring), len(ring.flat_codes(ring.zero))
+        assert view.k == 2
+        flats = list(itertools.product(range(ring.table.size), repeat=count))
+        assert len(flats) == 256
+        for flat in flats:
+            x = ring.from_flat_codes(flat)
+            assert view.element(view.digits(x)) == x

@@ -6,8 +6,10 @@ function or class is used somewhere in the package.  Both resolve names by
 scope, so a parameter or local that shares a name uses neither.  A third
 check keeps equality in one place: parent objects compare through `Keyed`,
 elements through `RingElement`.  A fourth finds stored state that nothing
-reads.  A fifth keeps code generation in the one kernel builder, and a
-sixth keeps euclidean division behind the residue tables.
+reads.  A fifth keeps code generation in the one kernel builder, a sixth
+keeps euclidean division behind the residue tables, and a seventh keeps
+the layout of a table's Hermite box known to `ResidueTable` and
+`residue.fp_table_digits` alone.
 """
 
 import ast
@@ -220,3 +222,35 @@ def test_euclidean_division_stays_behind_the_residue_tables():
                     callers.add((path.name, getattr(stmt, "name", None)))
     assert callers == {("base_rings.py", "divides"), ("base_rings.py", "xgcd"),
                        ("base_rings.py", "ResidueTable")}
+
+
+# a residue table's Hermite box (d0, c, d1) and the code of each box point
+BOX_LAYOUT = {"_box", "_hermite"}
+
+
+def _box_layout_users(sources: dict) -> set:
+    """(module, top-level definition) for each attribute access to, or
+    string naming, a `BOX_LAYOUT` field in `sources`."""
+    return {(module, getattr(stmt, "name", None))
+            for module, source in sources.items() for stmt in ast.parse(source).body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Attribute) and sub.attr in BOX_LAYOUT
+            or isinstance(sub, ast.Constant) and sub.value in BOX_LAYOUT}
+
+
+def test_the_hermite_box_layout_is_known_to_two_places():
+    """The table builds and reads its box; `fp_table_digits` reads the F_p
+    coordinates off it.  Every other reader goes through `encode`, `_code`
+    or the F_p view."""
+    assert _box_layout_users({path.name: path.read_text() for path in MODULES}) == {
+        ("base_rings.py", "ResidueTable"), ("residue.py", "fp_table_digits")}
+
+
+@pytest.mark.parametrize("source, users", [
+    ("def f(t):\n    return t._box[0]\n", {("m.py", "f")}),
+    ("class C:\n    def g(self, t):\n        d0, c, d1 = t._hermite\n", {("m.py", "C")}),
+    ("def f(t):\n    return getattr(t, '_box')\n", {("m.py", "f")}),
+    ("def f(t):\n    return t.box, t._code(0, 0)\n", set()),
+])
+def test_box_layout_check_sees_every_user(source, users):
+    assert _box_layout_users({"m.py": source}) == users

@@ -385,8 +385,8 @@ def test_corrupted_certificate_fails_with_counterexample(golden):
 # skipped so that the bulk product check is the one that fails
 SHIFTED_Z_PAIRS = {
     (1, VerifyMode.SAMPLED): (8, 12),
-    (2, VerifyMode.EXHAUSTIVE): (207, 247),  # all pairs; index 4104, second block
-    (2, VerifyMode.SAMPLED): (169, 72),
+    (2, VerifyMode.EXHAUSTIVE): (223, 247),  # all pairs; index 4100, second block
+    (2, VerifyMode.SAMPLED): (2, 145),
 }
 
 
@@ -421,7 +421,7 @@ def shared_image_pair(golden, monkeypatch):
 
 
 def test_image_check_reports_first_shared_image(golden, monkeypatch):
-    assert shared_image_pair(golden, monkeypatch) == (255, 207)
+    assert shared_image_pair(golden, monkeypatch) == (255, 223)
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +438,7 @@ def test_checks_do_not_depend_on_the_row_block(golden, q15_certificate, monkeypa
     assert (report.pairs_checked, report.elements_enumerated) == (100_000, 65_536)
     for (s, mode), pair in SHIFTED_Z_PAIRS.items():
         assert shifted_z_pair(golden, monkeypatch, s, mode) == pair
-    assert shared_image_pair(golden, monkeypatch) == (255, 207)
+    assert shared_image_pair(golden, monkeypatch) == (255, 223)
 
 
 def test_exhaustive_verify_holds_no_full_size_image_rows(q15_certificate):
