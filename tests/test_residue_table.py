@@ -148,7 +148,7 @@ def test_box_digits_are_f_p_coordinates():
             for b, total in enumerate(row):
                 assert digits[total] == tuple((u + v) % p for u, v in zip(digits[a], digits[b]))
         checked[k] += 1
-    # k = 1: the primes of norm p in Z, Z[i] and Z[w]; k = 2: (p) for p = 2, 3, 5, 7 in Z[i], Z[w]
+    # k = 1: the moduli of prime norm; k = 2: (p) for p = 2, 3, 5, 7 in Z[i] and Z[w]
     assert checked == {1: 15 + 13 + 13, 2: 4 + 4}
 
 
