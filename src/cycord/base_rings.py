@@ -12,11 +12,11 @@ with integer arithmetic.
 
 Each residue ring O_F/(m) is one `ResidueTable`, shared through
 `residue_table`: its modulus, sorted canonical representatives, `reduce`,
-and the lookup tables (inverses included) that let the quotient layers
-above run on small-integer indices instead of object arithmetic.  A residue
-gets its code by floor arithmetic into the Hermite box of (m) and one
-lookup, so a table divides once per residue, for its representatives, and
-`reduce` divides not at all.  This bottom module
+and the arithmetic on codes (`combine`, `inverse`) that lets the quotient
+layers above run on small-integer indices instead of object arithmetic.  A
+residue gets its code by floor arithmetic into the Hermite box of (m) and
+one lookup, so a table divides once per residue, for its representatives,
+and `reduce` divides not at all.  This bottom module
 also holds the package's only copies of six generic mechanisms:
 `Keyed`, the value equality of every ring, table and spec on its `key`;
 `RingElement`, the base of every element class; `power`, the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DivisionByZero,
@@ -485,21 +485,20 @@ class ResidueTable(Keyed):
     """The finite ring O_F/(m) with canonical euclidean representatives.
 
     Elements are integers 0..size-1 indexing `reps`, the canonical
-    representatives sorted by (a, b); addition and multiplication become
-    list lookups, which keeps the quotient layers fast and hashable.  A
-    residue gets its code with no division: on (a, b) coordinates the
-    ideal (m) has the Hermite basis (d0, 0), (c, d1), so integer floor
+    representatives sorted by (a, b), which keeps the quotient layers fast and
+    hashable.  A residue gets its code with no division: on (a, b) coordinates
+    the ideal (m) has the Hermite basis (d0, 0), (c, d1), so integer floor
     arithmetic moves x into the box [0, d0) x [0, d1), and `_box` holds the
     code of each box point.  The table divides once per residue, for the
-    canonical representative of each box point; every other entry, and
-    every `encode`, is that box lookup.  When the characteristic d0 is
-    prime, the box coordinates are also F_p coordinates of the additive
-    group (`residue.fp_table_digits`).  Tables compare by value, on
-    (base, modulus).
+    representative of each box point; every other code, and every `encode`, is
+    that box lookup.  When d0 is prime, the box coordinates are also F_p
+    coordinates of the additive group (`residue.fp_table_digits`).  Codes add
+    and multiply only in `combine`, which builds the size x size sum and
+    product lists on first call.  Tables compare by value, on (base, modulus).
     """
 
-    __slots__ = ("base", "modulus", "reps", "_hermite", "_box", "add", "mul", "neg", "inv",
-                 "zero", "one", "char", "size")
+    __slots__ = ("base", "modulus", "reps", "_hermite", "_box", "zero", "one", "minus_one",
+                 "char", "size", "__dict__")
 
     def __init__(self, base: BaseRing, modulus: BaseElement):
         if modulus.ring != base:
@@ -524,17 +523,36 @@ class ResidueTable(Keyed):
         self.reps = tuple(BaseElement(base, a, b) for a, b in keys)
         codes = {key: i for i, key in enumerate(keys)}
         self._box = [codes[key] for key in box]
-        # sums and products of representatives on int pairs, by the delta rule
-        code, (t0, t1) = self._code, base.delta_square
-        self.add = [[code(a + c, b + d) for c, d in keys] for a, b in keys]
-        self.mul = [[code(a * c + t0 * b * d, a * d + b * c + t1 * b * d) for c, d in keys]
-                    for a, b in keys]
-        self.neg = [code(-a, -b) for a, b in keys]
-        self.zero = code(0, 0)
-        self.one = code(1, 0)
-        self.inv = [row.index(self.one) if self.one in row else None for row in self.mul]
+        self.zero, self.one, self.minus_one = self._code(0, 0), self._code(1, 0), self._code(-1, 0)
         # the lattice points with b = 0 are the multiples of (d0, 0): 1 has additive order d0
         self.char = d0
+
+    @cached_property
+    def _sums(self) -> list[list[int]]:
+        keys, code = [x.key for x in self.reps], self._code
+        return [[code(a + c, b + d) for c, d in keys] for a, b in keys]
+
+    @cached_property
+    def _products(self) -> list[list[int]]:  # by the delta rule
+        keys, code, (t0, t1) = [x.key for x in self.reps], self._code, self.base.delta_square
+        return [[code(a * c + t0 * b * d, a * d + b * c + t1 * b * d) for c, d in keys]
+                for a, b in keys]
+
+    def combine(self, acc, terms) -> tuple[int, ...]:
+        """acc + sum of c * v over the (code c, code vector v) terms, entry by
+        entry; a zero coefficient is skipped."""
+        sums, products, zero = self._sums, self._products, self.zero
+        for c, v in terms:
+            if c != zero:
+                row = products[c]
+                acc = [sums[a][row[b]] for a, b in zip(acc, v)]
+        return tuple(acc)
+
+    def inverse(self, code: int) -> int | None:
+        """The code of x^-1 for the residue x of `code`, None for a non-unit:
+        with s*x + t*m = g, x is a unit when g has norm 1, and x^-1 = s*conj(g)."""
+        g, s, _ = xgcd(self.reps[code], self.modulus)
+        return self.encode(s * g.conjugate()) if g.norm() == 1 else None
 
     key = property(operator.attrgetter("base", "modulus"))
 

@@ -33,8 +33,8 @@ This layer turns the exact objects of `order` into finite rings:
   `skew_poly_ideal_chain` of an inert nilpotent-u quotient is one such list.
 
 Elements of S, like the matrices of `structure`, are `CodeElement`s: tuples of
-residue-table codes, which encode to integers (mixed-radix over the codes), so
-sets of ring elements are cheap and deterministic.
+residue-table codes, added and scaled by `ResidueTable.combine`, which encode to
+integers (mixed-radix), so sets of ring elements are cheap and deterministic.
 """
 
 from __future__ import annotations
@@ -206,12 +206,11 @@ class CodeElement(RingElement):
 
     def __add__(self, other):
         self._check(other)
-        add = self.ring.table.add
-        return type(self)(self.ring, tuple(add[a][b] for a, b in zip(self.codes, other.codes)))
+        table = self.ring.table
+        return type(self)(self.ring, table.combine(self.codes, [(table.one, other.codes)]))
 
     def __neg__(self):
-        neg = self.ring.table.neg
-        return type(self)(self.ring, tuple(neg[a] for a in self.codes))
+        return self.scale(self.ring.table.minus_one)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -227,8 +226,9 @@ class CodeElement(RingElement):
 
     def scale(self, code: int):
         """Code-by-code multiplication by a residue-table scalar."""
-        mul = self.ring.table.mul[code]
-        return type(self)(self.ring, tuple(mul[a] for a in self.codes))
+        table = self.ring.table
+        zero = (table.zero,) * len(self.codes)
+        return type(self)(self.ring, table.combine(zero, [(code, self.codes)]))
 
     def encode(self) -> int:
         return radix_encode(self.codes, self.ring.table.size)
@@ -385,7 +385,7 @@ def _crt_data(ring: QuotientRing):
                 M_i = M_i * gf.modulus
         # the factors are distinct primes, so M_i is a unit mod m_i
         table = comp.table
-        glue.append(M_i * table.reps[table.inv[table.encode(M_i)]])
+        glue.append(M_i * table.decode(table.inverse(table.encode(M_i))))
     # the glue elements form a complete system mod M
     total = sum(glue, base.zero)
     if not divides(M, total - base.one):

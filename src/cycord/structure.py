@@ -153,17 +153,12 @@ class MatElement(CodeElement):
     __slots__ = ()
 
     def _mul(self, other):
-        n = self.ring.n
-        add, mul = self.ring.table.add, self.ring.table.mul
-        a, b = self.codes, other.codes
-        out = []
-        for r in range(0, n * n, n):
-            for c in range(n):
-                acc = self.ring.table.zero
-                for k in range(n):
-                    acc = add[acc][mul[a[r + k]][b[k * n + c]]]
-                out.append(acc)
-        return MatElement(self.ring, tuple(out))
+        """Row r of the product is sum_k a_rk * row_k(other)."""
+        n, table = self.ring.n, self.ring.table
+        a, b, zero = self.codes, other.codes, (table.zero,) * n
+        rows = [b[k:k + n] for k in range(0, n * n, n)]
+        return MatElement(self.ring, sum((table.combine(zero, zip(a[r:r + n], rows))
+                                          for r in range(0, n * n, n)), ()))
 
     def __str__(self):
         dec, n = self.ring.table.decode, self.ring.n
@@ -279,7 +274,7 @@ class IsoCertificate:
     def __post_init__(self):
         terms, zj = [], self.target.one
         for _ in range(self.source.n):
-            terms.append([b * zj for b in self.basis_images])
+            terms.append([(b * zj).codes for b in self.basis_images])
             zj = zj * self.z_image
         self._terms = terms
 
@@ -287,8 +282,8 @@ class IsoCertificate:
         """sum c_ij * (basis_images[i] * z_image^j) over x = sum c_ij b_i z^j.
 
         The products are cached; scalar matrices are central, so scaling a
-        product scales its left factor.  The sum runs on one flat list of
-        entry codes, through the table's `mul` and `add` rows.  The map is
+        product scales its left factor.  The sum runs on the flat entry
+        codes, one `ResidueTable.combine` per power of z.  The map is
         F_p-linear: the c_ij in O_F/(alpha^s) are additive in x, scaling
         distributes over sums, and F_p is the prime subring of O_F/(alpha^s).
         So the images of an F_p basis fix it, which `verify_isomorphism`
@@ -296,14 +291,10 @@ class IsoCertificate:
         """
         if x.ring != self.source:
             raise IncompatibleAlgebras("element is not in the certificate's source")
-        zero, table = self.source.S.table.zero, self.target.table
-        add, acc = table.add, self.target.zero.codes
+        table, acc = self.target.table, self.target.zero.codes
         for terms, s in zip(self._terms, x.zcoords):
-            for term, code in zip(terms, s.codes):
-                if code != zero:
-                    mul = table.mul[code]
-                    acc = [add[a][mul[b]] for a, b in zip(acc, term.codes)]
-        return MatElement(self.target, tuple(acc))
+            acc = table.combine(acc, zip(s.codes, terms))
+        return MatElement(self.target, acc)
 
     def linearization(self) -> tuple[FpView, FpView, np.ndarray]:
         """(source view, target view, Phi): the F_p matrix of `forward`, whose
@@ -339,12 +330,13 @@ def build_matrix_iso_s1(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertificat
     table = S.table
     n = Q.n
     ucode = table.encode(algebra.u)
-    if table.inv[ucode] is None:
+    uinv = table.inverse(ucode)
+    if uinv is None:
         raise WrongCase("u is not a unit modulo the prime")
     split = factor_prime(algebra.ext, ideal.alpha)
     v1 = split.idempotents[0]
     comp = ComponentField(S, v1, split.f, split.g)
-    target = v1 * table.decode(table.inv[ucode])
+    target = v1 * table.decode(uinv)
     k = solve_norm_equation(comp, target)
     rest = S.one - v1
     w = k + rest
@@ -479,15 +471,14 @@ def lift_matrix_iso_power(algebra: AlgebraSpec, ideal: IdealSpec) -> IsoCertific
     e00 = units[0][0]
     flat00 = Qs.flat_codes(e00)
     pos = next(
-        (idx for idx, c in enumerate(flat00) if table.inv[c] is not None), None
+        (idx for idx, c in enumerate(flat00) if table.inverse(c) is not None), None
     )
     if pos is None:
         raise LiftDivergence("corner idempotent has no unit coordinate")
-    inv0 = table.inv[flat00[pos]]
+    inv0 = table.inverse(flat00[pos])
 
     def extract(c: GcaElement) -> int:
-        ccode = Qs.flat_codes(c)[pos]
-        r = table.mul[ccode][inv0]
+        r, = table.combine((table.zero,), [(inv0, (Qs.flat_codes(c)[pos],))])
         if c != e00 * table.decode(r):
             raise VerificationFailed("corner element is not a scalar multiple of e11")
         return r

@@ -163,12 +163,12 @@ def _ref_residue_dot(S, pairs):
             if xi == t.zero:
                 continue
             for j, yj in ys:
-                scale = t.mul[xi][yj]
+                scale = t._products[xi][yj]
                 if scale == t.zero:
                     continue
                 for r, c in enumerate(row[j]):
                     if c != t.zero:
-                        out[r] = t.add[out[r]][t.mul[scale][c]]
+                        out[r] = t._sums[out[r]][t._products[scale][c]]
     return tuple(out)
 
 
@@ -184,18 +184,61 @@ def _ref_residue_sigma(S, codes, power):
                 continue
             for r in range(n):
                 if col[r] != t.zero:
-                    out[r] = t.add[out[r]][t.mul[xj][col[r]]]
+                    out[r] = t._sums[out[r]][t._products[xj][col[r]]]
         codes = tuple(out)
     return codes
+
+
+def _ref_code_matmul(t, n, a, b):
+    """The product of two n x n matrices of table codes, row-major, as the
+    triple loop of sum and product lookups that `MatElement` ran."""
+    out = []
+    for r in range(0, n * n, n):
+        for c in range(n):
+            acc = t.zero
+            for k in range(n):
+                acc = t._sums[acc][t._products[a[r + k]][b[k * n + c]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _ref_forward(cert, x):
+    """`IsoCertificate.forward` as the loop over every (coefficient, term)
+    pair, the terms b_i z^j multiplied by the triple loop."""
+    zero, t, n = cert.source.S.table.zero, cert.target.table, cert.target.n
+    acc, zj = list(cert.target.zero.codes), cert.target.one.codes
+    for s in x.zcoords:
+        for b, code in zip(cert.basis_images, s.codes):
+            if code != zero:
+                mul = t._products[code]
+                term = _ref_code_matmul(t, n, b.codes, zj)
+                acc = [t._sums[a][mul[c]] for a, c in zip(acc, term)]
+        zj = _ref_code_matmul(t, n, zj, cert.z_image.codes)
+    return tuple(acc)
+
+
+def _ref_neg(t):
+    """The negation list a table stored: the code of -x per representative x."""
+    return [t.encode(-x) for x in t.reps]
+
+
+def _ref_inv(t):
+    """The inverse list a table stored: per code, the column of 1 in its
+    product row, None for a non-unit."""
+    return [row.index(t.one) if t.one in row else None for row in t._products]
 
 
 @pytest.fixture(scope="session")
 def objloop():
     """O_K arithmetic by BaseElement object loops, on coordinate tuples, the
     residue-ring products and sigma by code loops over the residue tables,
-    and object-level references for the base-ring divmod and twisted products."""
+    the matrix products, certificate map, negations and inverses of the
+    tables by their former loops and lists, and object-level references for
+    the base-ring divmod and twisted products."""
     return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
                                  matmul=_ref_matmul, matrix=_ref_matrix,
                                  reduced_det=_ref_reduced_det,
                                  residue_dot=_ref_residue_dot, residue_sigma=_ref_residue_sigma,
+                                 code_matmul=_ref_code_matmul, forward=_ref_forward,
+                                 neg=_ref_neg, inv=_ref_inv,
                                  divmod=_ref_divmod, twisted_mul=_ref_twisted_mul)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycord.cli as cli
-from cycord.base_rings import GAUSSIAN
+from cycord.base_rings import GAUSSIAN, ResidueTable, residue_table
 from cycord.errors import VerificationFailed
 from cycord.order import SHIPPED_ALGEBRAS, load_algebra
 from cycord.residue import quotient_of
@@ -116,6 +116,26 @@ def test_reduce_prime_powers_up_to_1024_residues(capsys, s):
     Q = quotient_of(load_algebra("golden_u_i"), cli.parse_ideal(GAUSSIAN, ideal))
     lift = Q.algebra.from_flat_ints(payload["canonical_lift_coordinates"])
     assert str(Q.reduce(lift)) == payload["residue"]
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_reduce_builds_no_table_arithmetic(capsys, monkeypatch, s):
+    # `combine` is the one reader of a table's sum and product lists, which
+    # it builds on first call; reduce never calls it, up to TABLE_LIMIT.
+    # The tables of s = 11 and 12 serve no other test, so they must hold
+    # neither list afterwards
+    calls = []
+    combine = ResidueTable.combine
+    monkeypatch.setattr(ResidueTable, "combine",
+                        lambda self, acc, terms: calls.append(self) or combine(self, acc, terms))
+    code, _ = run_json(
+        ["reduce", "--algebra", "golden_u_i", "--ideal", f"(1+i)^{s}",
+         "--element", "37+5i, -11; 4-9i, 1000+77i"], capsys)
+    assert code == 0 and calls == []
+    table = residue_table(GAUSSIAN, GAUSSIAN.parse("1+i") ** s)
+    assert table.size == 2 ** s
+    if s > 10:
+        assert not {"_sums", "_products"} & vars(table).keys()
 
 
 def test_reduce_past_the_table_limit_exits_1(capsys):

@@ -6,6 +6,7 @@ Hermite box; the reference here builds each table with one
 """
 
 import itertools
+import random
 from math import isqrt
 
 import pytest
@@ -25,7 +26,7 @@ from cycord.base_rings import (
 from cycord.errors import UnsupportedCase, VerificationFailed
 from cycord.extension import IdealSpec
 from cycord.residue import FpView, fp_table_digits
-from cycord.structure import identify_quotient
+from cycord.structure import MatRing, identify_quotient
 
 RINGS = [RATIONAL, GAUSSIAN, EISENSTEIN]
 
@@ -82,7 +83,44 @@ def test_residue_tables_match_the_per_entry_reference():
         t = ResidueTable(ring, m)
         ref = _reference_table(ring, m)
         assert len(ref["reps"]) == t.size == m.ideal_norm()
-        assert {name: getattr(t, name) for name in ref} == ref, (ring, m)
+        # the sum and product lists are built on first read; negation is the
+        # product row of -1, and inverses come from `inverse`
+        assert {"reps": t.reps, "add": t._sums, "mul": t._products,
+                "neg": t._products[t.minus_one],
+                "inv": [t.inverse(x) for x in range(t.size)],
+                "zero": t.zero, "one": t.one, "char": t.char} == ref, (ring, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_products_match_the_triple_loop(objloop, n):
+    # on every table of MODULI, with zero entries and rows and negated
+    # entries among the drawn matrices, and each B negated as well
+    rng = random.Random(f"matrix products {n}")
+    for ring, m in MODULI:
+        t = residue_table(ring, m)
+        mat, neg = MatRing(t, n), objloop.neg(t)
+        for k in range(4):
+            a, b = ([rng.randrange(t.size) for _ in range(n * n)] for _ in range(2))
+            if k & 1:  # a zero entry of A, a zero row of B
+                a[rng.randrange(n * n)] = t.zero
+                r = rng.randrange(n)
+                b[r * n:(r + 1) * n] = [t.zero] * n
+            if k & 2:  # the last entry of A negates its first
+                a[-1] = neg[a[0]]
+            A, B = mat.from_flat_codes(a), mat.from_flat_codes(b)
+            assert (A * B).codes == objloop.code_matmul(t, n, a, b), (ring, m)
+            assert (-B).codes == tuple(neg[c] for c in b), (ring, m)
+            assert (A * -B).codes == objloop.code_matmul(t, n, a, [neg[c] for c in b])
+
+
+def test_inverse_matches_the_product_rows(objloop):
+    found = set()
+    for ring, m in MODULI:
+        t = residue_table(ring, m)
+        inverses = [t.inverse(x) for x in range(t.size)]
+        assert inverses == objloop.inv(t), (ring, m)
+        found.update(x is None for x in inverses)
+    assert found == {True, False}  # units and non-units both met
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -124,7 +162,7 @@ def test_a_wrong_code_map_still_builds_a_table(monkeypatch):
     m = RATIONAL.element(6)
     t, ref = ResidueTable(RATIONAL, m), _reference_table(RATIONAL, m)
     assert (t.zero, t.one) != (ref["zero"], ref["one"])
-    assert t.add != ref["add"]
+    assert t._sums != ref["add"]  # the first read builds the list, through the shifted codes
     assert t.char == ref["char"] == 6
 
 
@@ -144,7 +182,7 @@ def test_box_digits_are_f_p_coordinates():
         assert sorted(digits) == list(itertools.product(range(p), repeat=k))
         assert digits[t.zero] == (0,) * k
         assert [codes[radix_encode(digits[x], p)] for x in range(t.size)] == list(range(t.size))
-        for a, row in enumerate(t.add):
+        for a, row in enumerate(t._sums):
             for b, total in enumerate(row):
                 assert digits[total] == tuple((u + v) % p for u, v in zip(digits[a], digits[b]))
         checked[k] += 1

@@ -9,7 +9,8 @@ elements through `RingElement`.  A fourth finds stored state that nothing
 reads.  A fifth keeps code generation in the one kernel builder, a sixth
 keeps euclidean division behind the residue tables, and a seventh keeps
 the layout of a table's Hermite box known to `ResidueTable` and
-`residue.fp_table_digits` alone.
+`residue.fp_table_digits` alone, and its sum and product lists to
+`ResidueTable` alone.
 """
 
 import ast
@@ -226,24 +227,29 @@ def test_euclidean_division_stays_behind_the_residue_tables():
 
 # a residue table's Hermite box (d0, c, d1) and the code of each box point
 BOX_LAYOUT = {"_box", "_hermite"}
+# a residue table's size x size lists of the codes of sums and products
+TABLE_LISTS = {"_sums", "_products"}
 
 
-def _box_layout_users(sources: dict) -> set:
+def _layout_users(sources: dict, names=BOX_LAYOUT) -> set:
     """(module, top-level definition) for each attribute access to, or
-    string naming, a `BOX_LAYOUT` field in `sources`."""
+    string naming, one of `names` in `sources`."""
     return {(module, getattr(stmt, "name", None))
             for module, source in sources.items() for stmt in ast.parse(source).body
             for sub in ast.walk(stmt)
-            if isinstance(sub, ast.Attribute) and sub.attr in BOX_LAYOUT
-            or isinstance(sub, ast.Constant) and sub.value in BOX_LAYOUT}
+            if isinstance(sub, ast.Attribute) and sub.attr in names
+            or isinstance(sub, ast.Constant) and sub.value in names}
 
 
 def test_the_hermite_box_layout_is_known_to_two_places():
     """The table builds and reads its box; `fp_table_digits` reads the F_p
     coordinates off it.  Every other reader goes through `encode`, `_code`
-    or the F_p view."""
-    assert _box_layout_users({path.name: path.read_text() for path in MODULES}) == {
+    or the F_p view.  The sum and product lists are known to the table
+    alone: everything else computes on codes through `combine`."""
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _layout_users(sources) == {
         ("base_rings.py", "ResidueTable"), ("residue.py", "fp_table_digits")}
+    assert _layout_users(sources, TABLE_LISTS) == {("base_rings.py", "ResidueTable")}
 
 
 @pytest.mark.parametrize("source, users", [
@@ -253,4 +259,15 @@ def test_the_hermite_box_layout_is_known_to_two_places():
     ("def f(t):\n    return t.box, t._code(0, 0)\n", set()),
 ])
 def test_box_layout_check_sees_every_user(source, users):
-    assert _box_layout_users({"m.py": source}) == users
+    assert _layout_users({"m.py": source}) == users
+
+
+@pytest.mark.parametrize("source, users", [
+    ("def f(t):\n    return t._sums[0][1]\n", {("m.py", "f")}),
+    ("class C:\n    def g(self, t):\n        row = t._products[2]\n", {("m.py", "C")}),
+    ("def f(t):\n    return getattr(t, '_products')\n", {("m.py", "f")}),
+    ("x = vars(t)['_sums']\n", {("m.py", None)}),
+    ("def f(t):\n    return t.combine((t.zero,), []), t.sums, t.add\n", set()),
+])
+def test_table_list_check_sees_every_user(source, users):
+    assert _layout_users({"m.py": source}, TABLE_LISTS) == users

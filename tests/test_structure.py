@@ -311,6 +311,17 @@ def test_flat_code_forward_matches_object_sums(request, name):
         assert fx == forward_by_object_sums(cert, x)
 
 
+@pytest.mark.parametrize("name", sorted(SHIPPED_CERTIFICATES))
+def test_forward_matches_the_term_loop(request, objloop, name):
+    # the certificates of the certify jobs, on the F_p basis of the source
+    # and on 50 seeded elements
+    cert = shipped_certificate(request, name)
+    rng = random.Random(f"{name} term loop")
+    basis = list(FpView.of(cert.source).basis_elements())
+    for x in basis + [cert.source.random_element(rng) for _ in range(50)]:
+        assert cert.forward(x).codes == objloop.forward(cert, x)
+
+
 def count_tensor_builds(monkeypatch):
     """Rings whose `FpView` builds its structure tensor, one entry per build."""
     built = []
