@@ -13,13 +13,12 @@ The O_K kernels (`ExtensionSpec.dot`, `mul`, `sigma`, `sigma_orbit`) are
 compiled per spec: `_compile_kernels` writes the multiplication table and
 the sigma matrix out as two straight-line functions, with delta^2 = t0 +
 t1*delta of `BaseRing.delta_square` and every table entry folded into
-integer literals, and caches them on the table.  The kernels run on the
-coordinates' plain ints and build one `BaseElement` per output coordinate,
-so the object classes stay the exact API while the products create and
-type-check no objects.  The same builder writes a second flavour for the
-residue rings O_K/mO_K of `residue`: it reads coordinates as residue-table
-codes and returns the codes of the output coordinates, so the package has
-one O_K product formula.
+integer literals, and caches them on the table.  They unpack and return
+the flat int tuples `OKElement.ints` and build no `BaseElement`, which an
+element builds only for its `coords` view, for printing and embedding.
+The same builder writes a second flavour for the residue rings O_K/mO_K
+of `residue`: it reads coordinates as residue-table codes and returns the
+codes of the output coordinates, so the package has one O_K product formula.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class ExtensionSpec(Keyed):
             if not isinstance(c, BaseElement) or (
                     c.ring is not self.base and c.ring != self.base):
                 raise IncompatibleRings("coordinates must come from the base ring")
-        return OKElement(self, coords)
+        return OKElement(self, tuple([v for c in coords for v in (c.a, c.b)]))
 
     def from_ints(self, *rows) -> "OKElement":
         """Coordinates as ints or (a, b) pairs, for tests and quick scripts."""
@@ -115,7 +114,9 @@ class ExtensionSpec(Keyed):
         return self.element(coords)
 
     def from_base(self, c: BaseElement) -> "OKElement":
-        return self.element(one_hot(self.n, 0, c, self.base.zero))
+        if not isinstance(c, BaseElement) or (c.ring is not self.base and c.ring != self.base):
+            raise IncompatibleRings("coordinates must come from the base ring")
+        return OKElement(self, (c.a, c.b) + (0,) * (2 * self.n - 2))
 
     @property
     def zero(self) -> "OKElement":
@@ -142,7 +143,7 @@ class ExtensionSpec(Keyed):
         multiplication table once after the last pair, so a matrix entry
         sum_k A_rk*B_kc or a cofactor level costs one table pass.  The two
         cells of (i, j) and (j, i) are one when their table entries agree.
-        One `BaseElement` is built per output coordinate, none per term.
+        The kernel reads and returns `ints` tuples and builds no `BaseElement`.
         """
         return self._dot(self, pairs)
 
@@ -157,7 +158,7 @@ class ExtensionSpec(Keyed):
         steps on, so entry n is sigma^n computed, not reduced to x.
         """
         step = self._sigma_step
-        orbit = [OKElement(self, x.coords)]
+        orbit = [OKElement(self, x.ints)]
         for _ in range(1, self.n if count is None else count):
             orbit.append(step(self, orbit[-1]))
         return orbit
@@ -234,40 +235,49 @@ class ExtensionSpec(Keyed):
 
 
 class OKElement(RingElement):
-    """Element of O_K as a coordinate vector over the base ring."""
+    """Element of O_K stored and keyed as `ints` = (a0, b0, a1, b1, ...), its
+    coordinate i being a_i + b_i*delta in O_F (every b_i 0 over Z); `coords`
+    builds `BaseElement`s on read.  `ints` is built from a list: a tuple built
+    from an iterator is resized, and CPython keeps freed tuples per length."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("ints",)
     error = IncompatibleRings
 
-    def __init__(self, ext: ExtensionSpec, coords):
+    def __init__(self, ext: ExtensionSpec, ints: tuple):
         self.ring = ext
-        self.coords = tuple(coords)
+        self.ints = ints
 
     @property
     def ext(self) -> ExtensionSpec:
         return self.ring
 
-    key = property(attrgetter("coords"))
+    key = property(attrgetter("ints"))
+
+    @property
+    def coords(self) -> tuple[BaseElement, ...]:
+        base, ints = self.ring.base, self.ints
+        return tuple(BaseElement(base, a, b) for a, b in zip(ints[0::2], ints[1::2]))
 
     def __add__(self, other):
         self._check(other)
-        return OKElement(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return OKElement(self.ring, tuple([a + b for a, b in zip(self.ints, other.ints)]))
 
     def __neg__(self):
-        return OKElement(self.ring, tuple(-a for a in self.coords))
+        return OKElement(self.ring, tuple([-v for v in self.ints]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return OKElement(self.ring, tuple(c * other for c in self.coords))
+            return OKElement(self.ring, tuple([v * other for v in self.ints]))
         if isinstance(other, BaseElement):  # one ring check, then ints
             base = self.ring.base
             if other.ring is not base and other.ring != base:
                 raise IncompatibleRings(f"cannot scale {self!r} by {other!r}")
             c, d = other.a, other.b
             t0, t1 = base.delta_square
-            return OKElement(self.ring, tuple(
-                BaseElement(base, x.a * c + t0 * x.b * d, x.a * d + x.b * c + t1 * x.b * d)
-                for x in self.coords))
+            ints, out = self.ints, []
+            for a, b in zip(ints[0::2], ints[1::2]):
+                out += (a * c + t0 * b * d, a * d + b * c + t1 * b * d)
+            return OKElement(self.ring, tuple(out))
         if not isinstance(other, OKElement):
             return NotImplemented  # let order elements handle k * x
         self._check(other)
@@ -281,9 +291,9 @@ class OKElement(RingElement):
 
     def scalar_part(self) -> BaseElement | None:
         """The O_F value when the element is a base-ring multiple of 1."""
-        if any(self.coords[1:]):
+        if any(self.ints[2:]):
             return None
-        return self.coords[0]
+        return BaseElement(self.ring.base, *self.ints[:2])
 
     def __str__(self):
         parts = []
@@ -330,6 +340,7 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix, codes: bool = Fal
     and a +-1 term is an add or a subtract.  Over Z the delta parts of the
     coordinates are read as zero.  Only those literals and fixed names
     enter the source.  Cached on the tables, so equal specs share kernels.
+    Each operand's `OKElement.ints` is unpacked in one line.
 
     With `codes` the kernels serve O_K/mO_K: they take a `ResidueTable` of
     O_F/(m) in place of `ext`, read each coordinate as a table code lifted
@@ -340,15 +351,18 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix, codes: bool = Fal
     t0, t1 = base.delta_square
     parts = "a" if base.kind is RingKind.RATIONAL else "ab"
     if codes:
-        owner, attr, lift = "table", "codes", "reps[{}]"
-        head, out, coord = "reps, code = table.reps, table._code", "({})", "code({}, {}), "
+        owner, head = "table", ["reps, code = table.reps, table._code"]
+        out, coord = "({})", "code({}, {}), "
     else:
-        owner, attr, lift = "ext", "coords", "{}"
-        head, out, coord = "base = ext.base", "OKElement(ext, ({}))", "BaseElement(base, {}, {}), "
+        owner, head, out, coord = "ext", [], "OKElement(ext, ({}))", "{}, {}, "
 
     def read(v):  # lines loading the coordinates of local v, and their (a, b) forms
-        lines = [f"{v}{f', {v}'.join(map(str, range(n)))}, = {v}.{attr}"]
-        lines += [f"{v}{p}{i} = {lift.format(f'{v}{i}')}.{p}" for i in range(n) for p in parts]
+        if codes:  # each coordinate's code, lifted to its representative's (a, b)
+            lines = [f"{v}{f', {v}'.join(map(str, range(n)))}, = {v}.codes"]
+            lines += [f"{v}{p}{i} = reps[{v}{i}].{p}" for i in range(n) for p in parts]
+        else:
+            lines = ["".join(f"{v}{p}{i}, " if p in parts else "_, "
+                             for i in range(n) for p in "ab") + f"= {v}.ints"]
         return lines, [tuple({(f"{v}{p}{i}",): 1} if p in parts else {} for p in "ab")
                        for i in range(n)]
 
@@ -373,11 +387,11 @@ def _compile_kernels(base: BaseRing, mult_table, sigma_matrix, codes: bool = Fal
         names = [f"c{p}{i * n + j}" if form else None for p, form in zip("ab", forms)]
         sums += [f"{name} += {_source(form)}" for name, form in zip(names, forms) if name]
         cell_forms.append(tuple({(name,): 1} if name else {} for name in names))
-    dot = [head, " = ".join([line.split()[0] for line in sums] + ["0"]), "for x, y in pairs:",
+    dot = [*head, " = ".join([line.split()[0] for line in sums] + ["0"]), "for x, y in pairs:",
            *(f"    {line}" for line in xs + ys + sums),
            *apply([mult_table[i][j] for i, j in cells], cell_forms)]
-    step = [head, *xs, *apply(zip(*sigma_matrix), x)]
-    namespace = {"BaseElement": BaseElement, "OKElement": OKElement}
+    step = [*head, *xs, *apply(zip(*sigma_matrix), x)]
+    namespace = {"OKElement": OKElement}
     for name, args, body in (("dot", "pairs", dot), ("sigma_step", "x", step)):
         source = f"def {name}({owner}, {args}):\n" + "".join(f"    {line}\n" for line in body)
         exec(compile(source, f"<O_K {name} kernel>", "exec"), namespace)

@@ -75,21 +75,23 @@ class TwistedRing(Keyed):
 
     def mul(self, x, y):
         """x*y, each z-power's (x_i, sigma^i(y_j)) pairs summed by one `coeffs.dot`;
-        a wrapped pair (i + j >= n) has its second factor multiplied by ubar.
+        a wrapped pair (i + j >= n) takes x_i*ubar for x_i, one product per
+        row, exact as sigma fixes ubar, which lies in the base ring.
         Each nonzero y_j steps on from sigma^at to sigma^i: n - 1 steps in all."""
         n, C = self.n, self.coeffs
         pairs = [[] for _ in range(n)]
         ys, at = [(j, yj) for j, yj in enumerate(y.zcoords) if yj], 0
         for i, xi in enumerate(x.zcoords):
-            if not xi:
+            if not xi or not ys:
                 continue
             ys, at = [(j, C.sigma(yj, i - at)) for j, yj in ys], i
+            if i + ys[-1][0] >= n:  # the row's largest j wraps
+                xu = C.mul(xi, self.ubar)
             for j, term in ys:
-                k = i + j
-                if k >= n:
-                    k -= n
-                    term = C.mul(term, self.ubar)
-                pairs[k].append((xi, term))
+                if i + j < n:
+                    pairs[i + j].append((xi, term))
+                else:
+                    pairs[i + j - n].append((xu, term))
         return type(x)(self, tuple(C.dot(p) for p in pairs))
 
 
@@ -182,16 +184,15 @@ class AlgebraSpec(TwistedRing):
     from_ok = TwistedRing._scalar
 
     def from_flat_ints(self, flat) -> "OrderElement":
-        """Inverse of `OrderElement.flat_ints`: (z-power, basis, a, b) order."""
-        ext, base, m = self.ext, self.ext.base, self.ext.n
-        flat = list(map(int, flat))
-        if len(flat) != 2 * self.n * m:
-            raise ValueError(f"expected {2 * self.n * m} integer coordinates")
-        if base.kind is RingKind.RATIONAL and any(flat[1::2]):
+        """Inverse of `OrderElement.flat_ints`: each 2m ints an `OKElement.ints`."""
+        ext, w = self.ext, 2 * self.ext.n
+        flat = tuple([int(v) for v in flat])
+        if len(flat) != self.n * w:
+            raise ValueError(f"expected {self.n * w} integer coordinates")
+        if ext.base.kind is RingKind.RATIONAL and any(flat[1::2]):
             raise ValueError("rational ring elements have no delta part")
-        coords = [BaseElement(base, a, b) for a, b in zip(flat[0::2], flat[1::2])]
-        return OrderElement(self, tuple(OKElement(ext, coords[k:k + m])
-                                        for k in range(0, self.n * m, m)))
+        return OrderElement(self, tuple(OKElement(ext, flat[k:k + w])
+                                        for k in range(0, self.n * w, w)))
 
     def int_positions(self, z_slots=None) -> list[int]:
         """Indices into `flat_ints` of the integer coordinates of the given
@@ -219,19 +220,23 @@ class AlgebraSpec(TwistedRing):
     def matrix(self, x: "OrderElement") -> "OrderMatrix":
         """Matrix of right multiplication by x; M(x*y) == M(y)*M(x).
 
-        Column c holds sigma^c of the z-coordinates, so each coordinate's
-        orbit is walked once by `ExtensionSpec.sigma_orbit`, not raised from
-        sigma^0 per entry.  The wrapped entries above the diagonal take u as
-        a base-ring scalar, coordinate by coordinate: ubar = u*b_0 and
-        b_0 = 1, which `ExtensionSpec.validate` checks, so no O_K product.
+        Column c holds sigma^c of the z-coordinates: each one's orbit is
+        walked once by the spec's sigma kernel.  The entries of x_k wrap
+        above the diagonal from column n - k on, where sigma^(n-k)(x_k) is
+        scaled once by u as a base-ring scalar (sigma fixes u; ubar = u*b_0
+        and b_0 = 1, which `ExtensionSpec.validate` checks) and steps on.
         """
-        n, u = self.n, self.u
+        n, u, ext = self.n, self.u, self.ext
+        step = ext._sigma_step
         rows = [[None] * n for _ in range(n)]
-        for k, xk in enumerate(x.zcoords):
-            for c, entry in enumerate(self.ext.sigma_orbit(xk)):
-                r = (k + c) % n
-                rows[r][c] = entry * u if r < c else entry
-        return OrderMatrix(self.ext, rows)
+        for k, entry in enumerate(x.zcoords):
+            for c in range(n):
+                if c:
+                    entry = step(ext, entry)
+                    if c == n - k:
+                        entry = entry * u
+                rows[(k + c) % n][c] = entry
+        return OrderMatrix(ext, rows)
 
     def reduced_det(self, x: "OrderElement") -> BaseElement:
         """Exact determinant of the matrix embedding, as an element of O_F."""
@@ -333,13 +338,8 @@ class OrderElement(TwistedElement):
         return self.ring.abs_det_sq(self)
 
     def flat_ints(self) -> tuple[int, ...]:
-        """All integer coordinates, flattened in (z-power, basis, a, b) order."""
-        out = []
-        for ok in self.zcoords:
-            for c in ok.coords:
-                out.append(c.a)
-                out.append(c.b)
-        return tuple(out)
+        """All integer coordinates in (z-power, basis, a, b) order: the z-coordinates' `ints`."""
+        return tuple([v for ok in self.zcoords for v in ok.ints])
 
     def __repr__(self):
         return f"<{self} in order({self.ring.name})>"

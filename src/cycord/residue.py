@@ -150,7 +150,8 @@ class ResidueRing(Keyed):
     def from_ok(self, x: OKElement) -> "ResidueElement":
         if x.ring != self.ext:
             raise IncompatibleAlgebras("element comes from a different extension")
-        return ResidueElement(self, tuple(self.table.encode(c) for c in x.coords))
+        pairs = iter(x.ints)  # map takes each (a, b) pair off the one iterator
+        return ResidueElement(self, tuple(map(self.table._code, pairs, pairs)))
 
     def from_base(self, c: BaseElement) -> "ResidueElement":
         return ResidueElement(self, one_hot(self.n, 0, self.table.encode(c), self.table.zero))
@@ -246,8 +247,8 @@ class ResidueElement(CodeElement):
         return self.ring.sigma(self, power)
 
     def lift(self) -> OKElement:
-        dec = self.ring.table.decode
-        return self.ring.ext.element([dec(c) for c in self.codes])
+        reps = self.ring.table.reps
+        return OKElement(self.ring.ext, tuple([v for c in self.codes for v in reps[c].key]))
 
     def __str__(self):
         return str(self.lift())

@@ -151,6 +151,39 @@ def _ref_twisted_mul(ring, x, y):
     return type(x)(ring, tuple(out))
 
 
+def _ref_wrapped_mul(ring, x, y):
+    """`TwistedRing.mul` with each wrapped pair's second factor multiplied by
+    ubar, one `coeffs.mul` per wrapped pair, as it was before the product
+    scaled x_i once per row."""
+    n, C = ring.n, ring.coeffs
+    pairs = [[] for _ in range(n)]
+    ys, at = [(j, yj) for j, yj in enumerate(y.zcoords) if yj], 0
+    for i, xi in enumerate(x.zcoords):
+        if not xi:
+            continue
+        ys, at = [(j, C.sigma(yj, i - at)) for j, yj in ys], i
+        for j, term in ys:
+            k = i + j
+            if k >= n:
+                k -= n
+                term = C.mul(term, ring.ubar)
+            pairs[k].append((xi, term))
+    return type(x)(ring, tuple(C.dot(p) for p in pairs))
+
+
+def _ref_scaled_matrix(algebra, x):
+    """The entries of M(x) with each wrapped entry scaled by u on its own, one
+    scaling per entry above the diagonal, as `AlgebraSpec.matrix` did before
+    it scaled each z-coordinate once."""
+    n, u = algebra.n, algebra.u
+    rows = [[None] * n for _ in range(n)]
+    for k, xk in enumerate(x.zcoords):
+        for c, entry in enumerate(algebra.ext.sigma_orbit(xk)):
+            r = (k + c) % n
+            rows[r][c] = entry * u if r < c else entry
+    return tuple(tuple(row) for row in rows)
+
+
 def _ref_residue_dot(S, pairs):
     """`ResidueRing.dot` as a loop over table codes: the multiplication table
     encoded mod m, every product and sum a residue-table lookup."""
@@ -233,12 +266,14 @@ def objloop():
     """O_K arithmetic by BaseElement object loops, on coordinate tuples, the
     residue-ring products and sigma by code loops over the residue tables,
     the matrix products, certificate map, negations and inverses of the
-    tables by their former loops and lists, and object-level references for
-    the base-ring divmod and twisted products."""
+    tables by their former loops and lists, object-level references for
+    the base-ring divmod and twisted products, and the twisted product and
+    matrix embedding that scaled by u per wrapped pair and per entry."""
     return types.SimpleNamespace(mul=_ref_mul, sigma=_ref_sigma, add=_ref_add,
                                  matmul=_ref_matmul, matrix=_ref_matrix,
                                  reduced_det=_ref_reduced_det,
                                  residue_dot=_ref_residue_dot, residue_sigma=_ref_residue_sigma,
                                  code_matmul=_ref_code_matmul, forward=_ref_forward,
                                  neg=_ref_neg, inv=_ref_inv,
-                                 divmod=_ref_divmod, twisted_mul=_ref_twisted_mul)
+                                 divmod=_ref_divmod, twisted_mul=_ref_twisted_mul,
+                                 wrapped_mul=_ref_wrapped_mul, scaled_matrix=_ref_scaled_matrix)

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycord.base_rings import EISENSTEIN, GAUSSIAN, RATIONAL
-from cycord.errors import IncompatibleRings
+from cycord.errors import IncompatibleRings, UnsupportedSize
 from cycord.extension import ExtensionSpec, IdealSpec, extension_from_dict
 from cycord.order import SHIPPED_ALGEBRAS, AlgebraSpec, load_algebra
 from cycord.residue import ResidueRing
@@ -340,6 +341,44 @@ def test_base_scalar_matches_ok_product(shipped, objloop, name, data):
     foreign = EISENSTEIN if ext.base != EISENSTEIN else GAUSSIAN
     with pytest.raises(IncompatibleRings):
         x * foreign.element(1, 1)
+
+
+@pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ok_elements_store_flat_ints(shipped, name, data):
+    algebra = shipped[name]
+    ext = algebra.ext
+    x = data.draw(ok_elements(ext))
+    y = data.draw(st.one_of(st.just(ext.element(x.coords)), ok_elements(ext)))
+    c = data.draw(ok_elements(ext)).coords[0]
+    rational = ext.base == RATIONAL
+    # every result keeps the layout: 2m plain ints, (a, b) per basis element
+    flat = data.draw(st.lists(coords, min_size=2 * algebra.n * ext.n,
+                              max_size=2 * algebra.n * ext.n))
+    if rational:
+        flat[1::2] = [0] * (len(flat) // 2)
+    drawn = algebra.from_flat_ints(np.array(flat, dtype=np.int64))
+    for z in (x, x + y, -x, x * y, x * 3, x * c, x.sigma(), ext.dot([]), ext.one,
+              ext.from_base(c), ext.basis_element(ext.n - 1), *drawn.zcoords):
+        assert type(z.ints) is tuple and len(z.ints) == 2 * ext.n
+        assert all(type(v) is int for v in z.ints)
+        assert z.ints == tuple(v for k in z.coords for v in (k.a, k.b))
+        assert not (rational and any(z.ints[1::2]))
+        assert ext.element(z.coords) == z
+    # equality and hashing agree with the BaseElement tuples they replace
+    assert (x == y) == (x.coords == y.coords)
+    assert len({x, y}) == len({x.coords, y.coords})
+    assert x.is_zero == all(k.is_zero for k in x.coords)
+
+
+def test_embed_beyond_float_range_reports_unsupported_size(golden, gauss):
+    # an a part and a delta part past the float range; Z has no delta part
+    for x in (golden.ext.from_ints(1, (0, 10 ** 400)), gauss.ext.from_ints(10 ** 400, 0)):
+        with pytest.raises(UnsupportedSize, match="beyond the float range"):
+            x.ext.embed(x)
+        with pytest.raises(UnsupportedSize):
+            x.embed(1)
 
 
 def test_product_across_extensions_raises(golden, q7):

@@ -28,7 +28,7 @@ from cycord.order import (
     digit_rows,
     load_algebra,
 )
-from cycord.residue import CodeElement, ResidueElement
+from cycord.residue import CodeElement, ResidueElement, quotient_of
 from cycord.structure import MatElement
 
 coords = st.integers(min_value=-4, max_value=4)
@@ -327,20 +327,43 @@ def test_from_flat_ints_checks_its_input(gauss, golden):
         golden.from_flat_ints(flat[:-1])
 
 
+def sparse_elements(algebra):
+    """Order elements with some z-coordinates zero, which take the product's
+    skip paths."""
+    drops = st.lists(st.booleans(), min_size=algebra.n, max_size=algebra.n)
+    return st.tuples(drawn_elements(algebra), drops).map(lambda xd: algebra.element(
+        algebra.ext.zero if d else c for d, c in zip(xd[1], xd[0].zcoords)))
+
+
 @pytest.mark.parametrize("name", SHIPPED_ALGEBRAS)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_order_product_matches_term_by_term(shipped, objloop, name, data):
     algebra = shipped[name]
-
-    def draw():
-        # zero z-coordinates take the product's skip paths
-        x = data.draw(drawn_elements(algebra))
-        drop = data.draw(st.lists(st.booleans(), min_size=algebra.n, max_size=algebra.n))
-        return algebra.element(algebra.ext.zero if d else c for d, c in zip(drop, x.zcoords))
-
-    x, y = draw(), draw()
+    x, y = data.draw(sparse_elements(algebra)), data.draw(sparse_elements(algebra))
     assert x * y == objloop.twisted_mul(algebra, x, y)
+
+
+# a prime of each algebra's base ring that leaves ubar nonzero in the quotient
+WRAP_CASES = {"golden_u_i": "3", "golden_u_1pi": "3", "q7_cubic": "2",
+              "q15_quartic": "1+i", "gauss_over_Q": "3", "gauss_u5": "3"}
+
+
+@pytest.mark.parametrize("name", sorted(WRAP_CASES))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_u_scaled_once_matches_per_pair_scaling(shipped, gauss_u5, objloop, name, data):
+    # sigma fixes u, so the product scales x_i by ubar once per row and the
+    # embedding scales x_k by u once; both against the per-pair references
+    algebra = gauss_u5 if name == "gauss_u5" else shipped[name]
+    Q = quotient_of(algebra, IdealSpec(algebra.ext.base.parse(WRAP_CASES[name])))
+    assert not Q.ubar.is_zero
+    x, y = data.draw(sparse_elements(algebra)), data.draw(sparse_elements(algebra))
+    assert x * y == objloop.wrapped_mul(algebra, x, y)
+    assert x.matrix().entries == objloop.scaled_matrix(algebra, x)
+    assert y.matrix().entries == objloop.scaled_matrix(algebra, y)
+    qx, qy = Q.reduce(x), Q.reduce(y)
+    assert qx * qy == objloop.wrapped_mul(Q, qx, qy)
 
 
 def test_matrix_product_across_specs(golden, q7):

@@ -10,7 +10,9 @@ reads.  A fifth keeps code generation in the one kernel builder, a sixth
 keeps euclidean division behind the residue tables, and a seventh keeps
 the layout of a table's Hermite box known to `ResidueTable` and
 `residue.fp_table_digits` alone, and its sum and product lists to
-`ResidueTable` alone.
+`ResidueTable` alone.  An eighth keeps O_K arithmetic on the ints of an
+`OKElement`: its `BaseElement` view `coords` is read only for printing and
+embedding, and the compiled object kernels build no `BaseElement`.
 """
 
 import ast
@@ -20,6 +22,9 @@ from pathlib import Path
 import pytest
 
 import cycord
+from cycord.extension import OKElement
+from cycord.order import SHIPPED_ALGEBRAS, load_algebra
+from cycord.residue import ResidueRing
 
 PACKAGE = Path(cycord.__file__).resolve().parent
 # the package namespace re-exports what it imports, so it is exempt
@@ -271,3 +276,70 @@ def test_box_layout_check_sees_every_user(source, users):
 ])
 def test_table_list_check_sees_every_user(source, users):
     assert _layout_users({"m.py": source}, TABLE_LISTS) == users
+
+
+# the owners that may read `OKElement.coords`, which builds a BaseElement per
+# coordinate on each read: the class itself (printing) and the embedding
+COORDS_READERS = {("extension.py", "OKElement"), ("extension.py", "ExtensionSpec.embed")}
+
+
+def _coords_readers(sources: dict) -> set:
+    """(module, owner) for each attribute read of, or string naming, `coords`
+    outside COORDS_READERS: the owner is "Class.method" in a method, the
+    class or function otherwise, None at module level."""
+    found = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            name = getattr(stmt, "name", None)
+            parts = [(f"{name}.{sub.name}" if isinstance(sub, ast.FunctionDef) else name, sub)
+                     for sub in stmt.body] if isinstance(stmt, ast.ClassDef) else [(name, stmt)]
+            for owner, part in parts:
+                if {(module, name), (module, owner)} & COORDS_READERS:
+                    continue
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "coords"
+                       and isinstance(sub.ctx, ast.Load)
+                       or isinstance(sub, ast.Constant) and sub.value == "coords"
+                       for sub in ast.walk(part)):
+                    found.add((module, owner))
+    return found
+
+
+def test_ok_arithmetic_reads_ints_not_coords():
+    """Package code computes on `OKElement.ints`; only printing and
+    `ExtensionSpec.embed`, which keeps the `UnsupportedSize` of
+    `BaseElement.complex`, build the BaseElement coordinates."""
+    assert _coords_readers({path.name: path.read_text() for path in MODULES}) == set()
+
+
+@pytest.mark.parametrize("module, source, readers", [
+    ("m.py", "def f(x):\n    return x.coords[0]\n", {("m.py", "f")}),
+    ("m.py", "class C:\n    def g(self, x):\n        return getattr(x, 'coords')\n",
+     {("m.py", "C.g")}),
+    ("m.py", "key = attrgetter('coords')\n", {("m.py", None)}),
+    ("m.py", "class C:\n    key = property(attrgetter('coords'))\n", {("m.py", "C")}),
+    ("m.py", "def f(x):\n    coords = x.ints\n    return coords\n", set()),
+    # the two owners may read it, in their own module only
+    ("extension.py", "class OKElement:\n    def __str__(self):\n        return str(self.coords)\n",
+     set()),
+    ("m.py", "class OKElement:\n    def __str__(self):\n        return str(self.coords)\n",
+     {("m.py", "OKElement.__str__")}),
+    ("extension.py", "class ExtensionSpec:\n    def embed(self, x):\n        return x.coords\n"
+     "    def mul(self, x):\n        return x.coords\n", {("extension.py", "ExtensionSpec.mul")}),
+])
+def test_coords_check_sees_every_reader(module, source, readers):
+    assert _coords_readers({module: source}) == readers
+
+
+def test_object_kernels_build_no_base_elements():
+    """The object flavour of the compiled kernels unpacks `OKElement.ints`:
+    no BaseElement and no `.a` or `.b` read.  The code flavour still lifts
+    codes to representatives through `.a` and `.b`, which shows the names
+    are seen."""
+    assert OKElement.__slots__ == ("ints",)
+    for name in SHIPPED_ALGEBRAS:
+        ext = load_algebra(name).ext
+        for kernel in (ext._dot, ext._sigma_step):
+            assert {"BaseElement", "a", "b"}.isdisjoint(kernel.__code__.co_names), name
+            assert "ints" in kernel.__code__.co_names
+        codes = ResidueRing(ext, ext.base.element(2))._dot.__code__.co_names
+        assert "a" in codes
