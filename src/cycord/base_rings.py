@@ -11,18 +11,18 @@ modulus), so gcds and canonical residues mod alpha^s are computed exactly
 with integer arithmetic.
 
 Each residue ring O_F/(m) is one `ResidueTable`, shared through
-`residue_table`: its modulus, sorted canonical representatives, `reduce`,
-and the arithmetic on codes (`combine`, `inverse`) that lets the quotient
-layers above run on small-integer indices instead of object arithmetic.  A
-residue gets its code by floor arithmetic into the Hermite box of (m) and
-one lookup, so a table divides once per residue, for its representatives,
-and `reduce` divides not at all.  This bottom module
-also holds the package's only copies of six generic mechanisms:
+`residue_table`: its modulus, sorted canonical representatives, `reduce`, and
+the arithmetic on codes (`combine`, `inverse`) that lets the quotient layers
+above run on small-integer indices instead of object arithmetic.  A residue
+gets its code by floor arithmetic into the Hermite box of (m) and one lookup,
+so a table divides once per residue, and `reduce` divides not at all;
+`combine` builds each sum and product row on its first read.  This bottom
+module also holds the package's only copies of six generic mechanisms:
 `Keyed`, the value equality of every ring, table and spec on its `key`;
 `RingElement`, the base of every element class; `power`, the
 square-and-multiply; `cofactor_det`, the cofactor determinant;
-`radix_encode`/`radix_decode`, the integer codec of residue coordinates;
-and `one_hot`, the coordinate tuple of a scalar or basis element.
+`radix_encode`/`radix_decode`, the integer codec of residue coordinates; and
+`one_hot`, the coordinate tuple of a scalar or basis element.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     DivisionByZero,
@@ -493,12 +493,12 @@ class ResidueTable(Keyed):
     representative of each box point; every other code, and every `encode`, is
     that box lookup.  When d0 is prime, the box coordinates are also F_p
     coordinates of the additive group (`residue.fp_table_digits`).  Codes add
-    and multiply only in `combine`, which builds the size x size sum and
-    product lists on first call.  Tables compare by value, on (base, modulus).
+    and multiply only in `combine`, which builds a row of the sum or product
+    list on its first read.  Tables compare by value, on (base, modulus).
     """
 
     __slots__ = ("base", "modulus", "reps", "_hermite", "_box", "zero", "one", "minus_one",
-                 "char", "size", "__dict__")
+                 "char", "size", "_sums", "_products")
 
     def __init__(self, base: BaseRing, modulus: BaseElement):
         if modulus.ring != base:
@@ -510,8 +510,7 @@ class ResidueTable(Keyed):
             raise UnsupportedSize(
                 f"residue ring of size {size} exceeds the table limit {TABLE_LIMIT}"
             )
-        self.base = base
-        self.modulus = modulus
+        self.base, self.modulus = base, modulus
         self._hermite = d0, _, d1 = _hermite_basis(modulus)
         if d0 * d1 != size:
             raise VerificationFailed(f"Hermite box {d0} x {d1} does not have {size} points")
@@ -526,17 +525,18 @@ class ResidueTable(Keyed):
         self.zero, self.one, self.minus_one = self._code(0, 0), self._code(1, 0), self._code(-1, 0)
         # the lattice points with b = 0 are the multiples of (d0, 0): 1 has additive order d0
         self.char = d0
+        self._sums, self._products = [None] * size, [None] * size
 
-    @cached_property
-    def _sums(self) -> list[list[int]]:
-        keys, code = [x.key for x in self.reps], self._code
-        return [[code(a + c, b + d) for c, d in keys] for a, b in keys]
+    def _sum_row(self, i: int) -> list[int]:
+        (a, b), code = self.reps[i].key, self._code
+        self._sums[i] = row = [code(a + x.a, b + x.b) for x in self.reps]
+        return row
 
-    @cached_property
-    def _products(self) -> list[list[int]]:  # by the delta rule
-        keys, code, (t0, t1) = [x.key for x in self.reps], self._code, self.base.delta_square
-        return [[code(a * c + t0 * b * d, a * d + b * c + t1 * b * d) for c, d in keys]
-                for a, b in keys]
+    def _product_row(self, i: int) -> list[int]:  # by the delta rule
+        (a, b), code, (t0, t1) = self.reps[i].key, self._code, self.base.delta_square
+        self._products[i] = row = [code(a * x.a + t0 * b * x.b, a * x.b + b * x.a + t1 * b * x.b)
+                                   for x in self.reps]
+        return row
 
     def combine(self, acc, terms) -> tuple[int, ...]:
         """acc + sum of c * v over the (code c, code vector v) terms, entry by
@@ -544,8 +544,8 @@ class ResidueTable(Keyed):
         sums, products, zero = self._sums, self._products, self.zero
         for c, v in terms:
             if c != zero:
-                row = products[c]
-                acc = [sums[a][row[b]] for a, b in zip(acc, v)]
+                row = products[c] or self._product_row(c)
+                acc = [(sums[a] or self._sum_row(a))[row[b]] for a, b in zip(acc, v)]
         return tuple(acc)
 
     def inverse(self, code: int) -> int | None:

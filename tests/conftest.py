@@ -184,10 +184,20 @@ def _ref_scaled_matrix(algebra, x):
     return tuple(tuple(row) for row in rows)
 
 
+@functools.cache
+def _ref_lists(t):
+    """The full sum and product lists of table t, every entry the code of a
+    sum or product of two representatives by `encode`: the references' own
+    lists, independent of the rows the table builds on first read."""
+    return ([[t.encode(x + y) for y in t.reps] for x in t.reps],
+            [[t.encode(x * y) for y in t.reps] for x in t.reps])
+
+
 def _ref_residue_dot(S, pairs):
     """`ResidueRing.dot` as a loop over table codes: the multiplication table
-    encoded mod m, every product and sum a residue-table lookup."""
+    encoded mod m, every product and sum a lookup in the reference lists."""
     t = S.table
+    sums, products = _ref_lists(t)
     mult = [[[t.encode(c) for c in cell] for cell in row] for row in S.ext.mult_table]
     out = [t.zero] * S.n
     for x, y in pairs:
@@ -196,12 +206,12 @@ def _ref_residue_dot(S, pairs):
             if xi == t.zero:
                 continue
             for j, yj in ys:
-                scale = t._products[xi][yj]
+                scale = products[xi][yj]
                 if scale == t.zero:
                     continue
                 for r, c in enumerate(row[j]):
                     if c != t.zero:
-                        out[r] = t._sums[out[r]][t._products[scale][c]]
+                        out[r] = sums[out[r]][products[scale][c]]
     return tuple(out)
 
 
@@ -209,6 +219,7 @@ def _ref_residue_sigma(S, codes, power):
     """sigma^power on table codes, column j of the sigma matrix encoded mod m
     as the codes of sigma(b_j)."""
     t, n = S.table, S.n
+    sums, products = _ref_lists(t)
     sig = [[t.encode(S.ext.sigma_matrix[r][j]) for r in range(n)] for j in range(n)]
     for _ in range(power):
         out = [t.zero] * n
@@ -217,7 +228,7 @@ def _ref_residue_sigma(S, codes, power):
                 continue
             for r in range(n):
                 if col[r] != t.zero:
-                    out[r] = t._sums[out[r]][t._products[xj][col[r]]]
+                    out[r] = sums[out[r]][products[xj][col[r]]]
         codes = tuple(out)
     return codes
 
@@ -225,12 +236,13 @@ def _ref_residue_sigma(S, codes, power):
 def _ref_code_matmul(t, n, a, b):
     """The product of two n x n matrices of table codes, row-major, as the
     triple loop of sum and product lookups that `MatElement` ran."""
+    sums, products = _ref_lists(t)
     out = []
     for r in range(0, n * n, n):
         for c in range(n):
             acc = t.zero
             for k in range(n):
-                acc = t._sums[acc][t._products[a[r + k]][b[k * n + c]]]
+                acc = sums[acc][products[a[r + k]][b[k * n + c]]]
             out.append(acc)
     return tuple(out)
 
@@ -239,13 +251,14 @@ def _ref_forward(cert, x):
     """`IsoCertificate.forward` as the loop over every (coefficient, term)
     pair, the terms b_i z^j multiplied by the triple loop."""
     zero, t, n = cert.source.S.table.zero, cert.target.table, cert.target.n
+    sums, products = _ref_lists(t)
     acc, zj = list(cert.target.zero.codes), cert.target.one.codes
     for s in x.zcoords:
         for b, code in zip(cert.basis_images, s.codes):
             if code != zero:
-                mul = t._products[code]
+                mul = products[code]
                 term = _ref_code_matmul(t, n, b.codes, zj)
-                acc = [t._sums[a][mul[c]] for a, c in zip(acc, term)]
+                acc = [sums[a][mul[c]] for a, c in zip(acc, term)]
         zj = _ref_code_matmul(t, n, zj, cert.z_image.codes)
     return tuple(acc)
 
@@ -257,15 +270,16 @@ def _ref_neg(t):
 
 def _ref_inv(t):
     """The inverse list a table stored: per code, the column of 1 in its
-    product row, None for a non-unit."""
-    return [row.index(t.one) if t.one in row else None for row in t._products]
+    product row of the reference lists, None for a non-unit."""
+    return [row.index(t.one) if t.one in row else None for row in _ref_lists(t)[1]]
 
 
 @pytest.fixture(scope="session")
 def objloop():
     """O_K arithmetic by BaseElement object loops, on coordinate tuples, the
-    residue-ring products and sigma by code loops over the residue tables,
-    the matrix products, certificate map, negations and inverses of the
+    residue-ring products and sigma by code loops over the residue tables'
+    sum and product lists built entry by entry with `encode`, the matrix
+    products, certificate map, negations and inverses of the
     tables by their former loops and lists, object-level references for
     the base-ring divmod and twisted products, and the twisted product and
     matrix embedding that scaled by u per wrapped pair and per entry."""

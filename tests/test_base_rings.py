@@ -190,8 +190,9 @@ def test_residue_table_matches_reduce():
     t = residue_table(GAUSSIAN, m)
     for x in t.reps:
         for y in t.reps:
-            assert t._sums[t.encode(x)][t.encode(y)] == t.encode(t.reduce(x + y))
-            assert t._products[t.encode(x)][t.encode(y)] == t.encode(t.reduce(x * y))
+            a, b = t.encode(x), t.encode(y)
+            assert t.combine((a,), [(t.one, (b,))]) == (t.encode(t.reduce(x + y)),)
+            assert t.combine((t.zero,), [(a, (b,))]) == (t.encode(t.reduce(x * y)),)
     # zero and one are the canonical representatives, not the raw inputs
     assert t.decode(t.zero) == t.reduce(GAUSSIAN.zero)
     assert t.decode(t.one) == t.reduce(GAUSSIAN.one)

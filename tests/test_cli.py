@@ -120,10 +120,10 @@ def test_reduce_prime_powers_up_to_1024_residues(capsys, s):
 
 @pytest.mark.parametrize("s", range(1, 13))
 def test_reduce_builds_no_table_arithmetic(capsys, monkeypatch, s):
-    # `combine` is the one reader of a table's sum and product lists, which
-    # it builds on first call; reduce never calls it, up to TABLE_LIMIT.
-    # The tables of s = 11 and 12 serve no other test, so they must hold
-    # neither list afterwards
+    # `combine` is the one reader of a table's sum and product rows, each of
+    # which it builds on first read; reduce never calls it, up to TABLE_LIMIT.
+    # No other test builds a row of the shared tables of s = 11 and 12, so
+    # every row slot of both lists must still be empty afterwards
     calls = []
     combine = ResidueTable.combine
     monkeypatch.setattr(ResidueTable, "combine",
@@ -135,7 +135,32 @@ def test_reduce_builds_no_table_arithmetic(capsys, monkeypatch, s):
     table = residue_table(GAUSSIAN, GAUSSIAN.parse("1+i") ** s)
     assert table.size == 2 ** s
     if s > 10:
-        assert not {"_sums", "_products"} & vars(table).keys()
+        assert table._sums == table._products == [None] * table.size
+
+
+def test_structure_near_the_table_limit_builds_only_the_rows_it_reads(capsys, monkeypatch):
+    # golden_u_i mod (1+i)^11: its stdout is the one printed before the rows
+    # were built on first read, and it reads fewer than the 2048 rows of
+    # each list.  The shared table gets empty row lists for this test alone,
+    # so the rows counted are this run's and no other test sees them
+    table = residue_table(GAUSSIAN, GAUSSIAN.parse("1+i") ** 11)
+    for name in ("_sums", "_products"):
+        monkeypatch.setattr(table, name, [None] * table.size)
+    code, out, _err = run(["structure", "--algebra", "golden_u_i", "--ideal", "(1+i)^11",
+                           "--output", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38943b143c0b5c9f1670cda638cff57cd669bb20bc4368d5bcd397b2d6b93308")
+    for rows in (table._sums, table._products):
+        assert 0 < sum(row is not None for row in rows) < table.size == 2048
+
+
+@pytest.mark.parametrize("command", ["structure", "ideals"])
+def test_structure_and_ideals_past_the_table_limit_exit_1(capsys, command):
+    code, payload = run_json(
+        [command, "--algebra", "golden_u_i", "--ideal", "(1+i)^13"], capsys)
+    assert code == 1
+    assert payload == {"error": "O_F/(1+i)^13 exceeds the table limit 4096"}
 
 
 def test_reduce_past_the_table_limit_exits_1(capsys):

@@ -77,16 +77,32 @@ def _reference_table(ring, m):
     }
 
 
+def _sum_rows(t):
+    """The table's own sum list, read through `combine`: entry b of row a is
+    a + 1*b, as `combine((a,), [(t.one, (b,))])` reads it."""
+    codes = tuple(range(t.size))
+    return [list(t.combine((a,) * t.size, [(t.one, codes)])) for a in codes]
+
+
+def _product_rows(t):
+    """The table's own product list, read through `combine`: entry b of row a
+    is 0 + a*b, as `combine((t.zero,), [(a, (b,))])` reads it."""
+    codes = tuple(range(t.size))
+    return [list(t.combine((t.zero,) * t.size, [(a, codes)])) for a in codes]
+
+
 def test_residue_tables_match_the_per_entry_reference():
     assert len(MODULI) == 50 + 40 + 31  # residue counts 1..50 in Z, Z[i], Z[w]
     for ring, m in MODULI:
         t = ResidueTable(ring, m)
         ref = _reference_table(ring, m)
         assert len(ref["reps"]) == t.size == m.ideal_norm()
-        # the sum and product lists are built on first read; negation is the
-        # product row of -1, and inverses come from `inverse`
-        assert {"reps": t.reps, "add": t._sums, "mul": t._products,
-                "neg": t._products[t.minus_one],
+        # the sum and product rows are built on first read, and read here
+        # through `combine`; negation is the product row of -1, and inverses
+        # come from `inverse`
+        products = _product_rows(t)
+        assert {"reps": t.reps, "add": _sum_rows(t), "mul": products,
+                "neg": products[t.minus_one],
                 "inv": [t.inverse(x) for x in range(t.size)],
                 "zero": t.zero, "one": t.one, "char": t.char} == ref, (ring, m)
 
@@ -162,7 +178,8 @@ def test_a_wrong_code_map_still_builds_a_table(monkeypatch):
     m = RATIONAL.element(6)
     t, ref = ResidueTable(RATIONAL, m), _reference_table(RATIONAL, m)
     assert (t.zero, t.one) != (ref["zero"], ref["one"])
-    assert t._sums != ref["add"]  # the first read builds the list, through the shifted codes
+    # `combine` builds the rows it reads through the shifted codes
+    assert _sum_rows(t) != ref["add"] and _product_rows(t) != ref["mul"]
     assert t.char == ref["char"] == 6
 
 
@@ -182,7 +199,7 @@ def test_box_digits_are_f_p_coordinates():
         assert sorted(digits) == list(itertools.product(range(p), repeat=k))
         assert digits[t.zero] == (0,) * k
         assert [codes[radix_encode(digits[x], p)] for x in range(t.size)] == list(range(t.size))
-        for a, row in enumerate(t._sums):
+        for a, row in enumerate(_sum_rows(t)):
             for b, total in enumerate(row):
                 assert digits[total] == tuple((u + v) % p for u, v in zip(digits[a], digits[b]))
         checked[k] += 1
